@@ -9,9 +9,6 @@ from .hardy import (
     normalize,
     phase_shift,
     superpose,
-    window_complement,
-    window_measure,
-    window_shift,
 )
 from .observable import (
     KrausFamily,
@@ -55,9 +52,6 @@ __all__ = [
     "normalize",
     "phase_shift",
     "superpose",
-    "window_complement",
-    "window_measure",
-    "window_shift",
     "KrausFamily",
     "PhaseMatrix",
     "ValidationReport",

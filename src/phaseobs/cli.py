@@ -19,7 +19,7 @@ import numpy as np
 
 from . import distribution, observable, spectral
 from .errors import PhaseObsError, ValidationError
-from .hardy import TWO_PI, HardyState, PhaseWindow, normalize
+from .hardy import TWO_PI, HardyState, PhaseWindow, _complex_pairs, normalize
 from .observable import PhaseMatrix
 
 BUILTIN_KINDS = ("canonical", "trivial", "exponential")
@@ -43,7 +43,6 @@ class RunConfig:
     dim: int | None = None
     seed: int = 0
     samples: int = 0
-    q: float | None = None
     out: str | None = None
     truncations: list[int] = field(default_factory=list)
     q_sweep: list[float] = field(default_factory=list)
@@ -120,26 +119,18 @@ def _matrix_spec(args) -> dict:
     return _load_json(arg)
 
 
-def _matrix_at(spec: dict, dim: int) -> PhaseMatrix:
-    """Instantiate the matrix family at truncation `dim`; explicit matrices
-    are truncated to their top-left block."""
-    kind = spec.get("kind")
-    if kind in BUILTIN_KINDS:
-        local = dict(spec)
-        local["dim"] = dim
-        return PhaseMatrix.from_dict(local)
-    return PhaseMatrix.from_dict(spec).truncated(dim)
-
-
-def _load_matrix(args) -> PhaseMatrix:
-    return PhaseMatrix.from_dict(_matrix_spec(args))
+def _load_matrix(args, dim: int | None = None) -> PhaseMatrix:
+    """The --matrix matrix, optionally at truncation `dim`: a builtin is
+    rebuilt at that size, an explicit matrix is cut to its top-left block."""
+    spec = _matrix_spec(args)
+    if dim is not None and spec.get("kind") in BUILTIN_KINDS:
+        return PhaseMatrix.from_dict({**spec, "dim": dim})
+    matrix = PhaseMatrix.from_dict(spec)
+    return matrix if dim is None else matrix.truncated(dim)
 
 
 def _load_state(path: str) -> HardyState:
-    data = _load_json(path)
-    pairs = data["coeffs"]
-    raw = np.array([complex(re, im) for re, im in pairs])
-    return normalize(raw)
+    return normalize(_complex_pairs(_load_json(path)["coeffs"], "coeffs"))
 
 
 def _load_window(arg: str) -> PhaseWindow:
@@ -166,10 +157,8 @@ def _parse_float_list(text: str) -> list[float]:
 def cmd_validate(args, cfg: RunConfig) -> int:
     spec = _matrix_spec(args)
     if spec.get("kind") == "explicit":
-        entries = np.array(
-            [[complex(re, im) for re, im in row] for row in spec["entries"]]
-        )
-        report = observable.validate(entries)
+        # validate the raw entries: building a PhaseMatrix would raise instead
+        report = observable.validate(_complex_pairs(spec["entries"], "entries"))
     else:
         report = observable.validate(_load_matrix(args).entries)
     text = json.dumps(report.to_dict(), indent=2) + "\n"
@@ -183,16 +172,7 @@ def cmd_validate(args, cfg: RunConfig) -> int:
 def cmd_density(args, cfg: RunConfig) -> int:
     matrix = _load_matrix(args)
     state = _load_state(args.state)
-    if cfg.grid >= 2 * matrix.dim - 1:
-        values = distribution.density_grid(matrix, state, cfg.grid)
-    else:
-        # grid too coarse for the FFT rearrangement; use the direct sum
-        values = np.array(
-            [
-                distribution.density(matrix, state, state, TWO_PI * j / cfg.grid).real
-                for j in range(cfg.grid)
-            ]
-        )
+    values = distribution.density_grid(matrix, state, cfg.grid)
     rows = [(TWO_PI * j / cfg.grid, values[j]) for j in range(cfg.grid)]
     _emit(_csv("theta,value", rows), cfg.out)
     return 0
@@ -201,11 +181,10 @@ def cmd_density(args, cfg: RunConfig) -> int:
 def cmd_cdf(args, cfg: RunConfig) -> int:
     matrix = _load_matrix(args)
     state = _load_state(args.state)
-    rows = []
-    for j in range(cfg.grid + 1):
-        theta = TWO_PI * j / cfg.grid if j < cfg.grid else TWO_PI
-        rows.append((theta, distribution.exact_cdf(matrix, state, theta)))
-    _emit(_csv("theta,value", rows), cfg.out)
+    thetas = TWO_PI * np.arange(cfg.grid + 1) / cfg.grid
+    thetas[-1] = TWO_PI
+    values = distribution.exact_cdf(matrix, state, thetas)
+    _emit(_csv("theta,value", zip(thetas, values)), cfg.out)
     return 0
 
 
@@ -260,14 +239,13 @@ def cmd_localize(args, cfg: RunConfig) -> int:
 
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
-    spec = _matrix_spec(args)
     window = _load_window(args.window)
     if cfg.truncations and cfg.q_sweep:
         raise PhaseObsError("use either --truncations or --q-sweep, not both")
     if cfg.truncations:
         rows = []
         for dim in cfg.truncations:
-            lam, _ = spectral.localization_max(_matrix_at(spec, dim), window)
+            lam, _ = spectral.localization_max(_load_matrix(args, dim), window)
             rows.append((dim, lam))
         _emit(_csv("S,lambda_max", rows), cfg.out)
         return 0
@@ -349,7 +327,6 @@ def _config_from(args) -> RunConfig:
         dim=args.dim,
         seed=getattr(args, "seed", 0),
         samples=getattr(args, "samples", 0),
-        q=args.q,
         out=args.out,
         truncations=_parse_int_list(getattr(args, "truncations", "")),
         q_sweep=_parse_float_list(getattr(args, "q_sweep", "")),

@@ -1,13 +1,14 @@
 """Phase probability densities, window probabilities, kernels, and sampling.
 
-The density of a pair of states under a phase matrix (c_{n,m}) is
-
-    f(theta) = sum_{n,m} c_{n,m} exp(i (n - m) theta) conj(a_n) b_m
-
-and the probability of a phase window X is the same double sum with the
-exponential replaced by the closed-form Fourier window integral
-(1/2pi) int_X exp(i k theta) dtheta.  Closed forms are used on every
-production path; quadrature appears only in test oracles.
+Every quantity pairs the phase matrix (c_{n,m}) with a Hermitian Toeplitz
+symbol t, t_{-k} = conj(t_k): either as the sum sum_k w_k t_k over the
+diagonal weights w_k = sum_{n-m=k} c_{n,m} conj(a_n) b_m of two states, or
+as the Schur product C o T(t) with T(t)_{n,m} = t_{n-m}.  The symbols are
+exp(i k theta) for the density at theta, the window integral
+(1/2pi) int_X exp(i k theta) dtheta for the probability of a window X
+(X = [0, theta) for the CDF), and i/(m - n) for the first moment.  Closed
+forms are used on every production path; quadrature appears only in test
+oracles.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PhaseObsError, ValidationError
-from .hardy import TWO_PI, HardyState, PhaseWindow, phase_shift, superpose, window_shift
+from .hardy import TWO_PI, HardyState, PhaseWindow, phase_shift, superpose
 from .observable import PhaseMatrix
 
 # Imaginary residue / probability-bound tolerance: larger deviations signal
@@ -33,24 +35,84 @@ def _aligned(matrix: PhaseMatrix, state: HardyState) -> np.ndarray:
     return state.padded(matrix.dim).coeffs
 
 
+def _fold(bins: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Complex sums of `values` over equal `bins`, for bins 0..size-1."""
+    return np.bincount(bins, values.real, size) + 1j * np.bincount(
+        bins, values.imag, size
+    )
+
+
+def _diagonal_weights(
+    matrix: PhaseMatrix, psi: HardyState, phi: HardyState | None = None
+) -> np.ndarray:
+    """w_k = sum_{n-m=k} c_{n,m} conj(a_n) b_m for k = -(S-1)..(S-1), with
+    b = a unless phi is given, so that f_{psi,phi}(theta) = sum_k w_k
+    exp(i k theta)."""
+    a = _aligned(matrix, psi)
+    b = a if phi is None or phi is psi else _aligned(matrix, phi)
+    dim = matrix.dim
+    n = np.arange(dim)
+    bins = np.subtract.outer(n, n).ravel() + (dim - 1)
+    prod = (matrix.entries * np.outer(a.conj(), b)).ravel()
+    return _fold(bins, prod, 2 * dim - 1)
+
+
+def _arc_symbol(size: int, lo: float, hi) -> np.ndarray:
+    """(1/2pi) int_lo^hi exp(i k theta) dtheta for k = 0..size-1 along the
+    first axis, broadcast over an array `hi`; a whole turn is exactly the
+    delta symbol."""
+    k = np.arange(size).reshape((size,) + (1,) * np.ndim(hi))
+    # row k = 0 is overwritten below; max(k, 1) only keeps 0/0 out
+    t = (np.exp(1j * k * hi) - np.exp(1j * k * lo)) / (TWO_PI * 1j * np.maximum(k, 1))
+    t[0] = (hi - lo) / TWO_PI
+    # exp(2*pi*i*k) rounds to 1 + O(k eps), so zero the k > 0 terms by hand
+    t[1:] *= hi - lo != TWO_PI
+    return t
+
+
+def _window_symbol(window: PhaseWindow, size: int) -> np.ndarray:
+    """Window integrals t_k for k = 0..size-1, summed in closed form per arc."""
+    arcs = ((0.0, TWO_PI),) if window.is_full_circle() else window.arcs
+    return sum((_arc_symbol(size, lo, hi) for lo, hi in arcs), np.zeros(size, complex))
+
+
+def _pair(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k w_k t_k over k = -(S-1)..(S-1), for weights w from
+    `_diagonal_weights` and a Hermitian symbol given by t_0..t_{S-1} along
+    the first axis of t (t_{-k} = conj(t_k)).  einsum sums each column in
+    the same order whatever the trailing shape, so a lone theta and a grid
+    of them agree bit for bit."""
+    size = t.shape[0]
+    upper = np.einsum("k,k...->...", w[size - 1 :], t)
+    lower = np.einsum("k,k...->...", w[: size - 1][::-1].conj(), t[1:])
+    return upper + lower.conj()
+
+
+def _schur_toeplitz(entries: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """C o T(t): entry (n, m) is c_{n,m} t_{n-m} for the Hermitian symbol
+    t_0..t_{S-1}; T(t) is a strided view of the symbol, never materialized."""
+    size = entries.shape[0]
+    full = np.concatenate((t[:0:-1].conj(), t))  # t_{-(S-1)} .. t_{S-1}
+    return entries * sliding_window_view(full[::-1], size)[::-1]
+
+
+def _probability(value, what: str):
+    """Real part of `value` after the imaginary-residue check, clamped to
+    [0, 1] only within tolerance."""
+    residue = float(np.max(np.abs(np.imag(value)), initial=0.0))
+    if residue > TOL_PROB:
+        raise ValidationError(f"{what} has imaginary residue {residue:g}")
+    p = np.real(value)
+    worst = float(np.max(np.abs(p - np.clip(p, 0.0, 1.0)), initial=0.0))
+    if worst > TOL_PROB:
+        raise ValidationError(f"{what} escapes [0, 1] by {worst:g}")
+    return np.clip(p, 0.0, 1.0)
+
+
 def fourier_window_integral(k: int, window: PhaseWindow) -> complex:
     """(1/2pi) int_X exp(i k theta) dtheta, summed in closed form per arc."""
-    total = 0.0 + 0.0j
-    for lo, hi in window.arcs:
-        if k == 0:
-            total += (hi - lo) / TWO_PI
-        else:
-            total += (np.exp(1j * k * hi) - np.exp(1j * k * lo)) / (TWO_PI * 1j * k)
-    return complex(total)
-
-
-def _window_integrals(dim: int, window: PhaseWindow) -> np.ndarray:
-    """Integrals for k = 0..dim-1; negative k follow by conjugation."""
-    if window.is_full_circle():
-        vals = np.zeros(dim, dtype=complex)
-        vals[0] = 1.0
-        return vals
-    return np.array([fourier_window_integral(k, window) for k in range(dim)])
+    t = _window_symbol(window, abs(k) + 1)[abs(k)]
+    return complex(t if k >= 0 else t.conjugate())
 
 
 def density(
@@ -59,35 +121,22 @@ def density(
     phi: HardyState | None = None,
     theta: float = 0.0,
 ) -> complex:
-    """f_{psi,phi}(theta) as the direct double sum (reference semantics)."""
-    a = _aligned(matrix, psi)
-    b = a if phi is None or phi is psi else _aligned(matrix, phi)
-    n = np.arange(matrix.dim)
-    phases = np.exp(1j * np.subtract.outer(n, n) * float(theta))
-    return complex(np.sum(matrix.entries * phases * np.outer(a.conj(), b)))
-
-
-def _diagonal_weights(matrix: PhaseMatrix, psi: HardyState) -> np.ndarray:
-    """w_k = sum_{n-m=k} c_{n,m} conj(a_n) a_m for k = -(S-1)..(S-1),
-    so that f(theta) = sum_k w_k exp(i k theta)."""
-    a = _aligned(matrix, psi)
-    prod = matrix.entries * np.outer(a.conj(), a)
-    dim = matrix.dim
-    return np.array([prod.diagonal(-k).sum() for k in range(-dim + 1, dim)])
+    """f_{psi,phi}(theta) = sum_{n,m} c_{n,m} exp(i (n - m) theta) conj(a_n) b_m."""
+    w = _diagonal_weights(matrix, psi, phi)
+    return complex(_pair(w, np.exp(1j * np.arange(matrix.dim) * float(theta))))
 
 
 def density_grid(matrix: PhaseMatrix, psi: HardyState, grid_size: int) -> np.ndarray:
-    """Real density values at theta_j = 2*pi*j/G via an FFT rearrangement.
+    """Real density values at theta_j = 2*pi*j/G, exact for any G >= 1.
 
-    Requires G >= 2S - 1 so every Fourier mode lands in a distinct bin.
+    exp(i k theta_j) depends on k only modulo G, so the weights are folded
+    into G bins and one inverse FFT evaluates the grid.
     """
+    if grid_size < 1:
+        raise PhaseObsError("grid size must be >= 1")
     dim = matrix.dim
-    if grid_size < max(2, 2 * dim - 1):
-        raise PhaseObsError(f"grid size {grid_size} too small for dimension {dim}")
-    w = _diagonal_weights(matrix, psi)
-    spectrum = np.zeros(grid_size, dtype=complex)
-    for k, wk in zip(range(-dim + 1, dim), w):
-        spectrum[k % grid_size] += wk
+    bins = np.arange(1 - dim, dim) % grid_size
+    spectrum = _fold(bins, _diagonal_weights(matrix, psi), grid_size)
     values = grid_size * np.fft.ifft(spectrum)
     worst_imag = float(np.max(np.abs(values.imag)))
     if worst_imag > TOL_PROB:
@@ -100,23 +149,8 @@ def window_probability(
 ) -> float:
     """(1/2pi) int_X f_{psi,psi}; imaginary residue below tolerance is
     discarded and values are clamped to [0, 1] only within tolerance."""
-    a = _aligned(matrix, psi)
-    dim = matrix.dim
-    pos = _window_integrals(dim, window)
-    integrals = np.empty((dim, dim), dtype=complex)
-    for n in range(dim):
-        for m in range(dim):
-            k = n - m
-            integrals[n, m] = pos[k] if k >= 0 else pos[-k].conjugate()
-    value = complex(np.sum(matrix.entries * integrals * np.outer(a.conj(), a)))
-    if abs(value.imag) > TOL_PROB:
-        raise ValidationError(
-            f"window probability has imaginary residue {abs(value.imag):g}"
-        )
-    p = value.real
-    if p < -TOL_PROB or p > 1.0 + TOL_PROB:
-        raise ValidationError(f"window probability {p} escapes [0, 1]")
-    return min(max(p, 0.0), 1.0)
+    value = _pair(_diagonal_weights(matrix, psi), _window_symbol(window, matrix.dim))
+    return float(_probability(value, "window probability"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,15 +184,7 @@ def window_operator(
     The full circle yields the identity exactly.
     """
     mat = matrix if dim is None else matrix.truncated(dim)
-    size = mat.dim
-    pos = _window_integrals(size, window)
-    # entry (n, m) uses k = n - m; negative k by conjugate symmetry of pos.
-    entries = np.empty((size, size), dtype=complex)
-    for n in range(size):
-        entries[n, n] = mat.entries[n, n] * pos[0]
-        for m in range(n + 1, size):
-            entries[n, m] = mat.entries[n, m] * pos[m - n].conjugate()
-            entries[m, n] = mat.entries[m, n] * pos[m - n]
+    entries = _schur_toeplitz(mat.entries, _window_symbol(window, mat.dim))
     return WindowOperator(entries=entries, window=window, source=mat.label)
 
 
@@ -189,7 +215,7 @@ def check_covariance(
     """Residual of phase-shift covariance: shifting the state equals
     shifting the window."""
     lhs = window_probability(matrix, phase_shift(psi, alpha), window)
-    rhs = window_probability(matrix, psi, window_shift(window, alpha))
+    rhs = window_probability(matrix, psi, window.shifted(alpha))
     return abs(lhs - rhs)
 
 
@@ -236,28 +262,17 @@ def kernel_apply(
     return value.real
 
 
-def exact_cdf(matrix: PhaseMatrix, psi: HardyState, theta: float) -> float:
-    """Probability of [0, theta); theta = 2*pi closes the full circle."""
-    if not 0.0 <= theta <= TWO_PI:
+def exact_cdf(matrix: PhaseMatrix, psi: HardyState, theta):
+    """Probability of [0, theta); theta may be an array, and theta = 2*pi
+    closes the full circle."""
+    theta_arr = np.asarray(theta, dtype=float)
+    if not np.all((0.0 <= theta_arr) & (theta_arr <= TWO_PI)):
         raise PhaseObsError(f"theta {theta} outside [0, 2*pi]")
-    if theta == 0.0:
-        return 0.0
-    if theta == TWO_PI:
-        window = PhaseWindow.full_circle()
-    else:
-        window = PhaseWindow(((0.0, float(theta)),))
-    return window_probability(matrix, psi, window)
-
-
-def _cdf_vectorized(weights: np.ndarray, dim: int, thetas: np.ndarray) -> np.ndarray:
-    ks = np.arange(-dim + 1, dim)
-    nz = ks != 0
-    w0 = weights[~nz][0].real
-    values = w0 * thetas / TWO_PI
-    phases = np.exp(1j * np.outer(ks[nz], thetas))
-    coeffs = weights[nz] / (TWO_PI * 1j * ks[nz])
-    values = values + np.real(coeffs @ (phases - 1.0))
-    return values
+    arcs = _arc_symbol(matrix.dim, 0.0, theta_arr)
+    p = _probability(_pair(_diagonal_weights(matrix, psi), arcs), "cdf")
+    if np.isscalar(theta) or theta_arr.ndim == 0:
+        return float(p)
+    return p
 
 
 def sample(
@@ -266,20 +281,20 @@ def sample(
     """Inverse-CDF sampling of phase outcomes in [0, 2*pi).
 
     Bisection (never Newton: the density may vanish) narrows each bracket
-    below 1e-10; the generator is private to the call, so a fixed seed is
-    fully deterministic.
+    below 1e-10, each round pairing the weights with the [0, mid) arc
+    symbol of every midpoint; the generator is private to the call, so a
+    fixed seed is fully deterministic.
     """
     if count < 0:
         raise PhaseObsError("sample count must be non-negative")
     rng = np.random.default_rng(seed)
     u = rng.random(count)
     weights = _diagonal_weights(matrix, psi)
-    dim = matrix.dim
     lo = np.zeros(count)
     hi = np.full(count, TWO_PI)
     while float(np.max(hi - lo, initial=0.0)) > 1e-10:
         mid = 0.5 * (lo + hi)
-        below = _cdf_vectorized(weights, dim, mid) < u
+        below = _pair(weights, _arc_symbol(matrix.dim, 0.0, mid)).real < u
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)

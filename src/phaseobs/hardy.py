@@ -48,6 +48,18 @@ def _pair_list(values, what: str) -> list[tuple[float, float]]:
     return pairs
 
 
+def _complex_pairs(rows, what: str) -> np.ndarray:
+    """Complex array from nested [re, im] pairs (the last axis of `rows`)."""
+    try:
+        arr = np.ascontiguousarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise PhaseObsError(f"{what} must be a regular array of pairs") from exc
+    if arr.ndim < 1 or arr.shape[-1] != 2:
+        raise PhaseObsError(f"{what} entries must be [re, im] pairs")
+    # reinterpret each float64 pair as one complex128: exact, zero-copy
+    return arr.view(complex)[..., 0]
+
+
 @dataclass(frozen=True, eq=False)
 class HardyState:
     """Unit vector of the truncated Hardy space, stored as Fourier coefficients."""
@@ -92,8 +104,7 @@ class HardyState:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HardyState":
-        pairs = _pair_list(data["coeffs"], "coeffs")
-        return cls(np.array([complex(re, im) for re, im in pairs]))
+        return cls(_complex_pairs(data["coeffs"], "coeffs"))
 
 
 def normalize(raw) -> HardyState:
@@ -220,14 +231,3 @@ class PhaseWindow:
     def from_dict(cls, data: dict) -> "PhaseWindow":
         return cls(tuple(_pair_list(data["arcs"], "arcs")))
 
-
-def window_measure(window: PhaseWindow) -> float:
-    return window.measure
-
-
-def window_shift(window: PhaseWindow, alpha: float) -> PhaseWindow:
-    return window.shifted(alpha)
-
-
-def window_complement(window: PhaseWindow) -> PhaseWindow:
-    return window.complement()

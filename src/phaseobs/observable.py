@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhaseObsError, ValidationError
+from .hardy import _complex_pairs
 
 TOL_HERM = 1e-12
 TOL_DIAG = 1e-12
@@ -188,10 +189,7 @@ class PhaseMatrix:
         if kind == "exponential":
             return cls.exponential(float(data["q"]), int(data["dim"]))
         if kind == "explicit":
-            entries = np.array(
-                [[complex(re, im) for re, im in row] for row in data["entries"]]
-            )
-            return cls.explicit(entries)
+            return cls.explicit(_complex_pairs(data["entries"], "entries"))
         raise PhaseObsError(f"unknown matrix kind {kind!r}")
 
     def truncated(self, dim: int) -> "PhaseMatrix":
@@ -239,9 +237,7 @@ class KrausFamily:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KrausFamily":
-        return cls(
-            np.array([[complex(re, im) for re, im in row] for row in data["rows"]])
-        )
+        return cls(_complex_pairs(data["rows"], "rows"))
 
 
 def _fix_vector_phase(vec: np.ndarray) -> np.ndarray:

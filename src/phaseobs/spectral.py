@@ -17,7 +17,7 @@ import numpy as np
 from .errors import PhaseObsError
 from .hardy import HardyState, PhaseWindow
 from .observable import PhaseMatrix, _fix_vector_phase
-from .distribution import window_operator
+from .distribution import _schur_toeplitz, window_operator
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,16 +39,13 @@ class MomentOperator:
 
 
 def first_moment(matrix: PhaseMatrix, dim: int | None = None) -> MomentOperator:
-    """entries[n][m] = pi if n = m else c_{n,m} * i / (m - n)."""
+    """entries[n][m] = c_{n,m} t_{n-m} with t_0 = pi, t_k = -i/k: pi on the
+    diagonal and c_{n,m} * i / (m - n) off it."""
     mat = matrix if dim is None else matrix.truncated(dim)
-    size = mat.dim
-    n = np.arange(size)
-    diff = np.subtract.outer(n, n).astype(float)  # m - n with sign flipped below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coeff = np.where(diff == 0.0, 0.0, 1j / -diff)  # i / (m - n)
-    entries = mat.entries * coeff
-    entries[np.diag_indices(size)] = math.pi
-    return MomentOperator(entries=entries, source=mat.label)
+    t = np.empty(mat.dim, dtype=complex)
+    t[0] = math.pi
+    t[1:] = -1j / np.arange(1, mat.dim)
+    return MomentOperator(entries=_schur_toeplitz(mat.entries, t), source=mat.label)
 
 
 def moment_spectrum(matrix: PhaseMatrix, dim: int | None = None) -> np.ndarray:

@@ -44,3 +44,41 @@ def random_window(rng, max_arcs=3):
 def eig2(a, b):
     """Eigenvalues of [[a, b], [conj(b), a]]: independent 2x2 oracle."""
     return a - abs(b), a + abs(b)
+
+
+# Loop forms of the window quantities: the double sums exactly as defined,
+# kept as oracles for the vectorized Schur-Toeplitz path.
+
+
+def loop_window_integral(k, window):
+    """(1/2pi) int_X exp(i k theta) dtheta, in closed form arc by arc."""
+    if window.is_full_circle():
+        return 1.0 + 0.0j if k == 0 else 0.0j
+    total = 0.0j
+    for lo, hi in window.arcs:
+        if k == 0:
+            total += (hi - lo) / TWO_PI
+        else:
+            total += (np.exp(1j * k * hi) - np.exp(1j * k * lo)) / (TWO_PI * 1j * k)
+    return total
+
+
+def loop_window_operator(matrix, window):
+    """entries[n][m] = c_{n,m} * (1/2pi) int_X exp(i (n - m) theta) dtheta."""
+    dim = matrix.dim
+    entries = np.empty((dim, dim), dtype=complex)
+    for n in range(dim):
+        for m in range(dim):
+            entries[n, m] = matrix.entries[n, m] * loop_window_integral(n - m, window)
+    return entries
+
+
+def loop_window_probability(matrix, psi, window):
+    """sum_{n,m} conj(a_n) c_{n,m} t_{n-m} a_m, unclamped."""
+    a = psi.padded(matrix.dim).coeffs
+    entries = loop_window_operator(matrix, window)
+    total = 0.0j
+    for n in range(matrix.dim):
+        for m in range(matrix.dim):
+            total += a[n].conjugate() * entries[n, m] * a[m]
+    return total.real

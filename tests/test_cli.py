@@ -220,6 +220,25 @@ class TestCommands:
         assert lams[0] == pytest.approx(0.5, abs=1e-12)
         assert lams == sorted(lams)
 
+    def test_q_sweep_needs_no_q(self, tmp_path):
+        out = tmp_path / "qsweep.csv"
+        assert main(
+            [
+                "sweep",
+                "--matrix",
+                "exponential",
+                "--dim",
+                "4",
+                "--window",
+                "0:3.14",
+                "--q-sweep",
+                "0.0,0.5",
+                "--out",
+                str(out),
+            ]
+        ) == 0
+        assert out.read_text().splitlines()[0] == "q,lambda_max"
+
     def test_sample_deterministic(self, canonical2, plus_state, tmp_path):
         out1, out2 = tmp_path / "s1.txt", tmp_path / "s2.txt"
         for out in (out1, out2):
@@ -261,7 +280,7 @@ class TestCommands:
         lines = out.read_text().splitlines()
         assert len(lines) == 10  # header + 9 grid points closing at 2*pi
         values = [float(l.split(",")[1]) for l in lines[1:]]
-        assert values[0] == 0.0
+        assert lines[1] == "0.0,0.0"
         assert values[-1] == pytest.approx(1.0, abs=1e-12)
         assert values == sorted(values)
 
@@ -279,3 +298,29 @@ class TestCommands:
         first = out.read_text()
         payload = json.loads(first)
         assert json.loads(json.dumps(payload)) == payload
+
+
+MALFORMED_PAIRS = {
+    "three-element pair": [[SQ2, 0.0, 0.0], [SQ2, 0.0, 0.0]],
+    "ragged row": [[SQ2, 0.0], [SQ2]],
+}
+
+
+class TestMalformedPairs:
+    @pytest.mark.parametrize("coeffs", MALFORMED_PAIRS.values(), ids=MALFORMED_PAIRS)
+    def test_state_file(self, canonical2, coeffs, tmp_path, capsys):
+        state = write_json(tmp_path / "bad_state.json", {"coeffs": coeffs})
+        argv = ["density", "--matrix", canonical2, "--state", state]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["code"] == "error"
+
+    @pytest.mark.parametrize("row", MALFORMED_PAIRS.values(), ids=MALFORMED_PAIRS)
+    @pytest.mark.parametrize("command", ["validate", "kraus"])
+    def test_explicit_matrix(self, command, row, tmp_path, capsys):
+        entries = [[[1.0, 0.0], [0.0, 0.0]], row]
+        mat = write_json(
+            tmp_path / "bad_matrix.json",
+            {"kind": "explicit", "dim": 2, "entries": entries},
+        )
+        assert main([command, "--matrix", mat]) == 1
+        assert json.loads(capsys.readouterr().err)["code"] == "error"

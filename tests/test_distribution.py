@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import eig2, random_gram_matrix, random_state, random_window
+from conftest import (
+    eig2,
+    loop_window_operator,
+    loop_window_probability,
+    random_gram_matrix,
+    random_state,
+    random_window,
+)
 from phaseobs import (
     HardyState,
     PhaseMatrix,
@@ -118,6 +125,19 @@ class TestDensity:
             direct = density(mat, psi, psi, TWO_PI * j / 32)
             assert grid[j] == pytest.approx(direct.real, abs=1e-12)
 
+    def test_coarse_grid_matches_direct_sum(self):
+        # G < 2S - 1 folds several Fourier modes into one bin
+        rng = np.random.default_rng(42)
+        mat = random_gram_matrix(rng, 7)
+        psi = random_state(rng, 7)
+        for grid_size in (1, 2, 3, 5, 12):
+            grid = density_grid(mat, psi, grid_size)
+            direct = [
+                density(mat, psi, psi, TWO_PI * j / grid_size).real
+                for j in range(grid_size)
+            ]
+            np.testing.assert_allclose(grid, direct, rtol=0, atol=1e-12)
+
     def test_dimension_mismatch(self):
         with pytest.raises(PhaseObsError):
             density(PhaseMatrix.canonical(2), normalize([1, 1, 1]))
@@ -216,6 +236,27 @@ class TestWindowOperator:
             assert np.max(np.abs(op.entries - op.entries.conj().T)) <= 1e-12
             evals = np.linalg.eigvalsh(op.entries)
             assert evals[0] >= -1e-10 and evals[-1] <= 1 + 1e-10
+
+
+class TestLoopOracles:
+    """The Schur-Toeplitz path against the double loops over (n, m)."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 33])
+    def test_window_quantities_match_loops(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        for trial in range(6):
+            mat = random_gram_matrix(rng, dim)
+            psi = random_state(rng, dim)
+            window = PhaseWindow.full_circle() if trial == 0 else random_window(rng)
+            entries = window_operator(mat, window).entries
+            np.testing.assert_allclose(
+                entries, loop_window_operator(mat, window), rtol=0, atol=1e-13
+            )
+            if trial == 0:
+                np.testing.assert_array_equal(entries, np.eye(dim))
+            assert window_probability(mat, psi, window) == pytest.approx(
+                loop_window_probability(mat, psi, window), abs=1e-13
+            )
 
 
 class TestConditions:
@@ -371,6 +412,20 @@ class TestCdfAndSampling:
         thetas = np.linspace(0, TWO_PI, 50)
         values = [exact_cdf(mat, psi, float(t)) for t in thetas]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_array_matches_scalar(self):
+        rng = np.random.default_rng(43)
+        mat = random_gram_matrix(rng, 9)
+        psi = random_state(rng, 9)
+        thetas = np.concatenate([[0.0], np.sort(rng.random(20) * TWO_PI), [TWO_PI]])
+        values = exact_cdf(mat, psi, thetas)
+        assert values.shape == thetas.shape
+        np.testing.assert_array_equal(
+            values, [exact_cdf(mat, psi, float(t)) for t in thetas]
+        )
+        assert values[0] == 0.0
+        with pytest.raises(PhaseObsError):
+            exact_cdf(mat, psi, np.array([1.0, 7.0]))
 
     def test_sampling_deterministic(self):
         mat = PhaseMatrix.canonical(2)

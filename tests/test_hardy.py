@@ -14,9 +14,6 @@ from phaseobs import (
     normalize,
     phase_shift,
     superpose,
-    window_complement,
-    window_measure,
-    window_shift,
 )
 
 
@@ -141,19 +138,17 @@ class TestSuperpose:
 
 class TestPhaseWindow:
     def test_measure(self):
-        assert window_measure(PhaseWindow(((0.0, math.pi),))) == pytest.approx(math.pi)
+        assert PhaseWindow(((0.0, math.pi),)).measure == pytest.approx(math.pi)
 
     def test_shift_wraparound(self):
-        shifted = window_shift(
-            PhaseWindow(((3 * math.pi / 2, TWO_PI),)), math.pi / 2
-        )
+        shifted = PhaseWindow(((3 * math.pi / 2, TWO_PI),)).shifted(math.pi / 2)
         assert len(shifted.arcs) == 1
         lo, hi = shifted.arcs[0]
         assert lo == pytest.approx(0.0, abs=1e-15)
         assert hi == pytest.approx(math.pi / 2)
 
     def test_complement(self):
-        comp = window_complement(PhaseWindow(((0.0, math.pi),)))
+        comp = PhaseWindow(((0.0, math.pi),)).complement()
         assert comp.arcs == ((math.pi, TWO_PI),)
         assert comp.measure + math.pi == pytest.approx(TWO_PI)
 
@@ -164,13 +159,13 @@ class TestPhaseWindow:
         for _ in range(25):
             window = random_window(rng)
             alpha = float(rng.random() * 10 - 5)
-            assert window_shift(window, alpha).measure == pytest.approx(
+            assert window.shifted(alpha).measure == pytest.approx(
                 window.measure, abs=1e-12
             )
 
     def test_shift_full_turn_is_identity(self):
         window = PhaseWindow(((0.5, 1.0), (2.0, 3.0)))
-        assert window_shift(window, TWO_PI).arcs == window.arcs
+        assert window.shifted(TWO_PI).arcs == window.arcs
 
     def test_rejects_overlap_and_disorder(self):
         with pytest.raises(PhaseObsError):
