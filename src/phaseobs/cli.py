@@ -2,9 +2,9 @@
 
 Reads states, matrices, and windows from JSON (windows also inline as
 "lo:hi,lo:hi"), runs one operation per invocation, and writes CSV/JSON
-outputs atomically.  Exit codes: 0 success, 1 I/O or parse error,
-2 physics-level validation failure or a result that double precision
-cannot resolve; diagnostics go to stderr as JSON.
+outputs atomically.  Exit codes: 0 success, 1 I/O or parse error or not
+enough memory, 2 physics-level validation failure or a result that double
+precision cannot resolve; diagnostics go to stderr as JSON.
 """
 
 from __future__ import annotations
@@ -212,11 +212,11 @@ def cmd_kernel_check(args, cfg: RunConfig) -> int:
     s = int(nonzero[-1]) if nonzero.size else 0
     if s >= matrix.dim:
         raise PhaseObsError("state band limit exceeds matrix dimension")
+    thetas = TWO_PI * np.arange(8) / 8
+    sandwiches = distribution.kernel_apply(matrix, s, state, thetas, cfg.grid)
     rows = []
-    for j in range(8):
-        theta = TWO_PI * j / 8
+    for theta, sandwich in zip(thetas, sandwiches):
         direct = distribution.density(matrix, state, state, theta).real
-        sandwich = distribution.kernel_apply(matrix, s, state, theta, cfg.grid)
         rows.append((theta, direct, sandwich, abs(direct - sandwich)))
     _emit(_csv("theta,density,kernel,abs_err", rows), cfg.out)
     return 0
@@ -367,6 +367,9 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         _diag("precision", str(exc))
         return 2
+    except MemoryError as exc:
+        _diag("memory", "not enough memory for this request", str(exc) or None)
+        return 1
     except (PhaseObsError, OSError, KeyError, TypeError, ValueError,
             json.JSONDecodeError) as exc:
         _diag("error", str(exc))

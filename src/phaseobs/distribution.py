@@ -26,6 +26,16 @@ from .observable import PhaseMatrix
 # an invalid matrix and raise instead of being clamped away.
 TOL_PROB = 1e-10
 
+# `sample` solves this many draws at a time, which bounds its working memory
+# whatever the number of draws.
+_SAMPLE_CHUNK = 16384
+# Width below which `sample` closes a bracket: half the 1e-10 of its contract.
+_BRACKET = 5e-11
+# A Newton step shorter than this is lengthened by it, past the root.
+_OVERSHOOT = 1e-11
+# Rounds after which `sample` only bisects, so that every draw closes.
+_NEWTON_ROUNDS = 16
+
 
 def _aligned(matrix: PhaseMatrix, state: HardyState) -> np.ndarray:
     if state.dim > matrix.dim:
@@ -233,15 +243,17 @@ def kernel_apply(
     matrix: PhaseMatrix,
     s: int,
     psi: HardyState,
-    theta: float,
+    theta,
     grid_size: int = 4096,
-) -> float:
+):
     """Kernel sandwich (1/2pi)^2 double integral of
     conj(psi(x)) C_s(x - theta, y - theta) psi(y) by the periodic
     trapezoid rule on a G x G grid (computed separably).
 
     Requires psi band-limited to indices <= s; then the result matches the
-    density at theta once G exceeds the band limit.
+    density at theta once G exceeds the band limit.  theta may be an array:
+    psi is sampled and projected onto the modes exp(-i n x) once, and each
+    theta enters as the exact phase factors exp(+-i n theta).
     """
     if not 0 <= s < matrix.dim:
         raise PhaseObsError(f"kernel order {s} outside [0, {matrix.dim})")
@@ -250,29 +262,111 @@ def kernel_apply(
         raise PhaseObsError(f"state is not band-limited to index {s}")
     if grid_size < 2:
         raise PhaseObsError("grid size must be >= 2")
-    xs = TWO_PI * np.arange(grid_size) / grid_size
     n = np.arange(s + 1)
-    samples = np.exp(-1j * np.outer(xs, np.arange(a.size))) @ a  # psi on grid
-    modes = np.exp(-1j * np.outer(n, xs - float(theta)))
-    left = modes @ samples.conj() / grid_size
-    right = (modes.conj() @ samples) / grid_size
-    value = complex(left @ matrix.entries[: s + 1, : s + 1] @ right)
-    if abs(value.imag) > 1e-8:
-        raise ValidationError(f"kernel sandwich has imaginary residue {value.imag:g}")
-    return value.real
+    head = np.zeros(s + 1, dtype=complex)
+    head[: min(a.size, s + 1)] = a[: s + 1]
+    modes = np.outer(TWO_PI * np.arange(grid_size) / grid_size, -1j * n)
+    np.exp(modes, out=modes)  # exp(-i n x_j), one G x (s+1) array
+    # (1/G) sum_j exp(i n x_j) psi(x_j); the left projection is its conjugate
+    right = ((modes @ head).conj() @ modes).conj() / grid_size
+    block = matrix.entries[: s + 1, : s + 1]
+    values = np.empty(np.shape(theta), dtype=complex)
+    for index, t in np.ndenumerate(np.asarray(theta, dtype=float)):
+        shifted = right * np.exp(-1j * n * t)
+        values[index] = shifted.conj() @ block @ shifted
+    residue = float(np.max(np.abs(values.imag), initial=0.0))
+    if residue > 1e-8:
+        raise ValidationError(f"kernel sandwich has imaginary residue {residue:g}")
+    return float(values.real) if values.ndim == 0 else values.real
 
 
 def exact_cdf(matrix: PhaseMatrix, psi: HardyState, theta):
     """Probability of [0, theta); theta may be an array, and theta = 2*pi
-    closes the full circle."""
+    closes the full circle, whose probability is exactly 1."""
     theta_arr = np.asarray(theta, dtype=float)
     if not np.all((0.0 <= theta_arr) & (theta_arr <= TWO_PI)):
         raise PhaseObsError(f"theta {theta} outside [0, 2*pi]")
     arcs = _arc_symbol(matrix.dim, 0.0, theta_arr)
     p = _probability(_pair(_diagonal_weights(matrix, psi), arcs), "cdf")
+    # the pairing gives w_0 = ||psi||^2 there, a few ulps off 1 for a unit state
+    p = np.where(theta_arr == TWO_PI, 1.0, p)
     if np.isscalar(theta) or theta_arr.ndim == 0:
         return float(p)
     return p
+
+
+def _cdf_coefficients(w: np.ndarray) -> tuple[float, np.ndarray]:
+    """w_0 and g_k = w_k/(2 pi i k) for k = 1..S-1, so that the CDF is
+    F(theta) = w_0 theta/2pi + 2 Re sum_k g_k (exp(i k theta) - 1)."""
+    dim = (w.size + 1) // 2
+    return w[dim - 1].real, w[dim:] / (1j * TWO_PI * np.arange(1, dim))
+
+
+def _cdf_and_slope(w: np.ndarray, theta: np.ndarray):
+    """F(theta) and F'(theta) = f(theta)/2pi by Horner in z = exp(i theta):
+    O(S) work per point, and no S x N array."""
+    w0, g = _cdf_coefficients(w)
+    z = np.exp(1j * theta)
+    acc = np.zeros((2, theta.size), dtype=complex)
+    k = np.arange(1, g.size + 1)
+    # row 0 sums g_k z^k, row 1 w_k z^k/2pi = i k g_k z^k, from k = S-1 down
+    for coeffs in np.stack((g, 1j * k * g), axis=1)[::-1, :, None]:
+        acc += coeffs
+        acc *= z
+    return (w0 * theta / TWO_PI + 2.0 * (acc[0].real - g.sum().real),
+            w0 / TWO_PI + 2.0 * acc[1].real)
+
+
+def _cdf_table(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grid theta_j = 2 pi j/G, j = 0..G, for the power of two G >= 4S,
+    and F on it from one inverse FFT of the g_k (G > S, so nothing
+    aliases), made non-decreasing."""
+    w0, g = _cdf_coefficients(w)
+    size = 1 << (4 * g.size + 3).bit_length()
+    periodic = size * np.fft.ifft(np.concatenate(([0.0], g)), size)
+    j = np.arange(size + 1)
+    table = w0 * j / size + 2.0 * (periodic[j % size].real - g.sum().real)
+    return TWO_PI * j / size, np.maximum.accumulate(table)
+
+
+def _invert_cdf(w, u, grid, table, nodes) -> np.ndarray:
+    """For each u, the midpoint of a bracket [lo, hi] narrower than
+    _BRACKET with F(lo) < u <= F(hi), F evaluated pointwise; `nodes` is F
+    evaluated pointwise on the table's grid."""
+    cell = np.clip(np.searchsorted(table, u), 1, grid.size - 1)
+    # The table only locates the cell: its ends are kept where the pointwise
+    # F brackets u, and replaced by 0 or 2pi, which bracket every u.
+    lo = np.where(nodes[cell - 1] < u, grid[cell - 1], 0.0)
+    hi = np.where(nodes[cell] >= u, grid[cell], TWO_PI)
+    # first iterate: linear interpolation in the table
+    rise = table[cell] - table[cell - 1]
+    share = np.divide(u - table[cell - 1], rise, out=np.full(u.size, 0.5), where=rise > 0)
+    x = np.clip(grid[cell - 1] + share * grid[1], lo, hi)
+    out = np.empty_like(u)
+    todo = np.arange(u.size)
+    rounds = 0
+    while True:
+        cdf, slope = _cdf_and_slope(w, x)
+        below = cdf < u[todo]
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        done = hi - lo < _BRACKET
+        out[todo[done]] = 0.5 * (lo[done] + hi[done])
+        live = ~done
+        if not live.any():
+            return out
+        todo, lo, hi, x, cdf, slope, below = (
+            v[live] for v in (todo, lo, hi, x, cdf, slope, below))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (u[todo] - cdf) / slope
+        # a step too short to close the bracket is carried past the root, so
+        # that the next evaluation lands on its far side
+        short = np.abs(step) < _OVERSHOOT
+        step[short] += np.where(below[short], _OVERSHOOT, -_OVERSHOOT)
+        newton = x + step
+        keep = (slope > 0) & (lo < newton) & (newton < hi) & (rounds < _NEWTON_ROUNDS)
+        x = np.where(keep, newton, 0.5 * (lo + hi))
+        rounds += 1
 
 
 def sample(
@@ -280,21 +374,26 @@ def sample(
 ) -> np.ndarray:
     """Inverse-CDF sampling of phase outcomes in [0, 2*pi).
 
-    Bisection (never Newton: the density may vanish) narrows each bracket
-    below 1e-10, each round pairing the weights with the [0, mid) arc
-    symbol of every midpoint; the generator is private to the call, so a
-    fixed seed is fully deterministic.
+    The CDF is exactly w_0 theta/2pi plus a trigonometric polynomial.  It is
+    tabulated once on a power-of-two grid of G >= 4S points by one inverse
+    FFT, and each uniform u is placed in a grid cell by binary search.
+    Inside the cell, Newton steps with the exact derivative f/2pi (F and f
+    by Horner in exp(i theta)) shrink a bracket F(lo) < u <= F(hi) that is
+    checked by pointwise evaluation; a step that leaves the bracket or meets
+    a zero density is a bisection, and after _NEWTON_ROUNDS rounds every
+    step is.  Each draw is the midpoint of a bracket narrower than 5e-11,
+    half the 1e-10 of the sampling contract.  Draws are solved in chunks of
+    _SAMPLE_CHUNK, so working memory does not grow with `count`; the
+    generator is private to the call, so a fixed seed is fully
+    deterministic.
     """
     if count < 0:
         raise PhaseObsError("sample count must be non-negative")
-    rng = np.random.default_rng(seed)
-    u = rng.random(count)
-    weights = _diagonal_weights(matrix, psi)
-    lo = np.zeros(count)
-    hi = np.full(count, TWO_PI)
-    while float(np.max(hi - lo, initial=0.0)) > 1e-10:
-        mid = 0.5 * (lo + hi)
-        below = _pair(weights, _arc_symbol(matrix.dim, 0.0, mid)).real < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    draws = np.random.default_rng(seed).random(count)
+    w = _diagonal_weights(matrix, psi)
+    grid, table = _cdf_table(w)
+    nodes = _cdf_and_slope(w, grid)[0]
+    for start in range(0, count, _SAMPLE_CHUNK):
+        chunk = draws[start : start + _SAMPLE_CHUNK]
+        chunk[:] = _invert_cdf(w, chunk, grid, table, nodes)
+    return draws

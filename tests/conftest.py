@@ -3,6 +3,7 @@ import math
 import numpy as np
 
 from phaseobs import HardyState, PhaseMatrix, PhaseWindow
+from phaseobs.distribution import _arc_symbol, _diagonal_weights, _pair
 
 TWO_PI = 2.0 * math.pi
 
@@ -82,3 +83,19 @@ def loop_window_probability(matrix, psi, window):
         for m in range(matrix.dim):
             total += a[n].conjugate() * entries[n, m] * a[m]
     return total.real
+
+
+def bisect_sample(matrix, psi, count, seed):
+    """Inverse-CDF sampling by plain bisection on [0, 2*pi): each round
+    pairs the weights with the [0, mid) arc symbol of every midpoint, until
+    every bracket is at most 1e-10 wide.  O(S x count) memory per round."""
+    u = np.random.default_rng(seed).random(count)
+    weights = _diagonal_weights(matrix, psi)
+    lo = np.zeros(count)
+    hi = np.full(count, TWO_PI)
+    while float(np.max(hi - lo, initial=0.0)) > 1e-10:
+        mid = 0.5 * (lo + hi)
+        below = _pair(weights, _arc_symbol(matrix.dim, 0.0, mid)).real < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)

@@ -5,6 +5,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from phaseobs import distribution
 from phaseobs.cli import main
 
 SQ2 = 1 / math.sqrt(2)
@@ -262,6 +263,19 @@ class TestCommands:
         draws = [float(x) for x in out1.read_text().split()]
         assert len(draws) == 200
         assert all(0.0 <= x < 2 * math.pi for x in draws)
+
+    def test_memory_error_exits_1(
+        self, canonical2, plus_state, monkeypatch, capsys
+    ):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(distribution, "sample", exhausted)
+        argv = ["sample", "--matrix", canonical2, "--state", plus_state, "--samples", "10"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["code"] == "memory"
 
     def test_cdf_emitter(self, canonical2, plus_state, tmp_path):
         out = tmp_path / "cdf.csv"

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import (
+    bisect_sample,
     eig2,
     loop_window_operator,
     loop_window_probability,
@@ -31,6 +35,12 @@ from phaseobs import (
     sample,
     window_operator,
     window_probability,
+)
+from phaseobs.distribution import (
+    _cdf_and_slope,
+    _cdf_table,
+    _diagonal_weights,
+    _invert_cdf,
 )
 
 HALF = PhaseWindow(((0.0, math.pi),))
@@ -374,6 +384,20 @@ class TestKernel:
                 density(mat, psi, psi, theta).real, abs=1e-6
             )
 
+    def test_apply_array_matches_scalar(self):
+        rng = np.random.default_rng(44)
+        mat = random_gram_matrix(rng, 12)
+        psi = random_state(rng, 12, band_limit=9)
+        thetas = np.concatenate([[0.0], rng.random(6) * TWO_PI])
+        values = kernel_apply(mat, 9, psi, thetas, 512)
+        assert values.shape == thetas.shape
+        np.testing.assert_array_equal(
+            values, [kernel_apply(mat, 9, psi, float(t), 512) for t in thetas]
+        )
+        np.testing.assert_allclose(
+            values, [density(mat, psi, psi, t).real for t in thetas], atol=1e-12
+        )
+
     def test_apply_rejects_wide_band(self):
         psi = normalize([1, 1, 1])
         with pytest.raises(PhaseObsError):
@@ -445,3 +469,119 @@ class TestCdfAndSampling:
         cdf_vals = np.array([exact_cdf(mat, PLUS, float(t)) for t in draws[::100]])
         empirical = np.arange(0, 20000, 100) / 20000
         assert np.max(np.abs(cdf_vals - empirical)) < 0.02
+
+
+def _exponential_case(dim, count):
+    rng = np.random.default_rng(700 + dim)
+    return PhaseMatrix.exponential(0.9, dim), random_state(rng, dim), count
+
+
+SAMPLER_CASES = {
+    **{f"exponential-{dim}": _exponential_case(dim, count) for dim, count in
+       ((1, 2000), (2, 2000), (7, 2000), (64, 2000), (256, 500))},
+    "trivial": (PhaseMatrix.trivial(5), random_state(np.random.default_rng(71), 5), 2000),
+    # density (1 + cos theta)/2pi vanishes at pi
+    "canonical-plus": (PhaseMatrix.canonical(2), PLUS, 5000),
+    "no-draws": (PhaseMatrix.canonical(2), PLUS, 0),
+}
+
+
+class TestSampler:
+    """The table-and-Newton sampler against plain bisection."""
+
+    @pytest.mark.parametrize("case", SAMPLER_CASES)
+    def test_matches_bisection(self, case):
+        mat, psi, count = SAMPLER_CASES[case]
+        draws = sample(mat, psi, count, seed=17)
+        assert draws.shape == (count,)
+        np.testing.assert_allclose(
+            draws, bisect_sample(mat, psi, count, seed=17), rtol=0, atol=1e-10
+        )
+
+    @pytest.mark.parametrize("dim", [1, 3, 64, 65])
+    def test_table_is_the_cdf(self, dim):
+        mat, psi, _ = _exponential_case(dim, 0)
+        grid, table = _cdf_table(_diagonal_weights(mat, psi))
+        size = grid.size - 1
+        assert size & (size - 1) == 0 and 4 * dim <= size < 8 * dim
+        np.testing.assert_allclose(table, exact_cdf(mat, psi, grid), rtol=0, atol=1e-13)
+
+    def test_first_and_last_cells(self):
+        mat, psi, count = _exponential_case(64, 3000)
+        _, table = _cdf_table(_diagonal_weights(mat, psi))
+        u = np.random.default_rng(5).random(count)
+        assert u.min() < table[1] and u.max() > table[-2]
+        np.testing.assert_allclose(
+            sample(mat, psi, count, seed=5),
+            bisect_sample(mat, psi, count, seed=5),
+            rtol=0,
+            atol=1e-10,
+        )
+
+    @pytest.mark.parametrize("skew", [-0.05, 0.05])
+    def test_misplacing_table_still_brackets(self, skew):
+        """A table that puts u in the wrong cell costs rounds, not accuracy:
+        the cell ends are checked pointwise and fall back to 0 or 2pi."""
+        mat, psi, count = _exponential_case(7, 2000)
+        w = _diagonal_weights(mat, psi)
+        grid, table = _cdf_table(w)
+        u = np.random.default_rng(8).random(count)
+        draws = _invert_cdf(
+            w, u, grid, np.clip(table + skew, 0.0, 1.0), _cdf_and_slope(w, grid)[0]
+        )
+        np.testing.assert_allclose(
+            draws, bisect_sample(mat, psi, count, seed=8), rtol=0, atol=1e-10
+        )
+
+    def test_memory_independent_of_count(self):
+        mat, psi, _ = _exponential_case(256, 0)
+        peaks = []
+        for count in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                sample(mat, psi, count, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the returned array alone grows by 1.44 MB
+        assert abs(peaks[1] - peaks[0]) < 2 * 2**20
+
+    def test_large_dimension(self):
+        mat, psi, count = _exponential_case(1024, 100_000)
+        draws = sample(mat, psi, count, seed=9)
+        assert draws.shape == (count,)
+        assert draws.min() >= 0.0 and draws.max() < TWO_PI
+
+
+@st.composite
+def exponential_states(draw):
+    dim = draw(st.integers(1, 64))
+    q = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return PhaseMatrix.exponential(q, dim), random_state(rng, dim)
+
+
+class TestCdfProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(exponential_states())
+    def test_cdf_monotone_from_zero_to_one(self, case):
+        mat, psi = case
+        thetas = np.linspace(0.0, TWO_PI, 257)
+        thetas[-1] = TWO_PI
+        values = exact_cdf(mat, psi, thetas)
+        assert np.all(np.diff(values) >= -1e-12)
+        assert values[0] == 0.0
+        assert values[-1] == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(exponential_states(), st.integers(0, 2**63 - 1))
+    def test_draws_invert_the_cdf(self, case, seed):
+        mat, psi = case
+        count = 64
+        draws = sample(mat, psi, count, seed)
+        u = np.random.default_rng(seed).random(count)
+        below = exact_cdf(mat, psi, np.clip(draws - 1e-10, 0.0, TWO_PI))
+        above = exact_cdf(mat, psi, np.clip(draws + 1e-10, 0.0, TWO_PI))
+        # exact_cdf and the sampler's Horner evaluation round differently
+        assert np.all(below <= u + 1e-13)
+        assert np.all(u <= above + 1e-13)
