@@ -13,7 +13,7 @@ oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -158,9 +158,12 @@ def window_probability(
     matrix: PhaseMatrix, psi: HardyState, window: PhaseWindow
 ) -> float:
     """(1/2pi) int_X f_{psi,psi}; imaginary residue below tolerance is
-    discarded and values are clamped to [0, 1] only within tolerance."""
+    discarded and values are clamped to [0, 1] only within tolerance.  The
+    full circle has probability exactly 1."""
     value = _pair(_diagonal_weights(matrix, psi), _window_symbol(window, matrix.dim))
-    return float(_probability(value, "window probability"))
+    p = float(_probability(value, "window probability"))
+    # the pairing gives w_0 = ||psi||^2 there, a few ulps off 1 for a unit state
+    return 1.0 if window.is_full_circle() else p
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +174,14 @@ class WindowOperator:
     window: PhaseWindow
     source: str
 
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex).copy()
+    # True only from the factory, whose freshly built array is frozen in
+    # place; an array from any other caller is copied, never aliased.
+    _owned: InitVar[bool] = False
+
+    def __post_init__(self, _owned: bool):
+        arr = np.asarray(self.entries, dtype=complex)
+        if not _owned:
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -195,7 +204,7 @@ def window_operator(
     """
     mat = matrix if dim is None else matrix.truncated(dim)
     entries = _schur_toeplitz(mat.entries, _window_symbol(window, mat.dim))
-    return WindowOperator(entries=entries, window=window, source=mat.label)
+    return WindowOperator(entries=entries, window=window, source=mat.label, _owned=True)
 
 
 def check_interference(

@@ -233,7 +233,7 @@ class KrausFamily:
         return self.z.shape[1]
 
     def to_dict(self) -> dict:
-        return {"rows": [[[z.real, z.imag] for z in row] for row in self.z]}
+        return {"rows": np.stack([self.z.real, self.z.imag], -1).tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "KrausFamily":
@@ -249,10 +249,6 @@ def _fix_vector_phase(vec: np.ndarray) -> np.ndarray:
     idx = int(np.argmax(mags > 1e-8 * peak))
     pivot = vec[idx]
     return vec * (pivot.conjugate() / abs(pivot))
-
-
-def _row_sort_key(row: np.ndarray):
-    return tuple(x for z in row for x in (z.real, z.imag))
 
 
 def kraus_decompose(matrix: PhaseMatrix) -> KrausFamily:
@@ -271,15 +267,18 @@ def kraus_decompose(matrix: PhaseMatrix) -> KrausFamily:
         raise ValidationError(
             f"matrix is not PSD: min eigenvalue {evals[0]:g} below -{tol:g}"
         )
-    rows = []
-    for lam, vec in zip(evals, evecs.T):
-        if lam <= tol:
-            continue
-        rows.append((float(lam), np.sqrt(lam) * _fix_vector_phase(vec)))
-    if not rows:
+    kept = evals > tol
+    if not kept.any():
         raise ValidationError("matrix has no eigenvalue above the clipping tolerance")
-    rows.sort(key=lambda item: (-item[0], _row_sort_key(item[1])))
-    return KrausFamily(np.array([row for _, row in rows]))
+    lams = evals[kept]
+    rows = np.array([np.sqrt(lam) * _fix_vector_phase(vec)
+                     for lam, vec in zip(lams, evecs.T[kept])])
+    # descending eigenvalue, then each row's entries as interleaved (re, im)
+    # floats (a view of the rows); np.lexsort is stable and takes its last
+    # key first
+    parts = rows.view(float)
+    order = np.lexsort((*parts.T[::-1], -lams))
+    return KrausFamily(rows[order])
 
 
 def kraus_reconstruct(family: KrausFamily) -> PhaseMatrix:

@@ -6,6 +6,13 @@ nonlocalizability probe reports the largest eigenvalue of a window
 operator: strictly below 1 whenever the window misses part of the circle,
 approaching 1 monotonically as the truncation grows.
 
+On one arc of length L centred at c the window symbol is
+exp(i k c) sin(k L/2)/(pi k), so E(X) = D (C o P) D^* with
+D = diag(exp(i n c)) and P the real prolate symbol (Slepian 1978).  A real
+C, as every builtin is, then takes a real symmetric eigensolve, several
+times cheaper than the complex Hermitian one that two or more arcs, the
+full circle and a complex C still take.
+
 The gap 1 - lambda_max shrinks like exp(-c S) for the canonical matrix, so
 a dense double eigensolve cannot resolve it beyond S ~ 20.  Where it
 cannot, the canonical matrix on a single arc takes an exact path through
@@ -15,7 +22,7 @@ Slepian's prolate matrix in mpmath; any other case is refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -46,8 +53,14 @@ class MomentOperator:
     entries: np.ndarray
     source: str
 
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex).copy()
+    # True only from the factory, whose freshly built array is frozen in
+    # place; an array from any other caller is copied, never aliased.
+    _owned: InitVar[bool] = False
+
+    def __post_init__(self, _owned: bool):
+        arr = np.asarray(self.entries, dtype=complex)
+        if not _owned:
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -63,7 +76,8 @@ def first_moment(matrix: PhaseMatrix, dim: int | None = None) -> MomentOperator:
     t = np.empty(mat.dim, dtype=complex)
     t[0] = math.pi
     t[1:] = -1j / np.arange(1, mat.dim)
-    return MomentOperator(entries=_schur_toeplitz(mat.entries, t), source=mat.label)
+    entries = _schur_toeplitz(mat.entries, t)
+    return MomentOperator(entries=entries, source=mat.label, _owned=True)
 
 
 def moment_spectrum(matrix: PhaseMatrix, dim: int | None = None) -> np.ndarray:
@@ -178,34 +192,53 @@ def _prolate_gap(size: int, start: float, end: float) -> tuple[Any, np.ndarray]:
     )
 
 
+def _prolate_symbol(size: int, length: float) -> np.ndarray:
+    """Real symbol P_0 = L/2pi, P_k = sin(k L/2)/(pi k) for k = 0..size-1
+    of the arc of length L centred at 0."""
+    k = np.arange(1, size)
+    t = np.empty(size)
+    t[0] = length / TWO_PI
+    t[1:] = np.sin(k * (length / 2)) / (math.pi * k)
+    return t
+
+
 def _localization(
     matrix: PhaseMatrix, window: PhaseWindow, dim: int | None = None
 ) -> _Localization:
     """lambda_max, its gap and maximizer, with the path that resolved them.
 
     Dense eigh is kept wherever 1 - lambda_max clears its error bound (and
-    on the full circle, where lambda_max = 1 exactly).  Below the bound the
-    canonical matrix on a single arc takes the prolate path; anything else
-    raises PrecisionError.
+    on the full circle, where lambda_max = 1 exactly).  On one arc of length
+    L centred at c, E(X) = D (C o P) D^* with D = diag(exp(i n c)) and P the
+    real prolate symbol, so a real C takes a real symmetric eigensolve.
+    Below the bound the canonical matrix on a single arc takes the prolate
+    path; anything else raises PrecisionError.
     """
     mat = matrix if dim is None else matrix.truncated(dim)
-    evals, evecs = np.linalg.eigh(window_operator(mat, window).entries)
+    full = window.is_full_circle()
+    arc = None if full else _single_arc(window)
+    # a real C on one arc, the only case the prolate path below can take
+    if arc is not None and not mat.entries.imag.any():
+        start, end = arc
+        length = end - start + (TWO_PI if end <= start else 0.0)
+        phases = np.exp(1j * np.arange(mat.dim) * (start + length / 2))
+        entries = _schur_toeplitz(mat.entries.real, _prolate_symbol(mat.dim, length))
+        evals, evecs = np.linalg.eigh(entries)
+        top = evecs[:, -1] * phases
+    else:
+        evals, evecs = np.linalg.eigh(window_operator(mat, window).entries)
+        top = evecs[:, -1]
     lam = float(evals[-1])
     bound = _DENSE_RESOLUTION * mat.dim
-    if 1.0 - lam > bound or window.is_full_circle():
-        return _Localization(lam, 1.0 - lam, "dense", _unit(evecs[:, -1]))
-    arc = _single_arc(window)
+    if 1.0 - lam > bound or full:
+        return _Localization(lam, 1.0 - lam, "dense", _unit(top))
     if arc is None or not np.all(mat.entries == 1):
         raise PrecisionError(
             f"1 - lambda_max = {1.0 - lam:.3g} at truncation S={mat.dim} is "
             f"within the dense eigensolver's error bound 8*S*eps = {bound:.3g}; "
             "the exact path covers only the canonical matrix on a single arc"
         )
-    gap, vec = _prolate_gap(mat.dim, *arc)
-    # E(X) = D P D^* with D = diag(exp(i n c)), c the midpoint of the arc
-    start, end = arc
-    center = start + ((end - start) % TWO_PI) / 2
-    phases = np.exp(1j * np.arange(mat.dim) * center)
+    gap, vec = _prolate_gap(mat.dim, start, end)
     return _Localization(1 - gap, gap, "prolate", _unit(vec * phases))
 
 

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,3 +386,22 @@ class TestMalformedPairs:
         )
         assert main([command, "--matrix", mat]) == 1
         assert json.loads(capsys.readouterr().err)["code"] == "error"
+
+
+def test_cli_import_loads_no_optional_modules():
+    # mpmath and decimal are imported only on the exact path and scipy only by
+    # the tests; loading any of them at start-up slows every invocation
+    code = (
+        "import sys, phaseobs.cli; "
+        "print([m for m in ('mpmath', 'scipy', 'decimal') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=Path(__file__).resolve().parent.parent,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -22,6 +22,7 @@ from phaseobs import (
     PhaseObsError,
     PhaseWindow,
     TWO_PI,
+    WindowOperator,
     check_covariance,
     check_interference,
     density,
@@ -237,6 +238,25 @@ class TestWindowOperator:
             assert op.expectation(psi) == pytest.approx(
                 window_probability(mat, psi, window), abs=1e-12
             )
+
+    def test_caller_array_copied_not_frozen(self):
+        given = 0.5 * np.eye(4, dtype=complex)
+        op = WindowOperator(given, window=HALF, source="explicit")
+        assert given.flags.writeable
+        assert not np.shares_memory(op.entries, given)
+        assert not op.entries.flags.writeable
+        given[0, 0] = 2.0
+        assert op.entries[0, 0] == 0.5
+
+    def test_factory_array_not_copied(self):
+        mat = PhaseMatrix.exponential(0.9, 256)
+        tracemalloc.start()
+        op = window_operator(mat, HALF)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert not op.entries.flags.writeable
+        # a copy would hold two S x S complex arrays at once
+        assert peak < 1.5 * op.entries.nbytes
 
     def test_hermitian_and_spectrum(self):
         rng = np.random.default_rng(32)
@@ -585,3 +605,13 @@ class TestCdfProperties:
         # exact_cdf and the sampler's Horner evaluation round differently
         assert np.all(below <= u + 1e-13)
         assert np.all(u <= above + 1e-13)
+
+
+class TestWindowProbabilityProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(exponential_states())
+    def test_full_circle_is_exactly_one(self, case):
+        mat, psi = case
+        assert window_probability(mat, psi, PhaseWindow.full_circle()) == 1.0
+        two_pieces = PhaseWindow(((0.0, 2.0), (2.0, TWO_PI)))
+        assert window_probability(mat, psi, two_pieces) == 1.0

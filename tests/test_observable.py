@@ -14,6 +14,20 @@ from phaseobs import (
     kraus_reconstruct,
     validate,
 )
+from phaseobs.observable import TOL_PSD_FACTOR, _fix_vector_phase
+
+
+def tuple_key_rows(matrix):
+    """kraus_decompose's rows sorted by a per-row Python key: descending
+    eigenvalue, then the row's interleaved (re, im) entries as a tuple."""
+    evals, evecs = np.linalg.eigh(matrix.entries)
+    rows = [
+        (float(lam), np.sqrt(lam) * _fix_vector_phase(vec))
+        for lam, vec in zip(evals, evecs.T)
+        if lam > TOL_PSD_FACTOR * matrix.dim
+    ]
+    rows.sort(key=lambda item: (-item[0], tuple(x for z in item[1] for x in (z.real, z.imag))))
+    return np.array([row for _, row in rows])
 
 
 class TestValidate:
@@ -201,6 +215,28 @@ class TestKraus:
             kraus_reconstruct(identity).entries, np.eye(dim)
         )
 
+    def test_order_matches_tuple_key(self):
+        rng = np.random.default_rng(12)
+        # canonical(3) + canonical(2) + canonical(2) + trivial(2): eigenvalues
+        # 3, 2, 2, 1, 1 and four zeros, the 2s with eigenvectors off the basis
+        blocks = np.zeros((9, 9), dtype=complex)
+        blocks[:3, :3] = 1.0
+        blocks[3:5, 3:5] = 1.0
+        blocks[5:7, 5:7] = 1.0
+        blocks[7:, 7:] = np.eye(2)
+        for mat in (
+            PhaseMatrix.trivial(6),
+            PhaseMatrix(blocks),
+            PhaseMatrix.canonical(5),
+            PhaseMatrix.exponential(0.6, 9),
+            random_gram_matrix(rng, 12),
+        ):
+            np.testing.assert_array_equal(kraus_decompose(mat).z, tuple_key_rows(mat))
+        # tied rows really are reordered: e_5 sorts first, e_0 last
+        np.testing.assert_array_equal(
+            kraus_decompose(PhaseMatrix.trivial(6)).z, np.eye(6)[::-1]
+        )
+
     def test_decompose_rejects_non_psd(self):
         bad = PhaseMatrix(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex))
         with pytest.raises(ValidationError):
@@ -226,6 +262,13 @@ class TestJson:
         mat = random_gram_matrix(rng, 6)
         again = PhaseMatrix.from_dict(json.loads(json.dumps(mat.to_dict())))
         np.testing.assert_allclose(again.entries, mat.entries, atol=1e-15)
+
+    def test_kraus_rows_match_element_loop(self):
+        rng = np.random.default_rng(13)
+        for mat in (PhaseMatrix.trivial(4), random_gram_matrix(rng, 16)):
+            family = kraus_decompose(mat)
+            loop = {"rows": [[[z.real, z.imag] for z in row] for row in family.z]}
+            assert json.dumps(family.to_dict()) == json.dumps(loop)
 
     def test_kraus_round_trip(self):
         family = kraus_decompose(PhaseMatrix.exponential(0.6, 5))

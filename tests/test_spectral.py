@@ -6,6 +6,7 @@ import pytest
 
 from conftest import eig2, random_gram_matrix
 from phaseobs import (
+    MomentOperator,
     PhaseMatrix,
     PhaseObsError,
     PhaseWindow,
@@ -18,9 +19,12 @@ from phaseobs import (
     window_operator,
     window_probability,
 )
-from phaseobs.spectral import _localization, _prolate_gap
+from phaseobs import spectral
+from phaseobs.distribution import _schur_toeplitz
+from phaseobs.spectral import _localization, _prolate_gap, _prolate_symbol
 
 HALF = PhaseWindow(((0.0, math.pi),))
+EPS = np.finfo(float).eps
 
 
 class TestFirstMoment:
@@ -58,6 +62,16 @@ class TestFirstMoment:
             for k in range(1, 8):
                 diag = np.diag(entries, k)
                 assert np.max(np.abs(diag - diag[0])) <= 1e-15
+
+
+    def test_factory_array_frozen_caller_array_copied(self):
+        op = first_moment(PhaseMatrix.exponential(0.5, 6))
+        assert not op.entries.flags.writeable
+        given = math.pi * np.eye(4, dtype=complex)
+        op = MomentOperator(given, source="explicit")
+        assert given.flags.writeable
+        assert not np.shares_memory(op.entries, given)
+        assert not op.entries.flags.writeable
 
 
 class TestMomentSpectrum:
@@ -240,3 +254,100 @@ class TestExactGap:
         nearly_full = PhaseWindow(((1e-17, TWO_PI),))
         with pytest.raises(PrecisionError):
             localization_max(PhaseMatrix.exponential(0.5, 8), nearly_full)
+
+
+def real_gram_matrix(rng, dim):
+    """Random phase matrix with no imaginary part: the Gram matrix of real
+    unit vectors."""
+    vecs = rng.standard_normal((dim, 2 * dim))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    return PhaseMatrix.from_gram(vecs)
+
+
+def random_arc(rng):
+    lo, hi = np.sort(rng.uniform(0.0, TWO_PI, 2))
+    return PhaseWindow(((float(lo), float(hi)),))
+
+
+@pytest.fixture
+def complex_calls(monkeypatch):
+    """Counts the window operators `_localization` builds: the complex path."""
+    calls = []
+
+    def spy(matrix, window, dim=None):
+        calls.append(window)
+        return window_operator(matrix, window, dim)
+
+    monkeypatch.setattr(spectral, "window_operator", spy)
+    return calls
+
+
+class TestRealForm:
+    """A real matrix on one arc is solved as the real symmetric C o P."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 33, 200])
+    def test_matches_complex_eigh(self, size, complex_calls):
+        rng = np.random.default_rng(70 + size)
+        matrices = [
+            PhaseMatrix.exponential(float(rng.uniform(0.05, 0.95)), size),
+            PhaseMatrix.canonical(size),
+            PhaseMatrix.trivial(size),
+            real_gram_matrix(rng, size),
+        ]
+        windows = [
+            random_arc(rng),
+            random_arc(rng),
+            HALF.shifted(5.0),  # wraps through 2*pi
+            PhaseWindow(((0.0, 1.0), (1.0, math.pi))),  # two touching pieces
+            HALF,
+        ]
+        assert len(windows[2].arcs) == 2
+        for mat in matrices:
+            for window in windows:
+                loc = _localization(mat, window)
+                entries = window_operator(mat, window).entries
+                evals = np.linalg.eigvalsh(entries)
+                assert abs(float(loc.lam) - evals[-1]) <= 8 * size * EPS
+                v = loc.maximizer.coeffs
+                assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+                assert np.linalg.norm(entries @ v - float(loc.lam) * v) <= 1e-12
+        assert complex_calls == []
+
+    def test_dense_error_within_bound_on_random_arcs(self, complex_calls):
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            size = int(rng.integers(1, 60))
+            window = random_arc(rng)
+            (lo, hi), = window.arcs
+            bound = 8 * size * EPS
+            gap, _ = _prolate_gap(size, lo, hi)
+            real = _schur_toeplitz(np.ones((size, size)), _prolate_symbol(size, hi - lo))
+            assert abs(1.0 - np.linalg.eigvalsh(real)[-1] - gap) <= bound
+            loc = _localization(PhaseMatrix.canonical(size), window)
+            if loc.method == "dense":
+                assert abs(loc.gap - gap) <= bound
+            else:
+                assert loc.gap == gap
+        assert complex_calls == []
+
+    def test_complex_matrix_takes_complex_path(self, complex_calls):
+        rng = np.random.default_rng(62)
+        mat = random_gram_matrix(rng, 24)
+        assert mat.entries.imag.any()
+        loc = _localization(mat, HALF)
+        assert complex_calls == [HALF]
+        evals, evecs = np.linalg.eigh(window_operator(mat, HALF).entries)
+        assert loc.lam == float(evals[-1])
+
+    def test_two_arcs_take_complex_path(self, complex_calls):
+        window = PhaseWindow(((0.0, 1.0), (2.0, 4.0)))
+        loc = _localization(PhaseMatrix.exponential(0.7, 24), window)
+        assert complex_calls == [window]
+        assert loc.method == "dense"
+
+    def test_full_circle_stays_exact(self, complex_calls):
+        full = PhaseWindow.full_circle()
+        for mat in (PhaseMatrix.exponential(0.7, 24), PhaseMatrix.canonical(24)):
+            loc = _localization(mat, full)
+            assert loc.lam == 1.0 and loc.gap == 0.0 and loc.method == "dense"
+        assert complex_calls == [full, full]
