@@ -39,7 +39,6 @@ class _Parser(argparse.ArgumentParser):
 class RunConfig:
     """Validated per-invocation settings shared by the command handlers."""
 
-    command: str
     grid: int = 256
     dim: int | None = None
     seed: int = 0
@@ -120,14 +119,8 @@ def _matrix_spec(args) -> dict:
     return _load_json(arg)
 
 
-def _load_matrix(args, dim: int | None = None) -> PhaseMatrix:
-    """The --matrix matrix, optionally at truncation `dim`: a builtin is
-    rebuilt at that size, an explicit matrix is cut to its top-left block."""
-    spec = _matrix_spec(args)
-    if dim is not None and spec.get("kind") in BUILTIN_KINDS:
-        return PhaseMatrix.from_dict({**spec, "dim": dim})
-    matrix = PhaseMatrix.from_dict(spec)
-    return matrix if dim is None else matrix.truncated(dim)
+def _load_matrix(args) -> PhaseMatrix:
+    return PhaseMatrix.from_dict(_matrix_spec(args))
 
 
 def _load_state(path: str) -> HardyState:
@@ -161,7 +154,7 @@ def cmd_validate(args, cfg: RunConfig) -> int:
         # validate the raw entries: building a PhaseMatrix would raise instead
         report = observable.validate(_complex_pairs(spec["entries"], "entries"))
     else:
-        report = observable.validate(_load_matrix(args).entries)
+        report = observable.validate(PhaseMatrix.from_dict(spec).entries)
     text = json.dumps(report.to_dict(), indent=2) + "\n"
     _emit(text, cfg.out)
     if not report.valid:
@@ -214,10 +207,9 @@ def cmd_kernel_check(args, cfg: RunConfig) -> int:
         raise PhaseObsError("state band limit exceeds matrix dimension")
     thetas = TWO_PI * np.arange(8) / 8
     sandwiches = distribution.kernel_apply(matrix, s, state, thetas, cfg.grid)
-    rows = []
-    for theta, sandwich in zip(thetas, sandwiches):
-        direct = distribution.density(matrix, state, state, theta).real
-        rows.append((theta, direct, sandwich, abs(direct - sandwich)))
+    directs = distribution.density(matrix, state, state, thetas).real
+    rows = [(theta, direct, sandwich, abs(direct - sandwich))
+            for theta, direct, sandwich in zip(thetas, directs, sandwiches)]
     _emit(_csv("theta,density,kernel,abs_err", rows), cfg.out)
     return 0
 
@@ -263,22 +255,27 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     if cfg.truncations and cfg.q_sweep:
         raise PhaseObsError("use either --truncations or --q-sweep, not both")
     if cfg.truncations:
-        rows = []
-        for dim in cfg.truncations:
-            loc = spectral._localization(_load_matrix(args, dim), window)
-            rows.append((dim, _localization_fields(loc)["lambda_max"]))
-        _emit(_csv("S,lambda_max", rows), cfg.out)
-        return 0
-    if cfg.q_sweep:
+        # --matrix is resolved once: a builtin is rebuilt at each size, an
+        # explicit matrix is cut from its one parsed copy
+        spec = _matrix_spec(args)
+        if spec.get("kind") in BUILTIN_KINDS:
+            cases = ((dim, PhaseMatrix.from_dict({**spec, "dim": dim}))
+                     for dim in cfg.truncations)
+        else:
+            full = PhaseMatrix.from_dict(spec)
+            cases = ((dim, full.truncated(dim)) for dim in cfg.truncations)
+        header = "S"
+    elif cfg.q_sweep:
         if cfg.dim is None:
             raise PhaseObsError("--q-sweep requires --dim")
-        rows = []
-        for q in cfg.q_sweep:
-            loc = spectral._localization(PhaseMatrix.exponential(q, cfg.dim), window)
-            rows.append((q, _localization_fields(loc)["lambda_max"]))
-        _emit(_csv("q,lambda_max", rows), cfg.out)
-        return 0
-    raise PhaseObsError("sweep requires --truncations or --q-sweep")
+        cases = ((q, PhaseMatrix.exponential(q, cfg.dim)) for q in cfg.q_sweep)
+        header = "q"
+    else:
+        raise PhaseObsError("sweep requires --truncations or --q-sweep")
+    rows = [(param, _localization_fields(spectral._localization(mat, window))["lambda_max"])
+            for param, mat in cases]
+    _emit(_csv(f"{header},lambda_max", rows), cfg.out)
+    return 0
 
 
 def cmd_sample(args, cfg: RunConfig) -> int:
@@ -340,7 +337,6 @@ def _build_parser() -> _Parser:
 
 def _config_from(args) -> RunConfig:
     return RunConfig(
-        command=args.command,
         grid=getattr(args, "grid", 256),
         dim=args.dim,
         seed=getattr(args, "seed", 0),

@@ -5,10 +5,12 @@ symbol t, t_{-k} = conj(t_k): either as the sum sum_k w_k t_k over the
 diagonal weights w_k = sum_{n-m=k} c_{n,m} conj(a_n) b_m of two states, or
 as the Schur product C o T(t) with T(t)_{n,m} = t_{n-m}.  The symbols are
 exp(i k theta) for the density at theta, the window integral
-(1/2pi) int_X exp(i k theta) dtheta for the probability of a window X
-(X = [0, theta) for the CDF), and i/(m - n) for the first moment.  Closed
-forms are used on every production path; quadrature appears only in test
-oracles.
+(1/2pi) int_X exp(i k theta) dtheta for the probability of a window X, and
+i/(m - n) for the first moment.  The CDF, the probability of [0, theta),
+is w_0 theta/2pi plus a trigonometric polynomial in theta; `exact_cdf` and
+`sample` both evaluate it by Horner in exp(i theta) (`_cdf_and_slope`).
+Closed forms are used on every production path; quadrature appears only in
+test oracles.
 """
 
 from __future__ import annotations
@@ -67,11 +69,10 @@ def _diagonal_weights(
     return _fold(bins, prod, 2 * dim - 1)
 
 
-def _arc_symbol(size: int, lo: float, hi) -> np.ndarray:
-    """(1/2pi) int_lo^hi exp(i k theta) dtheta for k = 0..size-1 along the
-    first axis, broadcast over an array `hi`; a whole turn is exactly the
-    delta symbol."""
-    k = np.arange(size).reshape((size,) + (1,) * np.ndim(hi))
+def _arc_symbol(size: int, lo: float, hi: float) -> np.ndarray:
+    """(1/2pi) int_lo^hi exp(i k theta) dtheta for k = 0..size-1; a whole
+    turn is exactly the delta symbol."""
+    k = np.arange(size)
     # row k = 0 is overwritten below; max(k, 1) only keeps 0/0 out
     t = (np.exp(1j * k * hi) - np.exp(1j * k * lo)) / (TWO_PI * 1j * np.maximum(k, 1))
     t[0] = (hi - lo) / TWO_PI
@@ -129,11 +130,14 @@ def density(
     matrix: PhaseMatrix,
     psi: HardyState,
     phi: HardyState | None = None,
-    theta: float = 0.0,
-) -> complex:
-    """f_{psi,phi}(theta) = sum_{n,m} c_{n,m} exp(i (n - m) theta) conj(a_n) b_m."""
+    theta=0.0,
+):
+    """f_{psi,phi}(theta) = sum_{n,m} c_{n,m} exp(i (n - m) theta) conj(a_n) b_m;
+    theta may be an array, and the weights are built once for all of it."""
     w = _diagonal_weights(matrix, psi, phi)
-    return complex(_pair(w, np.exp(1j * np.arange(matrix.dim) * float(theta))))
+    theta_arr = np.asarray(theta, dtype=float)
+    values = _pair(w, np.exp(1j * np.multiply.outer(np.arange(matrix.dim), theta_arr)))
+    return complex(values) if theta_arr.ndim == 0 else values
 
 
 def density_grid(matrix: PhaseMatrix, psi: HardyState, grid_size: int) -> np.ndarray:
@@ -290,58 +294,50 @@ def kernel_apply(
 
 
 def exact_cdf(matrix: PhaseMatrix, psi: HardyState, theta):
-    """Probability of [0, theta); theta may be an array, and theta = 2*pi
-    closes the full circle, whose probability is exactly 1."""
+    """Probability of [0, theta); theta may be an array.  theta = 0 gives
+    exactly 0, and theta = 2*pi closes the full circle, whose probability
+    is exactly 1."""
     theta_arr = np.asarray(theta, dtype=float)
     if not np.all((0.0 <= theta_arr) & (theta_arr <= TWO_PI)):
         raise PhaseObsError(f"theta {theta} outside [0, 2*pi]")
-    arcs = _arc_symbol(matrix.dim, 0.0, theta_arr)
-    p = _probability(_pair(_diagonal_weights(matrix, psi), arcs), "cdf")
-    # the pairing gives w_0 = ||psi||^2 there, a few ulps off 1 for a unit state
+    cdf = _cdf_and_slope(_diagonal_weights(matrix, psi), theta_arr.ravel())[0]
+    p = _probability(cdf.reshape(theta_arr.shape), "cdf")
+    # Horner gives w_0 = ||psi||^2 there, a few ulps off 1 for a unit state
     p = np.where(theta_arr == TWO_PI, 1.0, p)
-    if np.isscalar(theta) or theta_arr.ndim == 0:
-        return float(p)
-    return p
-
-
-def _cdf_coefficients(w: np.ndarray) -> tuple[float, np.ndarray]:
-    """w_0 and g_k = w_k/(2 pi i k) for k = 1..S-1, so that the CDF is
-    F(theta) = w_0 theta/2pi + 2 Re sum_k g_k (exp(i k theta) - 1)."""
-    dim = (w.size + 1) // 2
-    return w[dim - 1].real, w[dim:] / (1j * TWO_PI * np.arange(1, dim))
+    return float(p) if theta_arr.ndim == 0 else p
 
 
 def _cdf_and_slope(w: np.ndarray, theta: np.ndarray):
-    """F(theta) and F'(theta) = f(theta)/2pi by Horner in z = exp(i theta):
-    O(S) work per point, and no S x N array."""
-    w0, g = _cdf_coefficients(w)
+    """F(theta) and F'(theta) = f(theta)/2pi at a 1-D array of theta, by
+    Horner in z = exp(i theta): O(S) work per point, and no S x N array.
+
+    With g_k = w_k/(2 pi i k), F = w_0 theta/2pi + 2 Re sum_k g_k (z^k - 1)
+    = w_0 theta/2pi + 2 Re (z - 1) Q(z), where Q(z) = sum_j Q_j z^j and
+    Q_j = sum_{k>j} g_k; the factor z - 1 makes F(0) exactly 0."""
+    dim = (w.size + 1) // 2
+    k = np.arange(1, dim)
+    w0, g = w[dim - 1].real, w[dim:] / (1j * TWO_PI * k)
     z = np.exp(1j * theta)
     acc = np.zeros((2, theta.size), dtype=complex)
-    k = np.arange(1, g.size + 1)
-    # row 0 sums g_k z^k, row 1 w_k z^k/2pi = i k g_k z^k, from k = S-1 down
-    for coeffs in np.stack((g, 1j * k * g), axis=1)[::-1, :, None]:
-        acc += coeffs
+    # row 0 sums Q_j z^j, row 1 w_{j+1} z^j/2pi = i (j+1) g_{j+1} z^j, from
+    # j = S-2 down
+    suffix = np.cumsum(g[::-1])[::-1]
+    for coeffs in np.stack((suffix, 1j * k * g), axis=1)[::-1, :, None]:
         acc *= z
-    return (w0 * theta / TWO_PI + 2.0 * (acc[0].real - g.sum().real),
+        acc += coeffs
+    # in place: each complex temporary would add 16 bytes per point
+    acc[1] *= z
+    z -= 1.0
+    acc[0] *= z
+    return (w0 * theta / TWO_PI + 2.0 * acc[0].real,
             w0 / TWO_PI + 2.0 * acc[1].real)
-
-
-def _cdf_table(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The grid theta_j = 2 pi j/G, j = 0..G, for the power of two G >= 4S,
-    and F on it from one inverse FFT of the g_k (G > S, so nothing
-    aliases), made non-decreasing."""
-    w0, g = _cdf_coefficients(w)
-    size = 1 << (4 * g.size + 3).bit_length()
-    periodic = size * np.fft.ifft(np.concatenate(([0.0], g)), size)
-    j = np.arange(size + 1)
-    table = w0 * j / size + 2.0 * (periodic[j % size].real - g.sum().real)
-    return TWO_PI * j / size, np.maximum.accumulate(table)
 
 
 def _invert_cdf(w, u, grid, table, nodes) -> np.ndarray:
     """For each u, the midpoint of a bracket [lo, hi] narrower than
     _BRACKET with F(lo) < u <= F(hi), F evaluated pointwise; `nodes` is F
-    evaluated pointwise on the table's grid."""
+    evaluated pointwise on `grid`, and the non-decreasing `table` locates
+    the cell of each u."""
     cell = np.clip(np.searchsorted(table, u), 1, grid.size - 1)
     # The table only locates the cell: its ends are kept where the pointwise
     # F brackets u, and replaced by 0 or 2pi, which bracket every u.
@@ -383,12 +379,13 @@ def sample(
 ) -> np.ndarray:
     """Inverse-CDF sampling of phase outcomes in [0, 2*pi).
 
-    The CDF is exactly w_0 theta/2pi plus a trigonometric polynomial.  It is
-    tabulated once on a power-of-two grid of G >= 4S points by one inverse
-    FFT, and each uniform u is placed in a grid cell by binary search.
-    Inside the cell, Newton steps with the exact derivative f/2pi (F and f
-    by Horner in exp(i theta)) shrink a bracket F(lo) < u <= F(hi) that is
-    checked by pointwise evaluation; a step that leaves the bracket or meets
+    The CDF is exactly w_0 theta/2pi plus a trigonometric polynomial.  F is
+    evaluated by Horner in exp(i theta) at the nodes of a grid of G >= 4S
+    points (a power of two), and each uniform u is placed in a grid cell by
+    binary search in the running maximum of those values.  Inside the cell,
+    Newton steps with the exact derivative f/2pi (also by Horner) shrink a
+    bracket F(lo) < u <= F(hi) that is checked against the pointwise F at
+    the nodes and at each iterate; a step that leaves the bracket or meets
     a zero density is a bisection, and after _NEWTON_ROUNDS rounds every
     step is.  Each draw is the midpoint of a bracket narrower than 5e-11,
     half the 1e-10 of the sampling contract.  Draws are solved in chunks of
@@ -400,8 +397,10 @@ def sample(
         raise PhaseObsError("sample count must be non-negative")
     draws = np.random.default_rng(seed).random(count)
     w = _diagonal_weights(matrix, psi)
-    grid, table = _cdf_table(w)
+    size = 1 << (4 * matrix.dim - 1).bit_length()
+    grid = TWO_PI * np.arange(size + 1) / size
     nodes = _cdf_and_slope(w, grid)[0]
+    table = np.maximum.accumulate(nodes)
     for start in range(0, count, _SAMPLE_CHUNK):
         chunk = draws[start : start + _SAMPLE_CHUNK]
         chunk[:] = _invert_cdf(w, chunk, grid, table, nodes)

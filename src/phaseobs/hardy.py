@@ -60,6 +60,12 @@ def _complex_pairs(rows, what: str) -> np.ndarray:
     return arr.view(complex)[..., 0]
 
 
+def _pairs(arr: np.ndarray) -> list:
+    """Nested [re, im] lists of a complex array, the inverse of
+    `_complex_pairs`."""
+    return np.stack([arr.real, arr.imag], -1).tolist()
+
+
 @dataclass(frozen=True, eq=False)
 class HardyState:
     """Unit vector of the truncated Hardy space, stored as Fourier coefficients."""
@@ -100,7 +106,7 @@ class HardyState:
         return HardyState(c)
 
     def to_dict(self) -> dict:
-        return {"coeffs": [[z.real, z.imag] for z in self.coeffs]}
+        return {"coeffs": _pairs(self.coeffs)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "HardyState":

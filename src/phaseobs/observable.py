@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhaseObsError, ValidationError
-from .hardy import _complex_pairs
+from .hardy import _complex_pairs, _pairs
 
 TOL_HERM = 1e-12
 TOL_DIAG = 1e-12
@@ -56,30 +56,24 @@ class ValidationReport:
         }
 
 
-def validate(
-    entries,
-    herm_tol: float = TOL_HERM,
-    diag_tol: float = TOL_DIAG,
-    psd_tol: float | None = None,
-) -> ValidationReport:
-    """Check hermiticity, unit diagonal, and positive semidefiniteness.
+def validate(entries) -> ValidationReport:
+    """Check hermiticity, unit diagonal, and positive semidefiniteness
+    within TOL_HERM, TOL_DIAG and TOL_PSD_FACTOR * S.
 
     Each failed property is reported with the worst offending magnitude.
     """
     arr = _as_square_matrix(entries)
     dim = arr.shape[0]
-    if psd_tol is None:
-        psd_tol = TOL_PSD_FACTOR * dim
     issues = []
     herm_defect = float(np.max(np.abs(arr - arr.conj().T)))
-    if herm_defect > herm_tol:
+    if herm_defect > TOL_HERM:
         issues.append(ValidationIssue("hermitian", herm_defect))
     diag_defect = float(np.max(np.abs(np.diag(arr) - 1.0)))
-    if diag_defect > diag_tol:
+    if diag_defect > TOL_DIAG:
         issues.append(ValidationIssue("diagonal", diag_defect))
     sym = 0.5 * (arr + arr.conj().T)
     min_eig = float(np.linalg.eigvalsh(sym)[0])
-    if min_eig < -psd_tol:
+    if min_eig < -TOL_PSD_FACTOR * dim:
         issues.append(ValidationIssue("psd", -min_eig))
     return ValidationReport(dim=dim, issues=tuple(issues))
 
@@ -174,9 +168,7 @@ class PhaseMatrix:
         if self.label == "exponential":
             data["q"] = self.q
         if self.label == "explicit":
-            data["entries"] = [
-                [[z.real, z.imag] for z in row] for row in self.entries
-            ]
+            data["entries"] = _pairs(self.entries)
         return data
 
     @classmethod
@@ -233,7 +225,7 @@ class KrausFamily:
         return self.z.shape[1]
 
     def to_dict(self) -> dict:
-        return {"rows": np.stack([self.z.real, self.z.imag], -1).tolist()}
+        return {"rows": _pairs(self.z)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "KrausFamily":

@@ -3,7 +3,6 @@ import math
 import numpy as np
 
 from phaseobs import HardyState, PhaseMatrix, PhaseWindow
-from phaseobs.distribution import _arc_symbol, _diagonal_weights, _pair
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,17 +84,33 @@ def loop_window_probability(matrix, psi, window):
     return total.real
 
 
+def arc_cdf(matrix, psi, theta):
+    """Probability of [0, theta) at a 1-D array theta, as the pairing
+    sum_k w_k t_k(theta) over k = -(S-1)..(S-1) with the arc symbol
+    t_0 = theta/2pi, t_k = (exp(i k theta) - 1)/(2 pi i k) and
+    t_{-k} = conj(t_k).  The weights w_k are the sums of the diagonals
+    n - m = k of c_{n,m} conj(a_n) a_m.  O(S x N) memory."""
+    a = psi.padded(matrix.dim).coeffs
+    sandwich = matrix.entries * np.outer(a.conj(), a)
+    upper = np.array([np.trace(sandwich, offset=-k) for k in range(matrix.dim)])
+    lower = np.array([np.trace(sandwich, offset=k) for k in range(1, matrix.dim)])
+    theta = np.asarray(theta, dtype=float)
+    k = np.arange(1, matrix.dim)[:, None]
+    arcs = (np.exp(1j * k * theta) - 1.0) / (TWO_PI * 1j * k)
+    total = upper[0] * theta / TWO_PI + upper[1:] @ arcs + lower @ arcs.conj()
+    return total.real
+
+
 def bisect_sample(matrix, psi, count, seed):
     """Inverse-CDF sampling by plain bisection on [0, 2*pi): each round
-    pairs the weights with the [0, mid) arc symbol of every midpoint, until
-    every bracket is at most 1e-10 wide.  O(S x count) memory per round."""
+    evaluates `arc_cdf` at every midpoint, until every bracket is at most
+    1e-10 wide.  O(S x count) memory per round."""
     u = np.random.default_rng(seed).random(count)
-    weights = _diagonal_weights(matrix, psi)
     lo = np.zeros(count)
     hi = np.full(count, TWO_PI)
     while float(np.max(hi - lo, initial=0.0)) > 1e-10:
         mid = 0.5 * (lo + hi)
-        below = _pair(weights, _arc_symbol(matrix.dim, 0.0, mid)).real < u
+        below = arc_cdf(matrix, psi, mid) < u
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phaseobs import distribution
+from conftest import random_gram_matrix
+from phaseobs import PhaseMatrix, PhaseWindow, cli, distribution, spectral
 from phaseobs.cli import main
 
 SQ2 = 1 / math.sqrt(2)
@@ -200,6 +201,25 @@ class TestCommands:
         assert lines[0] == "S,lambda_max"
         lams = [float(l.split(",")[1]) for l in lines[1:]]
         assert lams == sorted(lams)
+
+    def test_sweep_parses_explicit_matrix_once(self, tmp_path, monkeypatch):
+        matrix = random_gram_matrix(np.random.default_rng(9), 6)
+        path = write_json(tmp_path / "gram.json", matrix.to_dict())
+        loads = []
+        load = cli._load_json
+        monkeypatch.setattr(cli, "_load_json", lambda p: loads.append(p) or load(p))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--matrix", path, "--window", f"0:{math.pi}",
+                     "--truncations", "2,4,6", "--out", str(out)]) == 0
+        assert loads == [path]
+        # the reference parses the file again for each truncation
+        window = PhaseWindow(((0.0, math.pi),))
+        rows = []
+        for dim in (2, 4, 6):
+            cut = PhaseMatrix.from_dict(load(path)).truncated(dim)
+            loc = spectral._localization(cut, window)
+            rows.append((dim, cli._localization_fields(loc)["lambda_max"]))
+        assert out.read_text() == cli._csv("S,lambda_max", rows)
 
     def test_sweep_q_values(self, tmp_path):
         out = tmp_path / "qsweep.csv"

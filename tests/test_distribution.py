@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import (
+    arc_cdf,
     bisect_sample,
     eig2,
     loop_window_operator,
@@ -37,12 +38,8 @@ from phaseobs import (
     window_operator,
     window_probability,
 )
-from phaseobs.distribution import (
-    _cdf_and_slope,
-    _cdf_table,
-    _diagonal_weights,
-    _invert_cdf,
-)
+from phaseobs import distribution
+from phaseobs.distribution import _invert_cdf
 
 HALF = PhaseWindow(((0.0, math.pi),))
 PLUS = normalize([1, 1])  # (eta_0 + eta_1)/sqrt(2)
@@ -148,6 +145,19 @@ class TestDensity:
                 for j in range(grid_size)
             ]
             np.testing.assert_allclose(grid, direct, rtol=0, atol=1e-12)
+
+    def test_array_matches_scalar(self):
+        rng = np.random.default_rng(45)
+        for dim in (1, 7, 256):
+            mat = random_gram_matrix(rng, dim)
+            psi, phi = random_state(rng, dim), random_state(rng, dim)
+            thetas = TWO_PI * np.arange(8) / 8
+            for other in (None, phi):
+                values = density(mat, psi, other, thetas)
+                assert values.shape == thetas.shape
+                np.testing.assert_array_equal(
+                    values, [density(mat, psi, other, t) for t in thetas]
+                )
 
     def test_dimension_mismatch(self):
         with pytest.raises(PhaseObsError):
@@ -491,6 +501,48 @@ class TestCdfAndSampling:
         assert np.max(np.abs(cdf_vals - empirical)) < 0.02
 
 
+ORACLE_MATRICES = {
+    "gram": random_gram_matrix,
+    "exponential": lambda rng, dim: PhaseMatrix.exponential(0.9, dim),
+    "canonical": lambda rng, dim: PhaseMatrix.canonical(dim),
+    "trivial": lambda rng, dim: PhaseMatrix.trivial(dim),
+}
+
+
+class TestCdfOracle:
+    """exact_cdf (Horner in exp(i theta)) against the arc-symbol pairing."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64, 256])
+    @pytest.mark.parametrize("kind", ORACLE_MATRICES)
+    def test_matches_arc_symbol_pairing(self, kind, dim):
+        rng = np.random.default_rng(dim)
+        mat = ORACLE_MATRICES[kind](rng, dim)
+        psi = random_state(rng, dim)
+        thetas = np.concatenate([TWO_PI * np.arange(257) / 256, rng.random(64) * TWO_PI])
+        np.testing.assert_allclose(
+            exact_cdf(mat, psi, thetas), arc_cdf(mat, psi, thetas), rtol=0, atol=1e-13
+        )
+
+    def test_exact_endpoints_inside_an_array(self):
+        rng = np.random.default_rng(46)
+        mat = random_gram_matrix(rng, 64)
+        psi = random_state(rng, 64)
+        values = exact_cdf(mat, psi, np.array([[1.0, 0.0], [TWO_PI, 3.0]]))
+        assert values[0, 1] == 0.0 and values[1, 0] == 1.0
+
+    def test_memory_without_symbol_array(self):
+        mat, psi, _ = _exponential_case(256, 0)
+        thetas = TWO_PI * np.arange(2**14) / 2**14
+        tracemalloc.start()
+        try:
+            exact_cdf(mat, psi, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an S x G complex symbol array alone would take 64 MiB
+        assert peak < 8 * 2**20
+
+
 def _exponential_case(dim, count):
     rng = np.random.default_rng(700 + dim)
     return PhaseMatrix.exponential(0.9, dim), random_state(rng, dim), count
@@ -506,6 +558,21 @@ SAMPLER_CASES = {
 }
 
 
+def _sampler_inputs(mat, psi):
+    """The weights, grid, table and nodes that `sample` passes to
+    `_invert_cdf`, caught on the way in."""
+    seen = []
+
+    def spy(w, u, grid, table, nodes):
+        seen.append((w, grid, table, nodes))
+        return u
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distribution, "_invert_cdf", spy)
+        sample(mat, psi, 1, seed=0)
+    return seen[0]
+
+
 class TestSampler:
     """The table-and-Newton sampler against plain bisection."""
 
@@ -518,17 +585,11 @@ class TestSampler:
             draws, bisect_sample(mat, psi, count, seed=17), rtol=0, atol=1e-10
         )
 
-    @pytest.mark.parametrize("dim", [1, 3, 64, 65])
-    def test_table_is_the_cdf(self, dim):
-        mat, psi, _ = _exponential_case(dim, 0)
-        grid, table = _cdf_table(_diagonal_weights(mat, psi))
-        size = grid.size - 1
-        assert size & (size - 1) == 0 and 4 * dim <= size < 8 * dim
-        np.testing.assert_allclose(table, exact_cdf(mat, psi, grid), rtol=0, atol=1e-13)
-
     def test_first_and_last_cells(self):
         mat, psi, count = _exponential_case(64, 3000)
-        _, table = _cdf_table(_diagonal_weights(mat, psi))
+        _, grid, table, _ = _sampler_inputs(mat, psi)
+        size = grid.size - 1
+        assert size & (size - 1) == 0 and 4 * 64 <= size < 8 * 64
         u = np.random.default_rng(5).random(count)
         assert u.min() < table[1] and u.max() > table[-2]
         np.testing.assert_allclose(
@@ -543,12 +604,9 @@ class TestSampler:
         """A table that puts u in the wrong cell costs rounds, not accuracy:
         the cell ends are checked pointwise and fall back to 0 or 2pi."""
         mat, psi, count = _exponential_case(7, 2000)
-        w = _diagonal_weights(mat, psi)
-        grid, table = _cdf_table(w)
+        w, grid, table, nodes = _sampler_inputs(mat, psi)
         u = np.random.default_rng(8).random(count)
-        draws = _invert_cdf(
-            w, u, grid, np.clip(table + skew, 0.0, 1.0), _cdf_and_slope(w, grid)[0]
-        )
+        draws = _invert_cdf(w, u, grid, np.clip(table + skew, 0.0, 1.0), nodes)
         np.testing.assert_allclose(
             draws, bisect_sample(mat, psi, count, seed=8), rtol=0, atol=1e-10
         )

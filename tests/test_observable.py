@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import eig2, random_gram_matrix
+from conftest import eig2, random_gram_matrix, random_state
 from phaseobs import (
+    HardyState,
     KrausFamily,
     PhaseMatrix,
     PhaseObsError,
@@ -269,6 +270,16 @@ class TestJson:
             family = kraus_decompose(mat)
             loop = {"rows": [[[z.real, z.imag] for z in row] for row in family.z]}
             assert json.dumps(family.to_dict()) == json.dumps(loop)
+
+    def test_entries_and_coeffs_match_element_loop(self):
+        rng = np.random.default_rng(14)
+        mat = random_gram_matrix(rng, 16)
+        loop = [[[z.real, z.imag] for z in row] for row in mat.entries]
+        assert json.dumps(mat.to_dict()["entries"]) == json.dumps(loop)
+        for psi in (random_state(rng, 16),
+                    HardyState([complex(0.6, -0.0), complex(-0.0, 0.8)])):
+            loop = {"coeffs": [[z.real, z.imag] for z in psi.coeffs]}
+            assert json.dumps(psi.to_dict()) == json.dumps(loop)
 
     def test_kraus_round_trip(self):
         family = kraus_decompose(PhaseMatrix.exponential(0.6, 5))
