@@ -10,13 +10,13 @@ precision cannot resolve; diagnostics go to stderr as JSON.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from . import distribution, observable, spectral
 from .errors import PhaseObsError, PrecisionError, ValidationError
@@ -58,18 +58,26 @@ class RunConfig:
             raise PhaseObsError("--samples must be non-negative")
 
 
+def _dumps(obj, pretty: bool = False) -> str:
+    """One JSON document and a newline.  Every double is written in its
+    shortest round-trip form; numpy scalars and arrays are accepted."""
+    option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    if pretty:
+        option |= orjson.OPT_INDENT_2
+    return orjson.dumps(obj, option=option).decode()
+
+
 def _diag(code: str, message: str, detail=None) -> None:
     payload = {"code": code, "message": message, "detail": detail}
-    sys.stderr.write(json.dumps(payload) + "\n")
-
-
-def _reject_constant(name: str):
-    raise PhaseObsError(f"non-finite number {name!r} in JSON input")
+    sys.stderr.write(_dumps(payload))
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh, parse_constant=_reject_constant)
+    """Strict UTF-8 JSON: NaN, Infinity, an overflowing literal such as
+    1e400, a byte order mark or invalid UTF-8 raise orjson.JSONDecodeError,
+    a ValueError."""
+    with open(path, "rb") as fh:
+        return orjson.loads(fh.read())
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -155,8 +163,7 @@ def cmd_validate(args, cfg: RunConfig) -> int:
         report = observable.validate(_complex_pairs(spec["entries"], "entries"))
     else:
         report = observable.validate(PhaseMatrix.from_dict(spec).entries)
-    text = json.dumps(report.to_dict(), indent=2) + "\n"
-    _emit(text, cfg.out)
+    _emit(_dumps(report.to_dict(), pretty=True), cfg.out)
     if not report.valid:
         _diag("invalid-matrix", "phase matrix validation failed", report.to_dict())
         return 2
@@ -188,13 +195,13 @@ def cmd_window_prob(args, cfg: RunConfig) -> int:
     window = _load_window(args.window)
     prob = distribution.window_probability(matrix, state, window)
     payload = {"probability": prob, "window_measure": window.measure}
-    _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
+    _emit(_dumps(payload, pretty=True), cfg.out)
     return 0
 
 
 def cmd_kraus(args, cfg: RunConfig) -> int:
     family = observable.kraus_decompose(_load_matrix(args))
-    _emit(json.dumps(family.to_dict()) + "\n", cfg.out)
+    _emit(_dumps(family.to_dict()), cfg.out)
     return 0
 
 
@@ -246,7 +253,7 @@ def _localization_fields(loc: spectral._Localization) -> dict:
 def cmd_localize(args, cfg: RunConfig) -> int:
     loc = spectral._localization(_load_matrix(args), _load_window(args.window))
     payload = {**_localization_fields(loc), "maximizer": loc.maximizer.to_dict()}
-    _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
+    _emit(_dumps(payload, pretty=True), cfg.out)
     return 0
 
 
@@ -272,7 +279,8 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         header = "q"
     else:
         raise PhaseObsError("sweep requires --truncations or --q-sweep")
-    rows = [(param, _localization_fields(spectral._localization(mat, window))["lambda_max"])
+    rows = [(param, _localization_fields(
+                 spectral._localization(mat, window, maximizer=False))["lambda_max"])
             for param, mat in cases]
     _emit(_csv(f"{header},lambda_max", rows), cfg.out)
     return 0
@@ -366,8 +374,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         _diag("memory", "not enough memory for this request", str(exc) or None)
         return 1
-    except (PhaseObsError, OSError, KeyError, TypeError, ValueError,
-            json.JSONDecodeError) as exc:
+    except (PhaseObsError, OSError, KeyError, TypeError, ValueError) as exc:
         _diag("error", str(exc))
         return 1
 

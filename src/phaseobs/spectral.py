@@ -26,6 +26,7 @@ from dataclasses import InitVar, dataclass
 from typing import Any, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PhaseObsError, PrecisionError
 from .hardy import TWO_PI, HardyState, PhaseWindow
@@ -81,19 +82,35 @@ def first_moment(matrix: PhaseMatrix, dim: int | None = None) -> MomentOperator:
 
 
 def moment_spectrum(matrix: PhaseMatrix, dim: int | None = None) -> np.ndarray:
-    """Ascending real eigenvalues of the first-moment operator."""
-    op = first_moment(matrix, dim)
-    return np.linalg.eigvalsh(op.entries)
+    """Ascending real eigenvalues of the first-moment operator.
+
+    For a real C the operator is pi I + i B with B_{nm} = c_{nm} / (m - n)
+    real antisymmetric.  If C is also persymmetric (as every builtin is),
+    J B J = -B for the reversal J, which makes J B symmetric and unitarily
+    similar to i B, so the spectrum is pi + eigvalsh(J B): a real solve.
+    """
+    mat = matrix if dim is None else matrix.truncated(dim)
+    c = mat.entries
+    if not c.imag.any():
+        real = c.real
+        if np.array_equal(real, real.T) and np.array_equal(real, real[::-1, ::-1]):
+            # (J B)_{nm} = c_{S-1-n,m} h_{n+m}: h_j = 1/(j - (S-1)), h_{S-1} = 0
+            offsets = np.arange(2 * mat.dim - 1, dtype=float) - (mat.dim - 1)
+            h = np.divide(1.0, offsets, out=np.zeros_like(offsets), where=offsets != 0)
+            reversed_b = real[::-1] * sliding_window_view(h, mat.dim)
+            return math.pi + np.linalg.eigvalsh(reversed_b)
+    return np.linalg.eigvalsh(first_moment(mat).entries)
 
 
 class _Localization(NamedTuple):
     """lambda_max with its gap 1 - lambda_max, both floats on the "dense"
-    path and mpmath numbers at working precision on the "prolate" path."""
+    path and mpmath numbers at working precision on the "prolate" path;
+    the maximizer is None when only the values were asked for."""
 
     lam: Any
     gap: Any
     method: str
-    maximizer: HardyState
+    maximizer: HardyState | None
 
 
 def _unit(vec: np.ndarray) -> HardyState:
@@ -203,16 +220,20 @@ def _prolate_symbol(size: int, length: float) -> np.ndarray:
 
 
 def _localization(
-    matrix: PhaseMatrix, window: PhaseWindow, dim: int | None = None
+    matrix: PhaseMatrix,
+    window: PhaseWindow,
+    dim: int | None = None,
+    maximizer: bool = True,
 ) -> _Localization:
     """lambda_max, its gap and maximizer, with the path that resolved them.
 
-    Dense eigh is kept wherever 1 - lambda_max clears its error bound (and
-    on the full circle, where lambda_max = 1 exactly).  On one arc of length
-    L centred at c, E(X) = D (C o P) D^* with D = diag(exp(i n c)) and P the
-    real prolate symbol, so a real C takes a real symmetric eigensolve.
-    Below the bound the canonical matrix on a single arc takes the prolate
-    path; anything else raises PrecisionError.
+    The dense eigensolve (eigh, or eigvalsh without `maximizer`) is kept
+    wherever 1 - lambda_max clears its error bound (and on the full circle,
+    where lambda_max = 1 exactly).  On one arc of length L centred at c,
+    E(X) = D (C o P) D^* with D = diag(exp(i n c)) and P the real prolate
+    symbol, so a real C takes a real symmetric eigensolve.  Below the bound
+    the canonical matrix on a single arc takes the prolate path; anything
+    else raises PrecisionError.
     """
     mat = matrix if dim is None else matrix.truncated(dim)
     full = window.is_full_circle()
@@ -223,15 +244,18 @@ def _localization(
         length = end - start + (TWO_PI if end <= start else 0.0)
         phases = np.exp(1j * np.arange(mat.dim) * (start + length / 2))
         entries = _schur_toeplitz(mat.entries.real, _prolate_symbol(mat.dim, length))
-        evals, evecs = np.linalg.eigh(entries)
-        top = evecs[:, -1] * phases
     else:
-        evals, evecs = np.linalg.eigh(window_operator(mat, window).entries)
-        top = evecs[:, -1]
+        phases = 1.0  # E(X) itself: no diagonal unitary to undo
+        entries = window_operator(mat, window).entries
+    if maximizer:
+        evals, evecs = np.linalg.eigh(entries)
+    else:
+        evals = np.linalg.eigvalsh(entries)
     lam = float(evals[-1])
     bound = _DENSE_RESOLUTION * mat.dim
     if 1.0 - lam > bound or full:
-        return _Localization(lam, 1.0 - lam, "dense", _unit(top))
+        top = _unit(evecs[:, -1] * phases) if maximizer else None
+        return _Localization(lam, 1.0 - lam, "dense", top)
     if arc is None or not np.all(mat.entries == 1):
         raise PrecisionError(
             f"1 - lambda_max = {1.0 - lam:.3g} at truncation S={mat.dim} is "
@@ -239,7 +263,8 @@ def _localization(
             "the exact path covers only the canonical matrix on a single arc"
         )
     gap, vec = _prolate_gap(mat.dim, start, end)
-    return _Localization(1 - gap, gap, "prolate", _unit(vec * phases))
+    top = _unit(vec * phases) if maximizer else None
+    return _Localization(1 - gap, gap, "prolate", top)
 
 
 def localization_max(
@@ -269,4 +294,4 @@ def localization_sweep(
     """
     if list(dims) != sorted(dims):
         raise PhaseObsError("truncation list must be ascending")
-    return [(int(s), localization_max(matrix, window, s)[0]) for s in dims]
+    return [(int(s), _localization(matrix, window, s, maximizer=False).lam) for s in dims]

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from decimal import Decimal
@@ -8,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import random_gram_matrix
-from phaseobs import PhaseMatrix, PhaseWindow, cli, distribution, spectral
+from phaseobs import PhaseMatrix, PhaseWindow, cli, distribution, observable, spectral
 from phaseobs.cli import main
 
 SQ2 = 1 / math.sqrt(2)
@@ -217,9 +220,24 @@ class TestCommands:
         rows = []
         for dim in (2, 4, 6):
             cut = PhaseMatrix.from_dict(load(path)).truncated(dim)
-            loc = spectral._localization(cut, window)
+            loc = spectral._localization(cut, window, maximizer=False)
             rows.append((dim, cli._localization_fields(loc)["lambda_max"]))
         assert out.read_text() == cli._csv("S,lambda_max", rows)
+
+    def test_sweeps_take_no_eigenvectors(self, tmp_path, monkeypatch):
+        solves = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(a) or eigh(a))
+        matrix = random_gram_matrix(np.random.default_rng(10), 8)
+        path = write_json(tmp_path / "gram.json", matrix.to_dict())
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--matrix", path, "--window", "0:1,2:4",
+                     "--truncations", "2,8", "--out", out]) == 0
+        assert main(["sweep", "--matrix", "exponential", "--dim", "16",
+                     "--window", f"0:{math.pi}", "--q-sweep", "0.2,0.7", "--out", out]) == 0
+        assert solves == []
+        assert main(["localize", "--matrix", path, "--window", "0:1,2:4", "--out", out]) == 0
+        assert len(solves) == 1
 
     def test_sweep_q_values(self, tmp_path):
         out = tmp_path / "qsweep.csv"
@@ -406,6 +424,105 @@ class TestMalformedPairs:
         )
         assert main([command, "--matrix", mat]) == 1
         assert json.loads(capsys.readouterr().err)["code"] == "error"
+
+
+# one bad token per case, each spliced where a number (or a string) goes
+BAD_JSON = {
+    "NaN": b"NaN",
+    "Infinity": b"Infinity",
+    "-Infinity": b"-Infinity",
+    "1e400": b"1e400",
+    "bom": None,
+    "non-utf8": None,
+}
+BAD_FILES = {
+    "state": (b'{"coeffs": [[X, 0.0], [1.0, 0.0]], "note": "N"}',
+              ["density", "--matrix", "canonical", "--dim", "2", "--state", "{}"]),
+    "matrix": (b'{"kind": "explicit", "dim": 1, "entries": [[[X, 0.0]]], "note": "N"}',
+               ["validate", "--matrix", "{}"]),
+    "window": (b'{"arcs": [[0.0, X]], "note": "N"}',
+               ["window-prob", "--matrix", "canonical", "--dim", "2",
+                "--state", "STATE", "--window", "{}"]),
+}
+
+
+class TestDecoderEdges:
+    """Input JSON is strict: a non-finite or overflowing number, a byte order
+    mark or invalid UTF-8 exits 1 with one JSON diagnostic line."""
+
+    @pytest.mark.parametrize("token", BAD_JSON, ids=BAD_JSON)
+    @pytest.mark.parametrize("kind", BAD_FILES)
+    def test_rejected(self, kind, token, plus_state, tmp_path, capsys):
+        template, argv = BAD_FILES[kind]
+        text = template.replace(b"X", BAD_JSON[token] or b"0.5")
+        if token == "bom":
+            text = b"\xef\xbb\xbf" + text
+        if token == "non-utf8":
+            text = text.replace(b'"N"', b'"\xff\xfe"')
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(text)
+        argv = [str(path) if a == "{}" else plus_state if a == "STATE" else a for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "Traceback" not in captured.err
+        assert json.loads(lines[0])["code"] == "error"
+
+    @pytest.mark.parametrize("kind", BAD_FILES)
+    def test_template_accepted(self, kind, plus_state, tmp_path, capsys):
+        # the same files with a plain number and an ASCII note are read
+        template, argv = BAD_FILES[kind]
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(template.replace(b"X", b"1.0"))
+        argv = [str(path) if a == "{}" else plus_state if a == "STATE" else a for a in argv]
+        assert main(argv) == 0
+
+
+def bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+class TestCodec:
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+    @example([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+              1e308, -1e308, 1.7976931348623157e308, 1e-05, 1e16, 0.1])
+    def test_doubles_round_trip(self, values):
+        for pretty in (False, True):
+            text = cli._dumps({"values": values}, pretty=pretty)
+            assert text.endswith("}\n")
+            assert bits(json.loads(text)["values"]) == bits(values)
+
+    def test_numpy_scalars(self):
+        payload = {"a": np.float64(0.1), "b": np.float32(0.5), "c": np.int64(3)}
+        assert json.loads(cli._dumps(payload)) == {"a": 0.1, "b": 0.5, "c": 3}
+
+    @pytest.mark.parametrize("spec", ["gram", "exponential"])
+    def test_kraus_output_is_to_dict(self, spec, tmp_path):
+        if spec == "gram":
+            matrix = random_gram_matrix(np.random.default_rng(11), 12)
+            argv = ["--matrix", write_json(tmp_path / "gram.json", matrix.to_dict())]
+        else:
+            matrix = PhaseMatrix.exponential(0.9, 12)
+            argv = ["--matrix", "exponential", "--q", "0.9", "--dim", "12"]
+        out = tmp_path / "kraus.json"
+        assert main(["kraus", *argv, "--out", str(out)]) == 0
+        expected = observable.kraus_decompose(PhaseMatrix.from_dict(matrix.to_dict()))
+        assert json.loads(out.read_bytes()) == expected.to_dict()
+
+    @pytest.mark.parametrize("command", ["validate", "window-prob", "kraus", "localize"])
+    def test_json_outputs_byte_identical(self, command, plus_state, tmp_path):
+        matrix = random_gram_matrix(np.random.default_rng(12), 2)
+        argv = [command, "--matrix", write_json(tmp_path / "gram.json", matrix.to_dict())]
+        if command == "window-prob":
+            argv += ["--state", plus_state]
+        if command in ("window-prob", "localize"):
+            argv += ["--window", "0:1,2:4"]
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert main([*argv, "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert isinstance(json.loads(outs[0].read_bytes()), dict)
 
 
 def test_cli_import_loads_no_optional_modules():

@@ -102,6 +102,46 @@ class TestMomentSpectrum:
         assert all(b > a for a, b in zip(maxs, maxs[1:]))
 
 
+@pytest.fixture
+def moment_builds(monkeypatch):
+    """Counts the complex first-moment operators `moment_spectrum` builds."""
+    calls = []
+
+    def spy(matrix, dim=None):
+        calls.append(matrix.dim)
+        return first_moment(matrix, dim)
+
+    monkeypatch.setattr(spectral, "first_moment", spy)
+    return calls
+
+
+class TestMomentRealForm:
+    """A real persymmetric C takes pi + eigvalsh(J B), a real solve."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 64, 300])
+    def test_matches_complex_path(self, size, moment_builds):
+        for mat in (
+            PhaseMatrix.exponential(0.9, size),
+            PhaseMatrix.exponential(0.3, size),
+            PhaseMatrix.canonical(size),
+            PhaseMatrix.trivial(size),
+        ):
+            reference = np.linalg.eigvalsh(first_moment(mat).entries)
+            assert np.max(np.abs(moment_spectrum(mat) - reference)) <= 1e-13
+        assert np.all(moment_spectrum(PhaseMatrix.trivial(size)) == math.pi)
+        assert moment_builds == []
+
+    def test_other_matrices_take_complex_path(self, moment_builds):
+        rng = np.random.default_rng(54)
+        real = real_gram_matrix(rng, 16)
+        assert not real.entries.imag.any()
+        assert not np.array_equal(real.entries, real.entries[::-1, ::-1])
+        for mat in (real, random_gram_matrix(rng, 16)):
+            reference = np.linalg.eigvalsh(first_moment(mat).entries)
+            np.testing.assert_array_equal(moment_spectrum(mat), reference)
+        assert moment_builds == [16, 16]
+
+
 class TestLocalization:
     def test_full_circle_identity(self):
         rng = np.random.default_rng(52)
@@ -351,3 +391,67 @@ class TestRealForm:
             loc = _localization(mat, full)
             assert loc.lam == 1.0 and loc.gap == 0.0 and loc.method == "dense"
         assert complex_calls == [full, full]
+
+
+@pytest.fixture
+def vector_solves(monkeypatch):
+    """Counts the dense eigensolves that also return eigenvectors."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+class TestValuesOnly:
+    """Sweeps keep only lambda_max, so they solve for eigenvalues only."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 33, 200])
+    def test_matches_eigh(self, size):
+        rng = np.random.default_rng(80 + size)
+        matrices = [
+            PhaseMatrix.exponential(float(rng.uniform(0.05, 0.95)), size),
+            PhaseMatrix.canonical(size),
+            PhaseMatrix.trivial(size),
+            real_gram_matrix(rng, size),
+            random_gram_matrix(rng, size),
+        ]
+        windows = [random_arc(rng), PhaseWindow(((0.0, 1.0), (2.0, 4.0))), HALF]
+        for mat in matrices:
+            for window in windows:
+                try:
+                    full = _localization(mat, window)
+                except PrecisionError:
+                    with pytest.raises(PrecisionError):
+                        _localization(mat, window, maximizer=False)
+                    continue
+                values = _localization(mat, window, maximizer=False)
+                assert values.maximizer is None
+                assert values.method == full.method
+                if full.method == "dense":
+                    assert abs(values.lam - full.lam) <= 8 * size * EPS
+                else:
+                    assert values.gap == full.gap and values.lam == full.lam
+
+    def test_sweep_takes_no_eigenvectors(self, vector_solves):
+        rng = np.random.default_rng(81)
+        for mat in (PhaseMatrix.exponential(0.9, 128), random_gram_matrix(rng, 32)):
+            dims = [8, 16, mat.dim]
+            rows = localization_sweep(mat, HALF, dims)
+            assert vector_solves == []
+            for (dim, lam), s in zip(rows, dims):
+                assert dim == s
+                assert abs(lam - localization_max(mat, HALF, s)[0]) <= 8 * s * EPS
+            vector_solves.clear()
+
+    @pytest.mark.parametrize("size", [32, 64])
+    def test_prolate_rows_unchanged(self, size):
+        mat = PhaseMatrix.canonical(size)
+        rows = localization_sweep(mat, HALF, [size])
+        full = _localization(mat, HALF)
+        assert full.method == "prolate"
+        assert rows == [(size, full.lam)]
