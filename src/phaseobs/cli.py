@@ -273,6 +273,9 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
             cases = ((dim, full.truncated(dim)) for dim in cfg.truncations)
         header = "S"
     elif cfg.q_sweep:
+        if args.matrix != "exponential":
+            raise PhaseObsError("--q-sweep builds exponential matrices; "
+                                "it requires --matrix exponential")
         if cfg.dim is None:
             raise PhaseObsError("--q-sweep requires --dim")
         cases = ((q, PhaseMatrix.exponential(q, cfg.dim)) for q in cfg.q_sweep)

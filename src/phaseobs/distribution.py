@@ -6,11 +6,12 @@ diagonal weights w_k = sum_{n-m=k} c_{n,m} conj(a_n) b_m of two states, or
 as the Schur product C o T(t) with T(t)_{n,m} = t_{n-m}.  The symbols are
 exp(i k theta) for the density at theta, the window integral
 (1/2pi) int_X exp(i k theta) dtheta for the probability of a window X, and
-i/(m - n) for the first moment.  The CDF, the probability of [0, theta),
-is w_0 theta/2pi plus a trigonometric polynomial in theta; `exact_cdf` and
-`sample` both evaluate it by Horner in exp(i theta) (`_cdf_and_slope`).
-Closed forms are used on every production path; quadrature appears only in
-test oracles.
+i/(m - n) for the first moment.  The density is a trigonometric polynomial
+in theta and the CDF, the probability of [0, theta), is w_0 theta/2pi plus
+one; `density`, `density_grid`, `exact_cdf` and `sample` evaluate them by
+one Horner loop in z = exp(i theta) (`_horner`), in O(S N) time and O(N)
+memory beyond the weights for N angles.  Closed forms are used on every
+production path; quadrature appears only in test oracles.
 """
 
 from __future__ import annotations
@@ -47,13 +48,6 @@ def _aligned(matrix: PhaseMatrix, state: HardyState) -> np.ndarray:
     return state.padded(matrix.dim).coeffs
 
 
-def _fold(bins: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Complex sums of `values` over equal `bins`, for bins 0..size-1."""
-    return np.bincount(bins, values.real, size) + 1j * np.bincount(
-        bins, values.imag, size
-    )
-
-
 def _diagonal_weights(
     matrix: PhaseMatrix, psi: HardyState, phi: HardyState | None = None
 ) -> np.ndarray:
@@ -66,7 +60,8 @@ def _diagonal_weights(
     n = np.arange(dim)
     bins = np.subtract.outer(n, n).ravel() + (dim - 1)
     prod = (matrix.entries * np.outer(a.conj(), b)).ravel()
-    return _fold(bins, prod, 2 * dim - 1)
+    size = 2 * dim - 1
+    return np.bincount(bins, prod.real, size) + 1j * np.bincount(bins, prod.imag, size)
 
 
 def _arc_symbol(size: int, lo: float, hi: float) -> np.ndarray:
@@ -87,16 +82,23 @@ def _window_symbol(window: PhaseWindow, size: int) -> np.ndarray:
     return sum((_arc_symbol(size, lo, hi) for lo, hi in arcs), np.zeros(size, complex))
 
 
-def _pair(w: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_k w_k t_k over k = -(S-1)..(S-1), for weights w from
-    `_diagonal_weights` and a Hermitian symbol given by t_0..t_{S-1} along
-    the first axis of t (t_{-k} = conj(t_k)).  einsum sums each column in
-    the same order whatever the trailing shape, so a lone theta and a grid
-    of them agree bit for bit."""
-    size = t.shape[0]
-    upper = np.einsum("k,k...->...", w[size - 1 :], t)
-    lower = np.einsum("k,k...->...", w[: size - 1][::-1].conj(), t[1:])
-    return upper + lower.conj()
+def _pair(w: np.ndarray, t: np.ndarray) -> complex:
+    """sum_k w_k t_k over k = -(S-1)..(S-1) for a Hermitian symbol t_0..t_{S-1}
+    (t_{-k} = conj(t_k)); the halves are summed apart, so weights that are
+    not Hermitian leave an imaginary residue."""
+    size = t.size
+    upper = np.einsum("k,k", w[size - 1 :], t)
+    return upper + np.einsum("k,k", w[: size - 1][::-1].conj(), t[1:]).conjugate()
+
+
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[r, j] z^j for each row r at a 1-D array z, accumulated
+    in place: O(rows x N) memory."""
+    acc = np.zeros((coeffs.shape[0], z.size), dtype=complex)
+    for column in coeffs.T[::-1, :, None]:
+        acc *= z
+        acc += column
+    return acc
 
 
 def _schur_toeplitz(entries: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -107,13 +109,17 @@ def _schur_toeplitz(entries: np.ndarray, t: np.ndarray) -> np.ndarray:
     return entries * sliding_window_view(full[::-1], size)[::-1]
 
 
-def _probability(value, what: str):
-    """Real part of `value` after the imaginary-residue check, clamped to
-    [0, 1] only within tolerance."""
+def _real(value, what: str):
+    """Real part of `value` after the imaginary-residue check."""
     residue = float(np.max(np.abs(np.imag(value)), initial=0.0))
     if residue > TOL_PROB:
         raise ValidationError(f"{what} has imaginary residue {residue:g}")
-    p = np.real(value)
+    return np.real(value)
+
+
+def _probability(value, what: str):
+    """`_real(value)` clamped to [0, 1] only within tolerance."""
+    p = _real(value, what)
     worst = float(np.max(np.abs(p - np.clip(p, 0.0, 1.0)), initial=0.0))
     if worst > TOL_PROB:
         raise ValidationError(f"{what} escapes [0, 1] by {worst:g}")
@@ -133,29 +139,25 @@ def density(
     theta=0.0,
 ):
     """f_{psi,phi}(theta) = sum_{n,m} c_{n,m} exp(i (n - m) theta) conj(a_n) b_m;
-    theta may be an array, and the weights are built once for all of it."""
+    theta may be an array, and the weights are built once for all of it.
+    f = upper + conj(lower) for the Horner rows w_0..w_{S-1} and conj(w_{-k}),
+    k >= 1; each angle is evaluated alone, so a lone theta and an array of
+    them agree bit for bit."""
     w = _diagonal_weights(matrix, psi, phi)
+    rows = np.stack((w[matrix.dim - 1 :], w[matrix.dim - 1 :: -1].conj()))
+    rows[1, 0] = 0.0
     theta_arr = np.asarray(theta, dtype=float)
-    values = _pair(w, np.exp(1j * np.multiply.outer(np.arange(matrix.dim), theta_arr)))
+    upper, lower = _horner(rows, np.exp(1j * theta_arr.ravel()))
+    values = (upper + lower.conj()).reshape(theta_arr.shape)
     return complex(values) if theta_arr.ndim == 0 else values
 
 
 def density_grid(matrix: PhaseMatrix, psi: HardyState, grid_size: int) -> np.ndarray:
-    """Real density values at theta_j = 2*pi*j/G, exact for any G >= 1.
-
-    exp(i k theta_j) depends on k only modulo G, so the weights are folded
-    into G bins and one inverse FFT evaluates the grid.
-    """
+    """Real density values at theta_j = 2*pi*j/G, for any G >= 1."""
     if grid_size < 1:
         raise PhaseObsError("grid size must be >= 1")
-    dim = matrix.dim
-    bins = np.arange(1 - dim, dim) % grid_size
-    spectrum = _fold(bins, _diagonal_weights(matrix, psi), grid_size)
-    values = grid_size * np.fft.ifft(spectrum)
-    worst_imag = float(np.max(np.abs(values.imag)))
-    if worst_imag > TOL_PROB:
-        raise ValidationError(f"density has imaginary residue {worst_imag:g}")
-    return values.real
+    values = density(matrix, psi, None, TWO_PI * np.arange(grid_size) / grid_size)
+    return _real(values, "density")
 
 
 def window_probability(
@@ -318,13 +320,9 @@ def _cdf_and_slope(w: np.ndarray, theta: np.ndarray):
     k = np.arange(1, dim)
     w0, g = w[dim - 1].real, w[dim:] / (1j * TWO_PI * k)
     z = np.exp(1j * theta)
-    acc = np.zeros((2, theta.size), dtype=complex)
-    # row 0 sums Q_j z^j, row 1 w_{j+1} z^j/2pi = i (j+1) g_{j+1} z^j, from
-    # j = S-2 down
+    # row 0 sums Q_j z^j, row 1 w_{j+1} z^j/2pi = i (j+1) g_{j+1} z^j
     suffix = np.cumsum(g[::-1])[::-1]
-    for coeffs in np.stack((suffix, 1j * k * g), axis=1)[::-1, :, None]:
-        acc *= z
-        acc += coeffs
+    acc = _horner(np.stack((suffix, 1j * k * g)), z)
     # in place: each complex temporary would add 16 bytes per point
     acc[1] *= z
     z -= 1.0

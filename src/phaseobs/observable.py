@@ -140,26 +140,19 @@ class PhaseMatrix:
         return cls(entries, label="explicit")
 
     @classmethod
-    def explicit(cls, entries, strict: bool = False) -> "PhaseMatrix":
+    def explicit(cls, entries) -> "PhaseMatrix":
         """Accept an explicit matrix after validation.
 
         The diagonal (within 1e-12 of 1) is renormalized to exactly 1 and the
-        off-diagonals rescaled accordingly; `strict` rejects any matrix whose
-        diagonal is not already exactly 1.
+        off-diagonals rescaled accordingly.
         """
         arr = _as_square_matrix(entries)
         report = validate(arr)
         if not report.valid:
             worst = ", ".join(f"{i.prop} ({i.magnitude:g})" for i in report.issues)
             raise ValidationError(f"not a phase matrix: {worst}")
-        diag = np.real(np.diag(arr))
-        if strict:
-            if np.any(diag != 1.0):
-                raise ValidationError("strict mode requires an exactly unit diagonal")
-            fixed = arr.copy()
-        else:
-            scale = 1.0 / np.sqrt(diag)
-            fixed = arr * np.outer(scale, scale)
+        scale = 1.0 / np.sqrt(np.real(np.diag(arr)))
+        fixed = arr * np.outer(scale, scale)
         fixed[np.diag_indices(arr.shape[0])] = 1.0
         return cls(fixed, label="explicit")
 

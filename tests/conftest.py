@@ -84,6 +84,20 @@ def loop_window_probability(matrix, psi, window):
     return total.real
 
 
+def loop_density(matrix, psi, phi, theta):
+    """sum_{n,m} c_{n,m} exp(i (n - m) theta) conj(a_n) b_m at an array
+    theta, with b = a when phi is None."""
+    a = psi.padded(matrix.dim).coeffs
+    b = a if phi is None else phi.padded(matrix.dim).coeffs
+    theta = np.asarray(theta, dtype=float)
+    total = np.zeros(theta.shape, dtype=complex)
+    for n in range(matrix.dim):
+        for m in range(matrix.dim):
+            phase = np.exp(1j * (n - m) * theta)
+            total += matrix.entries[n, m] * phase * a[n].conjugate() * b[m]
+    return total
+
+
 def arc_cdf(matrix, psi, theta):
     """Probability of [0, theta) at a 1-D array theta, as the pairing
     sum_k w_k t_k(theta) over k = -(S-1)..(S-1) with the arc symbol

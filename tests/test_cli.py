@@ -283,6 +283,15 @@ class TestCommands:
         ) == 0
         assert out.read_text().splitlines()[0] == "q,lambda_max"
 
+    def test_q_sweep_rejects_other_matrices(self, canonical8, tmp_path, capsys):
+        out = tmp_path / "qsweep.csv"
+        for matrix in ("canonical", canonical8):
+            assert main(["sweep", "--matrix", matrix, "--dim", "16", "--window",
+                         f"0:{math.pi}", "--q-sweep", "0.5,0.9", "--out", str(out)]) == 1
+            diag = json.loads(capsys.readouterr().err)
+            assert diag["code"] == "error" and "--matrix exponential" in diag["message"]
+        assert not out.exists()
+
     def test_sample_deterministic(self, canonical2, plus_state, tmp_path):
         out1, out2 = tmp_path / "s1.txt", tmp_path / "s2.txt"
         for out in (out1, out2):

@@ -11,6 +11,7 @@ from conftest import (
     arc_cdf,
     bisect_sample,
     eig2,
+    loop_density,
     loop_window_operator,
     loop_window_probability,
     random_gram_matrix,
@@ -543,6 +544,37 @@ class TestCdfOracle:
         assert peak < 8 * 2**20
 
 
+class TestDensityOracle:
+    """density (Horner in exp(i theta)) against the double sum."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64])
+    @pytest.mark.parametrize("kind", ORACLE_MATRICES)
+    def test_matches_double_sum(self, kind, dim):
+        rng = np.random.default_rng(dim)
+        mat = ORACLE_MATRICES[kind](rng, dim)
+        psi, phi = random_state(rng, dim), random_state(rng, dim)
+        thetas = np.concatenate([TWO_PI * np.arange(256) / 256, rng.random(64) * TWO_PI])
+        for other in (None, phi):
+            np.testing.assert_allclose(
+                density(mat, psi, other, thetas),
+                loop_density(mat, psi, other, thetas),
+                rtol=0,
+                atol=1e-13,
+            )
+
+    def test_memory_without_symbol_array(self):
+        mat, psi, _ = _exponential_case(256, 0)
+        thetas = TWO_PI * np.arange(2**14) / 2**14
+        tracemalloc.start()
+        try:
+            density(mat, psi, None, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an S x G complex exp(i k theta) table alone would take 64 MiB
+        assert peak < 8 * 2**20
+
+
 def _exponential_case(dim, count):
     rng = np.random.default_rng(700 + dim)
     return PhaseMatrix.exponential(0.9, dim), random_state(rng, dim), count
@@ -663,6 +695,20 @@ class TestCdfProperties:
         # exact_cdf and the sampler's Horner evaluation round differently
         assert np.all(below <= u + 1e-13)
         assert np.all(u <= above + 1e-13)
+
+
+class TestDensityProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(exponential_states(), st.integers(0, 128))
+    def test_grid_is_the_cdf_slope(self, case, extra):
+        mat, psi = case
+        grid_size = mat.dim + extra
+        values = density_grid(mat, psi, grid_size)
+        grid = TWO_PI * np.arange(grid_size) / grid_size
+        slope = distribution._cdf_and_slope(distribution._diagonal_weights(mat, psi), grid)[1]
+        np.testing.assert_allclose(values, TWO_PI * slope, rtol=0, atol=1e-12)
+        # for G >= S only k = 0 survives the grid mean: w_0 = ||psi||^2
+        assert abs(values.mean() - 1.0) < 1e-12
 
 
 class TestWindowProbabilityProperties:

@@ -147,11 +147,6 @@ class TestExplicit:
         mat = PhaseMatrix.explicit(entries)
         assert mat.entries[0, 0] == 1.0 and mat.entries[1, 1] == 1.0
 
-    def test_strict_rejects_inexact_diagonal(self):
-        entries = np.array([[1.0 + 1e-13, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValidationError):
-            PhaseMatrix.explicit(entries, strict=True)
-
     def test_rejects_invalid(self):
         with pytest.raises(ValidationError):
             PhaseMatrix.explicit(np.array([[1.0, 2.0], [2.0, 1.0]]))
