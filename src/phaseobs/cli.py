@@ -20,7 +20,8 @@ import orjson
 
 from . import distribution, observable, spectral
 from .errors import PhaseObsError, PrecisionError, ValidationError
-from .hardy import TWO_PI, HardyState, PhaseWindow, _complex_pairs, normalize
+from .hardy import (TWO_PI, HardyState, PhaseWindow, _complex_pairs, _pair_floats,
+                    normalize)
 from .observable import PhaseMatrix
 
 BUILTIN_KINDS = ("canonical", "trivial", "exponential")
@@ -201,7 +202,9 @@ def cmd_window_prob(args, cfg: RunConfig) -> int:
 
 def cmd_kraus(args, cfg: RunConfig) -> int:
     family = observable.kraus_decompose(_load_matrix(args))
-    _emit(_dumps(family.to_dict()), cfg.out)
+    # the rows' float view: orjson writes the bytes of family.to_dict()
+    # without the nested lists being built
+    _emit(_dumps({"rows": _pair_floats(family.z)}), cfg.out)
     return 0
 
 

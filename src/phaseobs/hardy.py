@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -48,10 +49,40 @@ def _pair_list(values, what: str) -> list[tuple[float, float]]:
     return pairs
 
 
+def _float_array(rows) -> np.ndarray:
+    """`np.ascontiguousarray(rows, dtype=float)`, with a nested list
+    flattened level by level and its leaves converted by one call.
+
+    Each level must hold only lists of one length; the flat list of leaves
+    then goes to one `np.array` call.  numpy's own scalar discovery on that
+    flat list gives every leaf the conversion, or the refusal, that it gets
+    in the whole tree.  Anything else (an array, tuples, ragged or mixed
+    nesting, leaves that are sequences) is left to numpy's conversion of
+    the tree, which decides as before.
+    """
+    shape, node = [], rows
+    while type(node) is list:
+        shape.append(len(node))
+        if not node:
+            break
+        node = node[0]
+    level, regular = [rows], bool(shape)
+    for size in shape:
+        regular = set(map(type, level)) == {list} and set(map(len, level)) == {size}
+        if not regular:
+            break
+        level = list(chain.from_iterable(level))
+    if regular:
+        flat = np.array(level, dtype=float)
+        if flat.ndim == 1:
+            return flat.reshape(shape)
+    return np.ascontiguousarray(rows, dtype=float)
+
+
 def _complex_pairs(rows, what: str) -> np.ndarray:
     """Complex array from nested [re, im] pairs (the last axis of `rows`)."""
     try:
-        arr = np.ascontiguousarray(rows, dtype=float)
+        arr = _float_array(rows)
     except (TypeError, ValueError) as exc:
         raise PhaseObsError(f"{what} must be a regular array of pairs") from exc
     if arr.ndim < 1 or arr.shape[-1] != 2:
@@ -60,10 +91,17 @@ def _complex_pairs(rows, what: str) -> np.ndarray:
     return arr.view(complex)[..., 0]
 
 
+def _pair_floats(arr: np.ndarray) -> np.ndarray:
+    """The (..., 2) float view of a complex array: [re, im] along the last
+    axis.  orjson writes it as the nested lists of `_pairs`, byte for byte."""
+    arr = np.ascontiguousarray(arr)
+    return arr.view(float).reshape(arr.shape + (2,))
+
+
 def _pairs(arr: np.ndarray) -> list:
     """Nested [re, im] lists of a complex array, the inverse of
     `_complex_pairs`."""
-    return np.stack([arr.real, arr.imag], -1).tolist()
+    return _pair_floats(arr).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,12 +152,18 @@ class HardyState:
 
 
 def normalize(raw) -> HardyState:
-    """Scale a raw coefficient vector to unit norm."""
-    arr = _as_complex_vector(raw)
-    norm = np.linalg.norm(arr)
-    if norm == 0.0:
+    """Scale a raw coefficient vector to unit norm.
+
+    The vector is first scaled by the power of two nearest 1/max|a_n|
+    (an exact step), so the squares summed by the norm can neither overflow
+    nor underflow: entries of 1e200 or 1e-320 normalize like any others.
+    """
+    pairs = np.ascontiguousarray(_as_complex_vector(raw)).view(float)
+    peak = float(np.max(np.abs(pairs)))
+    if peak == 0.0:
         raise PhaseObsError("cannot normalize the zero vector")
-    return HardyState(arr / norm)
+    arr = np.ldexp(pairs, -math.frexp(peak)[1]).view(complex)
+    return HardyState(arr / np.linalg.norm(arr))
 
 
 def phase_shift(psi: HardyState, alpha: float) -> HardyState:

@@ -61,6 +61,10 @@ def validate(entries) -> ValidationReport:
     within TOL_HERM, TOL_DIAG and TOL_PSD_FACTOR * S.
 
     Each failed property is reported with the worst offending magnitude.
+    PSD is certified by a Cholesky factorization of the Hermitian part
+    shifted by the tolerance: its backward error, of order S^2 * eps, is far
+    inside TOL_PSD_FACTOR * S.  Only when that fails does `eigvalsh` run,
+    to decide and report the smallest eigenvalue.
     """
     arr = _as_square_matrix(entries)
     dim = arr.shape[0]
@@ -72,9 +76,13 @@ def validate(entries) -> ValidationReport:
     if diag_defect > TOL_DIAG:
         issues.append(ValidationIssue("diagonal", diag_defect))
     sym = 0.5 * (arr + arr.conj().T)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    if min_eig < -TOL_PSD_FACTOR * dim:
-        issues.append(ValidationIssue("psd", -min_eig))
+    tol = TOL_PSD_FACTOR * dim
+    try:
+        np.linalg.cholesky(sym + tol * np.eye(dim))
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(sym)[0])
+        if min_eig < -tol:
+            issues.append(ValidationIssue("psd", -min_eig))
     return ValidationReport(dim=dim, issues=tuple(issues))
 
 
@@ -225,15 +233,13 @@ class KrausFamily:
         return cls(_complex_pairs(data["rows"], "rows"))
 
 
-def _fix_vector_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate so the first significant component is real positive."""
-    mags = np.abs(vec)
-    peak = float(mags.max())
-    if peak == 0.0:
-        return vec
-    idx = int(np.argmax(mags > 1e-8 * peak))
-    pivot = vec[idx]
-    return vec * (pivot.conjugate() / abs(pivot))
+def _fix_vector_phase(vecs: np.ndarray) -> np.ndarray:
+    """Rotate each nonzero vector (along the last axis) so that its first
+    significant component is real positive."""
+    mags = np.abs(vecs)
+    first = np.argmax(mags > 1e-8 * mags.max(axis=-1, keepdims=True), axis=-1)
+    pivot = np.take_along_axis(vecs, first[..., None], axis=-1)
+    return vecs * (pivot.conj() / np.abs(pivot))
 
 
 def kraus_decompose(matrix: PhaseMatrix) -> KrausFamily:
@@ -255,15 +261,19 @@ def kraus_decompose(matrix: PhaseMatrix) -> KrausFamily:
     kept = evals > tol
     if not kept.any():
         raise ValidationError("matrix has no eigenvalue above the clipping tolerance")
+    # descending eigenvalue by a stable sort, so tied rows keep eigh's order
     lams = evals[kept]
-    rows = np.array([np.sqrt(lam) * _fix_vector_phase(vec)
-                     for lam, vec in zip(lams, evecs.T[kept])])
-    # descending eigenvalue, then each row's entries as interleaved (re, im)
-    # floats (a view of the rows); np.lexsort is stable and takes its last
-    # key first
-    parts = rows.view(float)
-    order = np.lexsort((*parts.T[::-1], -lams))
-    return KrausFamily(rows[order])
+    order = np.argsort(-lams, kind="stable")
+    lams = lams[order]
+    rows = np.sqrt(lams)[:, None] * _fix_vector_phase(evecs.T[kept][order])
+    # a run of exactly equal eigenvalues is ordered by its rows' entries as
+    # interleaved (re, im) floats; np.lexsort is stable, last key first
+    cuts = np.flatnonzero(lams[1:] != lams[:-1]) + 1
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, lams.size]):
+        if hi - lo > 1:
+            run = rows[lo:hi]
+            rows[lo:hi] = run[np.lexsort(run.view(float).T[::-1])]
+    return KrausFamily(rows)
 
 
 def kraus_reconstruct(family: KrausFamily) -> PhaseMatrix:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from phaseobs import HardyState, PhaseMatrix, PhaseWindow
+from phaseobs import HardyState, PhaseMatrix, PhaseObsError, PhaseWindow
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,6 +39,32 @@ def random_window(rng, max_arcs=3):
     if not arcs:
         arcs = ((0.0, math.pi),)
     return PhaseWindow(arcs)
+
+
+def numpy_pairs(rows):
+    """Complex array of nested [re, im] pairs by numpy's conversion of the
+    whole list tree: the oracle of `hardy._complex_pairs`, which raises
+    PhaseObsError exactly where this does."""
+    try:
+        arr = np.ascontiguousarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise PhaseObsError("not a regular array") from exc
+    if arr.ndim < 1 or arr.shape[-1] != 2:
+        raise PhaseObsError("not an array of pairs")
+    return arr.view(complex)[..., 0]
+
+
+def loop_fix_phase(vec):
+    """One vector rotated so that its first component above 1e-8 of its
+    largest is real positive: the per-vector form of
+    `observable._fix_vector_phase`."""
+    mags = np.abs(vec)
+    peak = float(mags.max())
+    if peak == 0.0:
+        return vec
+    idx = int(np.argmax(mags > 1e-8 * peak))
+    pivot = vec[idx]
+    return vec * (pivot.conjugate() / abs(pivot))
 
 
 def eig2(a, b):

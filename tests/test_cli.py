@@ -8,6 +8,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import random_gram_matrix
 from phaseobs import PhaseMatrix, PhaseWindow, cli, distribution, observable, spectral
 from phaseobs.cli import main
+from phaseobs.hardy import _pair_floats, _pairs
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -435,6 +437,25 @@ class TestMalformedPairs:
         assert json.loads(capsys.readouterr().err)["code"] == "error"
 
 
+class TestExtremeStates:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coeffs", [[[1e200, 0.0], [1e200, 0.0]], [[1e-320, 0.0]]],
+                             ids=["1e200", "1e-320"])
+    def test_normalized(self, coeffs, tmp_path, capsys):
+        state = write_json(tmp_path / "state.json", {"coeffs": coeffs})
+        argv = ["cdf", "--matrix", "canonical", "--dim", "2", "--state", state]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1] == "6.283185307179586,1.0"
+
+    def test_zero_vector_exits_1(self, tmp_path, capsys):
+        state = write_json(tmp_path / "state.json", {"coeffs": [[0.0, -0.0], [0.0, 0.0]]})
+        argv = ["cdf", "--matrix", "canonical", "--dim", "2", "--state", state]
+        assert main(argv) == 1
+        assert "zero vector" in json.loads(capsys.readouterr().err)["message"]
+
+
 # one bad token per case, each spliced where a number (or a string) goes
 BAD_JSON = {
     "NaN": b"NaN",
@@ -518,6 +539,40 @@ class TestCodec:
         assert main(["kraus", *argv, "--out", str(out)]) == 0
         expected = observable.kraus_decompose(PhaseMatrix.from_dict(matrix.to_dict()))
         assert json.loads(out.read_bytes()) == expected.to_dict()
+
+    @pytest.mark.parametrize("spec", ["gram", "trivial", "canonical", "blocks",
+                                      "complex-blocks"])
+    def test_kraus_output_bytes_are_to_dict(self, spec, tmp_path):
+        # ties: blocks has eigenvalue 2 three times, complex-blocks each of
+        # a Gram(3) matrix's eigenvalues twice
+        rng = np.random.default_rng(15)
+        if spec in ("trivial", "canonical"):
+            dim = 6 if spec == "trivial" else 5
+            argv = ["--matrix", spec, "--dim", str(dim)]
+            matrix = PhaseMatrix.from_dict({"kind": spec, "dim": dim})
+        else:
+            entries = {
+                "gram": lambda: random_gram_matrix(rng, 24).entries,
+                "blocks": lambda: np.kron(np.eye(3), np.ones((2, 2))),
+                "complex-blocks": lambda: np.kron(np.eye(2),
+                                                  random_gram_matrix(rng, 3).entries),
+            }[spec]()
+            path = write_json(tmp_path / "m.json", PhaseMatrix(entries).to_dict())
+            argv = ["--matrix", path]
+            matrix = PhaseMatrix.from_dict(json.loads(Path(path).read_text()))
+        out = tmp_path / "kraus.json"
+        assert main(["kraus", *argv, "--out", str(out)]) == 0
+        family = observable.kraus_decompose(matrix)
+        assert out.read_bytes() == orjson.dumps(family.to_dict()) + b"\n"
+
+    def test_pair_floats_encode_as_pairs(self):
+        z = np.array([[complex(-0.0, 5e-324), complex(1e16, -0.0), complex(0.1, -1e-320)],
+                      [complex(-1e16, 2.5), complex(0.0, -0.0), complex(1e-05, 3e16)]])
+        for arr in (z, z[0], z.T):
+            assert (cli._dumps({"rows": _pair_floats(arr)}).encode()
+                    == orjson.dumps({"rows": _pairs(arr)}) + b"\n")
+            assert (orjson.dumps(_pairs(arr))
+                    == orjson.dumps(np.stack([arr.real, arr.imag], -1).tolist()))
 
     @pytest.mark.parametrize("command", ["validate", "window-prob", "kraus", "localize"])
     def test_json_outputs_byte_identical(self, command, plus_state, tmp_path):

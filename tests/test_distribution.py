@@ -131,7 +131,7 @@ class TestDensity:
         psi = random_state(rng, 6)
         grid = density_grid(mat, psi, 32)
         for j in (0, 5, 17, 31):
-            direct = density(mat, psi, psi, TWO_PI * j / 32)
+            direct = loop_density(mat, psi, None, TWO_PI * j / 32)
             assert grid[j] == pytest.approx(direct.real, abs=1e-12)
 
     def test_coarse_grid_matches_direct_sum(self):
@@ -141,11 +141,8 @@ class TestDensity:
         psi = random_state(rng, 7)
         for grid_size in (1, 2, 3, 5, 12):
             grid = density_grid(mat, psi, grid_size)
-            direct = [
-                density(mat, psi, psi, TWO_PI * j / grid_size).real
-                for j in range(grid_size)
-            ]
-            np.testing.assert_allclose(grid, direct, rtol=0, atol=1e-12)
+            direct = loop_density(mat, psi, None, TWO_PI * np.arange(grid_size) / grid_size)
+            np.testing.assert_allclose(grid, direct.real, rtol=0, atol=1e-12)
 
     def test_array_matches_scalar(self):
         rng = np.random.default_rng(45)

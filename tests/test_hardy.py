@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import numpy_pairs
 from phaseobs import (
     HardyState,
     PhaseObsError,
@@ -15,6 +18,9 @@ from phaseobs import (
     phase_shift,
     superpose,
 )
+from phaseobs.hardy import _complex_pairs
+
+SQ2 = 1 / math.sqrt(2)
 
 
 class TestNormalize:
@@ -29,6 +35,23 @@ class TestNormalize:
     def test_zero_vector_rejected(self):
         with pytest.raises(PhaseObsError):
             normalize([0, 0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_magnitudes(self):
+        # squares of 1e200 overflow and of 1e-320 underflow; neither may
+        # reach the norm
+        for raw, unit in (([1e200, 1e200], [SQ2, SQ2]), ([1e-320], [1.0]),
+                          ([1e-320j, 0.0], [1j, 0.0])):
+            np.testing.assert_allclose(normalize(raw).coeffs, unit, rtol=0, atol=1e-15)
+        with pytest.raises(PhaseObsError):
+            normalize([0.0, -0.0j])
+
+    def test_power_of_two_scale_changes_no_bit(self):
+        rng = np.random.default_rng(1)
+        raw = rng.standard_normal(33) + 1j * rng.standard_normal(33)
+        base = normalize(raw).coeffs
+        for exp in (-900, -60, -1, 1, 7, 900):
+            np.testing.assert_array_equal(normalize(np.ldexp(1.0, exp) * raw).coeffs, base)
 
     def test_norm_invariant(self):
         rng = np.random.default_rng(0)
@@ -192,3 +215,83 @@ class TestJson:
             HardyState.from_dict({"coeffs": [[math.nan, 0.0], [1.0, 0.0]]})
         with pytest.raises(PhaseObsError):
             PhaseWindow.from_dict({"arcs": [[0.0, math.inf]]})
+
+
+NUMBERS = st.one_of(st.floats(), st.integers(-2**70, 2**70))
+LEAVES = st.one_of(
+    NUMBERS,
+    NUMBERS,
+    NUMBERS,
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["1.5", " -2 ", "nan", "-0.0", "1e400", "1_0", "x", ""]),
+    st.dictionaries(st.sampled_from(["1", "2", "a"]), st.integers(), max_size=2),
+    st.lists(NUMBERS, max_size=2),
+    st.tuples(NUMBERS, NUMBERS),
+)
+
+
+@st.composite
+def pair_trees(draw):
+    """Nested lists of depth 1-3, mostly regular with a last axis of 2;
+    some rows ragged, some pairs of length 0, 1 or 3, some leaves not
+    numbers, some lists replaced by a sized non-list."""
+    depth = draw(st.integers(1, 3))
+    shape = draw(st.lists(st.integers(0, 3), min_size=depth - 1, max_size=depth - 1))
+    shape.append(draw(st.sampled_from([2, 2, 2, 2, 0, 1, 3])))
+    odd_leaves = draw(st.booleans())
+
+    def build(level):
+        if level == depth:
+            return draw(LEAVES if odd_leaves else NUMBERS)
+        if odd_leaves and draw(st.integers(0, 9)) == 0:
+            return draw(st.sampled_from(["12", {"1": 0, "2": 0}, (1.0, 2.0), ()]))
+        size = shape[level]
+        if draw(st.integers(0, 9)) == 0:
+            size = draw(st.integers(0, 3))
+        return [build(level + 1) for _ in range(size)]
+
+    return build(0)
+
+
+def pairs_or_none(convert, rows):
+    try:
+        return convert(rows)
+    except PhaseObsError:
+        return None
+
+
+class TestPairDecoder:
+    """`_complex_pairs` gives numpy's conversion of the whole tree, bit for
+    bit, and raises exactly where it does."""
+
+    @settings(max_examples=400)
+    @given(pair_trees())
+    @example([])
+    @example([[]])
+    @example([[], []])
+    @example([[[]]])
+    @example([[1.0, 2.0], [3.0]])
+    @example([[1.0, 2.0, 3.0]])
+    @example([[1.0], [2.0]])
+    @example([[[1.0, 2.0]], []])
+    @example([[1.0, 2.0], [3.0, [4.0]]])
+    @example([["1.5", None], [True, 2]])
+    @example([[{}, 1.0]])
+    @example([[1.0, 2.0], "12"])
+    @example([[1.0, 2.0], {"1": 0, "2": 0}])
+    @example([(1.0, 2.0), (3.0, -0.0)])
+    @example([[(1.0, 2.0)], [(3.0, 4.0)]])
+    @example([np.array([1.0, 2.0])])
+    @example(np.zeros((3, 2)))
+    @example("ab")
+    @example(1.5)
+    def test_matches_numpy(self, rows):
+        expected = pairs_or_none(numpy_pairs, rows)
+        got = pairs_or_none(lambda r: _complex_pairs(r, "rows"), rows)
+        if expected is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()

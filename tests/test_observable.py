@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import eig2, random_gram_matrix, random_state
+from conftest import eig2, loop_fix_phase, random_gram_matrix, random_state
 from phaseobs import (
     HardyState,
     KrausFamily,
@@ -16,6 +16,14 @@ from phaseobs import (
     validate,
 )
 from phaseobs.observable import TOL_PSD_FACTOR, _fix_vector_phase
+
+
+def eigvalsh_rule(mat):
+    """The PSD issue's magnitude by a full eigvalsh of the complex Hermitian
+    part, or None when the smallest eigenvalue is within tolerance."""
+    mat = np.asarray(mat, dtype=complex)
+    min_eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
+    return -min_eig if min_eig < -TOL_PSD_FACTOR * len(mat) else None
 
 
 def tuple_key_rows(matrix):
@@ -58,6 +66,39 @@ class TestValidate:
             validate(np.ones((2, 3)))
         with pytest.raises(PhaseObsError):
             validate(np.array([[1.0, math.nan], [math.nan, 1.0]]))
+
+    @pytest.mark.parametrize("dim", [2, 7, 64, 512])
+    def test_psd_verdict_is_the_eigvalsh_rule(self, dim):
+        # smallest eigenvalue just outside, just inside, at zero and far below
+        # the tolerance, in a spread spectrum and under a canonical-like top
+        # eigenvalue S; the psd issue must be the eigvalsh rule's, bit for bit
+        rng = np.random.default_rng(dim)
+        tol = TOL_PSD_FACTOR * dim
+        unitary, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                                  + 1j * rng.standard_normal((dim, dim)))
+        ones = np.ones((dim, dim)) / dim
+        for lam, fails in ((-(1 + 1e-3) * tol, True), (-(1 - 1e-3) * tol, False),
+                           (0.0, False), (-1.0, True)):
+            spectrum = np.concatenate([[lam], rng.uniform(0.5, 1.5, dim - 1)])
+            spread = (unitary * spectrum) @ unitary.conj().T
+            top = dim * ones + lam * (np.eye(dim) - ones)
+            for mat in (spread, top):
+                issues = {i.prop: i.magnitude for i in validate(mat).issues}
+                assert issues.get("psd") == eigvalsh_rule(mat)
+                assert ("psd" in issues) == fails
+
+    def test_valid_matrix_needs_no_eigvalsh(self, monkeypatch):
+        # full rank, rank 64 and rank 1: the last two have zero eigenvalues
+        rng = np.random.default_rng(31)
+        mats = (random_gram_matrix(rng, 512), random_gram_matrix(rng, 512, 64),
+                PhaseMatrix.canonical(512))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called on a valid matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for mat in mats:
+            assert validate(mat.entries).valid
 
 
 class TestFamilies:
@@ -232,6 +273,18 @@ class TestKraus:
         np.testing.assert_array_equal(
             kraus_decompose(PhaseMatrix.trivial(6)).z, np.eye(6)[::-1]
         )
+
+    def test_phase_fix_matches_vector_loop(self):
+        # every row at once, bit for bit as one vector at a time; the
+        # block and trivial eigenvectors start with (near-)zero components
+        rng = np.random.default_rng(16)
+        for entries in (random_gram_matrix(rng, 40).entries,
+                        PhaseMatrix.exponential(0.3, 40).entries,
+                        np.kron(np.eye(3), random_gram_matrix(rng, 4).entries),
+                        np.eye(5)):
+            vecs = np.linalg.eigh(entries)[1].T
+            expected = np.array([loop_fix_phase(vec) for vec in vecs])
+            assert _fix_vector_phase(vecs).tobytes() == expected.tobytes()
 
     def test_decompose_rejects_non_psd(self):
         bad = PhaseMatrix(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex))
