@@ -19,7 +19,7 @@ from .observable import (
     validate,
 )
 from .distribution import (
-    WindowOperator,
+    SchurToeplitz,
     check_covariance,
     check_interference,
     density,
@@ -33,7 +33,6 @@ from .distribution import (
     window_probability,
 )
 from .spectral import (
-    MomentOperator,
     first_moment,
     localization_max,
     localization_sweep,
@@ -59,7 +58,7 @@ __all__ = [
     "kraus_decompose",
     "kraus_reconstruct",
     "validate",
-    "WindowOperator",
+    "SchurToeplitz",
     "check_covariance",
     "check_interference",
     "density",
@@ -71,7 +70,6 @@ __all__ = [
     "sample",
     "window_operator",
     "window_probability",
-    "MomentOperator",
     "first_moment",
     "localization_max",
     "localization_sweep",

@@ -10,10 +10,10 @@ precision cannot resolve; diagnostics go to stderr as JSON.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 import numpy as np
 import orjson
@@ -36,29 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Validated per-invocation settings shared by the command handlers."""
-
-    grid: int = 256
-    dim: int | None = None
-    seed: int = 0
-    samples: int = 0
-    out: str | None = None
-    truncations: list[int] = field(default_factory=list)
-    q_sweep: list[float] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.grid < 2:
-            raise PhaseObsError("--grid must be >= 2")
-        if self.dim is not None and self.dim < 1:
-            raise PhaseObsError("--dim must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise PhaseObsError("--seed must be a 64-bit unsigned integer")
-        if self.samples < 0:
-            raise PhaseObsError("--samples must be non-negative")
-
-
 def _dumps(obj, pretty: bool = False) -> str:
     """One JSON document and a newline.  Every double is written in its
     shortest round-trip form; numpy scalars and arrays are accepted."""
@@ -76,9 +53,21 @@ def _diag(code: str, message: str, detail=None) -> None:
 def _load_json(path: str) -> dict:
     """Strict UTF-8 JSON: NaN, Infinity, an overflowing literal such as
     1e400, a byte order mark or invalid UTF-8 raise orjson.JSONDecodeError,
-    a ValueError."""
+    a ValueError.
+
+    The cyclic garbage collector is paused during the decode: the lists it
+    builds (one per [re, im] pair of an explicit matrix) hold no cycles,
+    and the collections their allocation triggers took about half the time.
+    """
     with open(path, "rb") as fh:
-        return orjson.loads(fh.read())
+        data = fh.read()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return orjson.loads(data)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -157,58 +146,58 @@ def _parse_float_list(text: str) -> list[float]:
 # ---------------------------------------------------------------- handlers
 
 
-def cmd_validate(args, cfg: RunConfig) -> int:
+def cmd_validate(args) -> int:
     spec = _matrix_spec(args)
     if spec.get("kind") == "explicit":
         # validate the raw entries: building a PhaseMatrix would raise instead
         report = observable.validate(_complex_pairs(spec["entries"], "entries"))
     else:
         report = observable.validate(PhaseMatrix.from_dict(spec).entries)
-    _emit(_dumps(report.to_dict(), pretty=True), cfg.out)
+    _emit(_dumps(report.to_dict(), pretty=True), args.out)
     if not report.valid:
         _diag("invalid-matrix", "phase matrix validation failed", report.to_dict())
         return 2
     return 0
 
 
-def cmd_density(args, cfg: RunConfig) -> int:
+def cmd_density(args) -> int:
     matrix = _load_matrix(args)
     state = _load_state(args.state)
-    values = distribution.density_grid(matrix, state, cfg.grid)
-    rows = [(TWO_PI * j / cfg.grid, values[j]) for j in range(cfg.grid)]
-    _emit(_csv("theta,value", rows), cfg.out)
+    values = distribution.density_grid(matrix, state, args.grid)
+    rows = [(TWO_PI * j / args.grid, values[j]) for j in range(args.grid)]
+    _emit(_csv("theta,value", rows), args.out)
     return 0
 
 
-def cmd_cdf(args, cfg: RunConfig) -> int:
+def cmd_cdf(args) -> int:
     matrix = _load_matrix(args)
     state = _load_state(args.state)
-    thetas = TWO_PI * np.arange(cfg.grid + 1) / cfg.grid
+    thetas = TWO_PI * np.arange(args.grid + 1) / args.grid
     thetas[-1] = TWO_PI
     values = distribution.exact_cdf(matrix, state, thetas)
-    _emit(_csv("theta,value", zip(thetas, values)), cfg.out)
+    _emit(_csv("theta,value", zip(thetas, values)), args.out)
     return 0
 
 
-def cmd_window_prob(args, cfg: RunConfig) -> int:
+def cmd_window_prob(args) -> int:
     matrix = _load_matrix(args)
     state = _load_state(args.state)
     window = _load_window(args.window)
     prob = distribution.window_probability(matrix, state, window)
     payload = {"probability": prob, "window_measure": window.measure}
-    _emit(_dumps(payload, pretty=True), cfg.out)
+    _emit(_dumps(payload, pretty=True), args.out)
     return 0
 
 
-def cmd_kraus(args, cfg: RunConfig) -> int:
+def cmd_kraus(args) -> int:
     family = observable.kraus_decompose(_load_matrix(args))
     # the rows' float view: orjson writes the bytes of family.to_dict()
     # without the nested lists being built
-    _emit(_dumps({"rows": _pair_floats(family.z)}), cfg.out)
+    _emit(_dumps({"rows": _pair_floats(family.z)}), args.out)
     return 0
 
 
-def cmd_kernel_check(args, cfg: RunConfig) -> int:
+def cmd_kernel_check(args) -> int:
     matrix = _load_matrix(args)
     state = _load_state(args.state)
     nonzero = np.nonzero(state.coeffs)[0]
@@ -216,19 +205,19 @@ def cmd_kernel_check(args, cfg: RunConfig) -> int:
     if s >= matrix.dim:
         raise PhaseObsError("state band limit exceeds matrix dimension")
     thetas = TWO_PI * np.arange(8) / 8
-    sandwiches = distribution.kernel_apply(matrix, s, state, thetas, cfg.grid)
+    sandwiches = distribution.kernel_apply(matrix, s, state, thetas, args.grid)
     directs = distribution.density(matrix, state, state, thetas).real
     rows = [(theta, direct, sandwich, abs(direct - sandwich))
             for theta, direct, sandwich in zip(thetas, directs, sandwiches)]
-    _emit(_csv("theta,density,kernel,abs_err", rows), cfg.out)
+    _emit(_csv("theta,density,kernel,abs_err", rows), args.out)
     return 0
 
 
-def cmd_moment(args, cfg: RunConfig) -> int:
+def cmd_moment(args) -> int:
     matrix = _load_matrix(args)
     spectrum = spectral.moment_spectrum(matrix)
     rows = [(i, val) for i, val in enumerate(spectrum)]
-    _emit(_csv("index,eigenvalue", rows), cfg.out)
+    _emit(_csv("index,eigenvalue", rows), args.out)
     return 0
 
 
@@ -253,50 +242,45 @@ def _localization_fields(loc: spectral._Localization) -> dict:
     return {**fields, "method": loc.method}
 
 
-def cmd_localize(args, cfg: RunConfig) -> int:
+def cmd_localize(args) -> int:
     loc = spectral._localization(_load_matrix(args), _load_window(args.window))
     payload = {**_localization_fields(loc), "maximizer": loc.maximizer.to_dict()}
-    _emit(_dumps(payload, pretty=True), cfg.out)
+    _emit(_dumps(payload, pretty=True), args.out)
     return 0
 
 
-def cmd_sweep(args, cfg: RunConfig) -> int:
+def cmd_sweep(args) -> int:
+    truncations = _parse_int_list(args.truncations)
+    q_sweep = _parse_float_list(args.q_sweep)
     window = _load_window(args.window)
-    if cfg.truncations and cfg.q_sweep:
+    if truncations and q_sweep:
         raise PhaseObsError("use either --truncations or --q-sweep, not both")
-    if cfg.truncations:
-        # --matrix is resolved once: a builtin is rebuilt at each size, an
-        # explicit matrix is cut from its one parsed copy
-        spec = _matrix_spec(args)
-        if spec.get("kind") in BUILTIN_KINDS:
-            cases = ((dim, PhaseMatrix.from_dict({**spec, "dim": dim}))
-                     for dim in cfg.truncations)
-        else:
-            full = PhaseMatrix.from_dict(spec)
-            cases = ((dim, full.truncated(dim)) for dim in cfg.truncations)
+    if truncations:
+        full = _load_matrix(args)
+        cases = ((dim, full.truncated(dim)) for dim in truncations)
         header = "S"
-    elif cfg.q_sweep:
+    elif q_sweep:
         if args.matrix != "exponential":
             raise PhaseObsError("--q-sweep builds exponential matrices; "
                                 "it requires --matrix exponential")
-        if cfg.dim is None:
+        if args.dim is None:
             raise PhaseObsError("--q-sweep requires --dim")
-        cases = ((q, PhaseMatrix.exponential(q, cfg.dim)) for q in cfg.q_sweep)
+        cases = ((q, PhaseMatrix.exponential(q, args.dim)) for q in q_sweep)
         header = "q"
     else:
         raise PhaseObsError("sweep requires --truncations or --q-sweep")
     rows = [(param, _localization_fields(
                  spectral._localization(mat, window, maximizer=False))["lambda_max"])
             for param, mat in cases]
-    _emit(_csv(f"{header},lambda_max", rows), cfg.out)
+    _emit(_csv(f"{header},lambda_max", rows), args.out)
     return 0
 
 
-def cmd_sample(args, cfg: RunConfig) -> int:
+def cmd_sample(args) -> int:
     matrix = _load_matrix(args)
     state = _load_state(args.state)
-    draws = distribution.sample(matrix, state, cfg.samples, cfg.seed)
-    _emit("".join(_fmt(x) + "\n" for x in draws), cfg.out)
+    draws = distribution.sample(matrix, state, args.samples, args.seed)
+    _emit("".join(_fmt(x) + "\n" for x in draws), args.out)
     return 0
 
 
@@ -349,16 +333,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        grid=getattr(args, "grid", 256),
-        dim=args.dim,
-        seed=getattr(args, "seed", 0),
-        samples=getattr(args, "samples", 0),
-        out=args.out,
-        truncations=_parse_int_list(getattr(args, "truncations", "")),
-        q_sweep=_parse_float_list(getattr(args, "q_sweep", "")),
-    )
+def _check_ranges(args) -> None:
+    """Range checks of the numeric options a command has, before any input
+    is read."""
+    if "grid" in args and args.grid < 2:
+        raise PhaseObsError("--grid must be >= 2")
+    if args.dim is not None and args.dim < 1:
+        raise PhaseObsError("--dim must be >= 1")
+    if "seed" in args and not 0 <= args.seed < 2**64:
+        raise PhaseObsError("--seed must be a 64-bit unsigned integer")
+    if "samples" in args and args.samples < 0:
+        raise PhaseObsError("--samples must be non-negative")
 
 
 def main(argv=None) -> int:
@@ -369,8 +354,8 @@ def main(argv=None) -> int:
         _diag("usage", str(exc))
         return 1
     try:
-        cfg = _config_from(args)
-        return args.handler(args, cfg)
+        _check_ranges(args)
+        return args.handler(args)
     except ValidationError as exc:
         _diag("validation", str(exc))
         return 2

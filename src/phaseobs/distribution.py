@@ -16,7 +16,8 @@ production path; quadrature appears only in test oracles.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -173,44 +174,46 @@ def window_probability(
 
 
 @dataclass(frozen=True, eq=False)
-class WindowOperator:
-    """Truncated POM effect E(X): Hermitian with spectrum in [0, 1]."""
+class SchurToeplitz:
+    """The truncated operator C o T(t) of a phase matrix C and a Hermitian
+    Toeplitz symbol t_0..t_{S-1}: the POM effect E(X) of a window
+    (`window_operator`) or the first moment (`spectral.first_moment`).
+    The symbol is held as a read-only copy; the dense entries are built on
+    first use."""
 
-    entries: np.ndarray
-    window: PhaseWindow
-    source: str
+    matrix: PhaseMatrix
+    symbol: np.ndarray
 
-    # True only from the factory, whose freshly built array is frozen in
-    # place; an array from any other caller is copied, never aliased.
-    _owned: InitVar[bool] = False
-
-    def __post_init__(self, _owned: bool):
-        arr = np.asarray(self.entries, dtype=complex)
-        if not _owned:
-            arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+    def __post_init__(self):
+        t = np.array(self.symbol, dtype=complex)
+        if t.shape != (self.matrix.dim,):
+            raise PhaseObsError(
+                f"symbol of shape {t.shape} for a matrix of dimension {self.matrix.dim}"
+            )
+        t.setflags(write=False)
+        object.__setattr__(self, "symbol", t)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.matrix.dim
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """entries[n][m] = c_{n,m} t_{n-m}, read-only, built once."""
+        arr = _schur_toeplitz(self.matrix.entries, self.symbol)
+        arr.setflags(write=False)
+        return arr
 
     def expectation(self, psi: HardyState) -> float:
-        a = psi.padded(self.dim).coeffs
-        return float(np.real(a.conj() @ self.entries @ a))
+        """<psi, (C o T(t)) psi> as the pairing sum_k w_k t_k."""
+        value = _pair(_diagonal_weights(self.matrix, psi), self.symbol)
+        return float(_real(value, "expectation"))
 
 
-def window_operator(
-    matrix: PhaseMatrix, window: PhaseWindow, dim: int | None = None
-) -> WindowOperator:
-    """entries[n][m] = c_{n,m} * (1/2pi) int_X exp(i (n-m) theta) dtheta.
-
-    `dim` selects a top-left truncation of the matrix (default: full size).
-    The full circle yields the identity exactly.
-    """
-    mat = matrix if dim is None else matrix.truncated(dim)
-    entries = _schur_toeplitz(mat.entries, _window_symbol(window, mat.dim))
-    return WindowOperator(entries=entries, window=window, source=mat.label, _owned=True)
+def window_operator(matrix: PhaseMatrix, window: PhaseWindow) -> SchurToeplitz:
+    """E(X) with entries[n][m] = c_{n,m} * (1/2pi) int_X exp(i (n-m) theta)
+    dtheta.  The full circle yields the identity exactly."""
+    return SchurToeplitz(matrix, _window_symbol(window, matrix.dim))
 
 
 def check_interference(

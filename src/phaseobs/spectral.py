@@ -22,7 +22,6 @@ Slepian's prolate matrix in mpmath; any other case is refused.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -31,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import PhaseObsError, PrecisionError
 from .hardy import TWO_PI, HardyState, PhaseWindow
 from .observable import PhaseMatrix, _fix_vector_phase
-from .distribution import _schur_toeplitz, window_operator
+from .distribution import SchurToeplitz, _schur_toeplitz, window_operator
 
 # A dense symmetric eigensolve is backward stable: lambda_max carries an
 # absolute error of order S * eps * ||E||, and ||E|| <= 1.  1 - lambda_max
@@ -46,42 +45,16 @@ _MAX_DIGITS = 20_000
 _MAX_RQI_STEPS = 30
 
 
-@dataclass(frozen=True, eq=False)
-class MomentOperator:
-    """Truncated first-moment operator: Hermitian, diagonal pi, spectrum in
-    [0, 2*pi]."""
-
-    entries: np.ndarray
-    source: str
-
-    # True only from the factory, whose freshly built array is frozen in
-    # place; an array from any other caller is copied, never aliased.
-    _owned: InitVar[bool] = False
-
-    def __post_init__(self, _owned: bool):
-        arr = np.asarray(self.entries, dtype=complex)
-        if not _owned:
-            arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-def first_moment(matrix: PhaseMatrix, dim: int | None = None) -> MomentOperator:
+def first_moment(matrix: PhaseMatrix) -> SchurToeplitz:
     """entries[n][m] = c_{n,m} t_{n-m} with t_0 = pi, t_k = -i/k: pi on the
-    diagonal and c_{n,m} * i / (m - n) off it."""
-    mat = matrix if dim is None else matrix.truncated(dim)
-    t = np.empty(mat.dim, dtype=complex)
+    diagonal and c_{n,m} * i / (m - n) off it; spectrum in [0, 2*pi]."""
+    t = np.empty(matrix.dim, dtype=complex)
     t[0] = math.pi
-    t[1:] = -1j / np.arange(1, mat.dim)
-    entries = _schur_toeplitz(mat.entries, t)
-    return MomentOperator(entries=entries, source=mat.label, _owned=True)
+    t[1:] = -1j / np.arange(1, matrix.dim)
+    return SchurToeplitz(matrix, t)
 
 
-def moment_spectrum(matrix: PhaseMatrix, dim: int | None = None) -> np.ndarray:
+def moment_spectrum(matrix: PhaseMatrix) -> np.ndarray:
     """Ascending real eigenvalues of the first-moment operator.
 
     For a real C the operator is pi I + i B with B_{nm} = c_{nm} / (m - n)
@@ -89,17 +62,16 @@ def moment_spectrum(matrix: PhaseMatrix, dim: int | None = None) -> np.ndarray:
     J B J = -B for the reversal J, which makes J B symmetric and unitarily
     similar to i B, so the spectrum is pi + eigvalsh(J B): a real solve.
     """
-    mat = matrix if dim is None else matrix.truncated(dim)
-    c = mat.entries
+    c = matrix.entries
     if not c.imag.any():
         real = c.real
         if np.array_equal(real, real.T) and np.array_equal(real, real[::-1, ::-1]):
             # (J B)_{nm} = c_{S-1-n,m} h_{n+m}: h_j = 1/(j - (S-1)), h_{S-1} = 0
-            offsets = np.arange(2 * mat.dim - 1, dtype=float) - (mat.dim - 1)
+            offsets = np.arange(2 * matrix.dim - 1, dtype=float) - (matrix.dim - 1)
             h = np.divide(1.0, offsets, out=np.zeros_like(offsets), where=offsets != 0)
-            reversed_b = real[::-1] * sliding_window_view(h, mat.dim)
+            reversed_b = real[::-1] * sliding_window_view(h, matrix.dim)
             return math.pi + np.linalg.eigvalsh(reversed_b)
-    return np.linalg.eigvalsh(first_moment(mat).entries)
+    return np.linalg.eigvalsh(first_moment(matrix).entries)
 
 
 class _Localization(NamedTuple):

@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 import math
 import os
@@ -226,6 +228,34 @@ class TestCommands:
             rows.append((dim, cli._localization_fields(loc)["lambda_max"]))
         assert out.read_text() == cli._csv("S,lambda_max", rows)
 
+    def test_builtin_truncation_above_dim_exits_1(self, tmp_path, capsys):
+        path = write_json(tmp_path / "exp8.json", PhaseMatrix.exponential(0.9, 8).to_dict())
+        out = tmp_path / "sweep.csv"
+        messages = []
+        for matrix in ("exponential", path):
+            assert main(["sweep", "--matrix", matrix, "--q", "0.9", "--dim", "8",
+                         "--window", f"0:{math.pi}", "--truncations", "4,16,32",
+                         "--out", str(out)]) == 1
+            diag = json.loads(capsys.readouterr().err)
+            assert diag["code"] == "error"
+            messages.append(diag["message"])
+        assert messages == ["truncation 16 outside [1, 8]"] * 2
+        assert not out.exists()
+
+    def test_builtin_sweep_matches_per_size_matrices(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--matrix", "exponential", "--q", "0.9", "--dim", "64",
+                     "--window", f"0:{math.pi}", "--truncations", "1,2,7,16,64",
+                     "--out", str(out)]) == 0
+        # the reference builds the builtin afresh at each size
+        window = PhaseWindow(((0.0, math.pi),))
+        rows = []
+        for dim in (1, 2, 7, 16, 64):
+            loc = spectral._localization(PhaseMatrix.exponential(0.9, dim), window,
+                                         maximizer=False)
+            rows.append((dim, cli._localization_fields(loc)["lambda_max"]))
+        assert out.read_text() == cli._csv("S,lambda_max", rows)
+
     def test_sweeps_take_no_eigenvectors(self, tmp_path, monkeypatch):
         solves = []
         eigh = np.linalg.eigh
@@ -366,6 +396,74 @@ class TestCommands:
         first = out.read_text()
         payload = json.loads(first)
         assert json.loads(json.dumps(payload)) == payload
+
+
+class TestOptionRanges:
+    @pytest.mark.parametrize("argv, message", [
+        (["density", "--grid", "1"], "--grid must be >= 2"),
+        (["cdf", "--grid", "1"], "--grid must be >= 2"),
+        (["density", "--dim", "0"], "--dim must be >= 1"),
+        (["sample", "--samples", "5", "--seed", "-1"],
+         "--seed must be a 64-bit unsigned integer"),
+        (["sample", "--samples", "5", "--seed", str(2**64)],
+         "--seed must be a 64-bit unsigned integer"),
+        (["sample", "--samples", "-1"], "--samples must be non-negative"),
+    ])
+    def test_out_of_range_exits_1(self, argv, message, canonical2, plus_state,
+                                  tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        full = [argv[0], "--matrix", canonical2, "--state", plus_state, *argv[1:],
+                "--out", str(out)]
+        assert main(full) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        diag = json.loads(captured.err)
+        assert diag["code"] == "error"
+        assert diag["message"] == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--grid", "2"],
+        ["cdf", "--grid", "2"],
+        ["sample", "--samples", "0", "--seed", str(2**64 - 1)],
+    ])
+    def test_range_ends_accepted(self, argv, canonical2, plus_state, tmp_path):
+        out = tmp_path / "out.txt"
+        assert main([argv[0], "--matrix", canonical2, "--state", plus_state,
+                     *argv[1:], "--out", str(out)]) == 0
+
+
+class TestLoadJson:
+    def test_collector_paused_during_decode(self, plus_state, monkeypatch):
+        seen = []
+        loads = orjson.loads
+        monkeypatch.setattr(cli.orjson, "loads",
+                            lambda data: seen.append(gc.isenabled()) or loads(data))
+        assert gc.isenabled()
+        assert cli._load_json(plus_state)["coeffs"][0] == [SQ2, 0.0]
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_collector_restored_after_decode_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"coeffs": [[NaN, 0.0]]}')
+        assert gc.isenabled()
+        with pytest.raises(orjson.JSONDecodeError):
+            cli._load_json(str(bad))
+        assert gc.isenabled()
+
+    def test_collector_left_disabled(self, plus_state, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        gc.disable()
+        try:
+            cli._load_json(plus_state)
+            assert not gc.isenabled()
+            with pytest.raises(orjson.JSONDecodeError):
+                cli._load_json(str(bad))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestExactGap:
@@ -606,3 +704,34 @@ def test_cli_import_loads_no_optional_modules():
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def _blas_children(tmp_path, argv, threads):
+    """Output bytes of `python -m phaseobs.cli argv` in a child process with
+    `threads` BLAS threads."""
+    out = tmp_path / f"out-{threads}.txt"
+    env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+    subprocess.run([sys.executable, "-m", "phaseobs.cli", *argv, "--out", str(out)],
+                   cwd=Path(__file__).resolve().parent.parent, env=env, check=True)
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["localize", "--matrix", "exponential", "--q", "0.9", "--dim", "512",
+      "--window", f"0:{math.pi}"], 512),
+    (["moment", "--matrix", "exponential", "--q", "0.9", "--dim", "512"], 512),
+])
+def test_outputs_fixed_per_blas_thread_count(argv, size, tmp_path):
+    # outputs are byte-identical only for a fixed BLAS thread count: across
+    # counts the eigensolver's last bits may move, within its error bound
+    one, again, two = (_blas_children(tmp_path, argv, n) for n in (1, 1, 2))
+    assert one == again
+    bound = 8 * size * np.finfo(float).eps
+    if argv[0] == "localize":
+        lams = [orjson.loads(out)["lambda_max"] for out in (one, two)]
+        assert abs(lams[0] - lams[1]) <= bound
+    else:
+        spectra = [np.loadtxt(io.BytesIO(out), delimiter=",", skiprows=1)[:, 1]
+                   for out in (one, two)]
+        assert np.max(np.abs(spectra[0] - spectra[1])) <= bound

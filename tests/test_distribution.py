@@ -24,13 +24,14 @@ from phaseobs import (
     PhaseObsError,
     PhaseWindow,
     TWO_PI,
-    WindowOperator,
+    SchurToeplitz,
     check_covariance,
     check_interference,
     density,
     density_grid,
     evaluate,
     exact_cdf,
+    first_moment,
     fourier_window_integral,
     kernel_C,
     kernel_apply,
@@ -243,18 +244,24 @@ class TestWindowOperator:
             psi = random_state(rng, 7)
             window = random_window(rng)
             op = window_operator(mat, window)
+            a = psi.coeffs
+            dense = a.conj() @ op.entries @ a
+            assert abs(dense.imag) <= 1e-12
+            assert op.expectation(psi) == pytest.approx(dense.real, abs=1e-12)
             assert op.expectation(psi) == pytest.approx(
                 window_probability(mat, psi, window), abs=1e-12
             )
 
     def test_caller_array_copied_not_frozen(self):
-        given = 0.5 * np.eye(4, dtype=complex)
-        op = WindowOperator(given, window=HALF, source="explicit")
+        mat = PhaseMatrix.canonical(4)
+        given = distribution._window_symbol(HALF, 4)
+        op = SchurToeplitz(mat, given)
         assert given.flags.writeable
-        assert not np.shares_memory(op.entries, given)
-        assert not op.entries.flags.writeable
-        given[0, 0] = 2.0
-        assert op.entries[0, 0] == 0.5
+        assert not np.shares_memory(op.symbol, given)
+        assert not op.symbol.flags.writeable
+        given[0] = 2.0
+        assert op.symbol[0] == 0.5
+        np.testing.assert_array_equal(op.entries, window_operator(mat, HALF).entries)
 
     def test_factory_array_not_copied(self):
         mat = PhaseMatrix.exponential(0.9, 256)
@@ -274,6 +281,46 @@ class TestWindowOperator:
             assert np.max(np.abs(op.entries - op.entries.conj().T)) <= 1e-12
             evals = np.linalg.eigvalsh(op.entries)
             assert evals[0] >= -1e-10 and evals[-1] <= 1 + 1e-10
+
+
+class TestSchurToeplitz:
+    """The one operator form: a phase matrix, a symbol, entries on demand."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 16])
+    def test_first_moment_expectation_is_mean_phase(self, dim):
+        rng = np.random.default_rng(120 + dim)
+        for _ in range(3):
+            mat = random_gram_matrix(rng, dim)
+            psi = random_state(rng, dim)
+            mean, _ = quad(lambda t: t * density(mat, psi, None, t).real,
+                           0.0, TWO_PI, limit=200, epsabs=1e-13, epsrel=1e-13)
+            assert first_moment(mat).expectation(psi) == pytest.approx(
+                mean / TWO_PI, abs=1e-10
+            )
+
+    def test_entries_built_once_read_only(self):
+        rng = np.random.default_rng(125)
+        mat = random_gram_matrix(rng, 9)
+        window = random_window(rng)
+        op = window_operator(mat, window)
+        entries = op.entries
+        assert not entries.flags.writeable
+        assert op.entries is entries
+        np.testing.assert_allclose(
+            entries, loop_window_operator(mat, window), rtol=0, atol=1e-13
+        )
+
+    def test_caller_symbol_mutation_does_not_reach_entries(self):
+        mat = PhaseMatrix.exponential(0.6, 5)
+        given = distribution._window_symbol(HALF, 5)
+        op = SchurToeplitz(mat, given)
+        given[:] = 7.0
+        np.testing.assert_array_equal(op.entries, window_operator(mat, HALF).entries)
+
+    @pytest.mark.parametrize("shape", [(0,), (3,), (5,), (4, 1)])
+    def test_wrong_symbol_length_raises(self, shape):
+        with pytest.raises(PhaseObsError):
+            SchurToeplitz(PhaseMatrix.canonical(4), np.ones(shape, dtype=complex))
 
 
 class TestLoopOracles:

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import eig2, random_gram_matrix
 from phaseobs import (
-    MomentOperator,
     PhaseMatrix,
+    SchurToeplitz,
     PhaseObsError,
     PhaseWindow,
     PrecisionError,
@@ -65,13 +65,17 @@ class TestFirstMoment:
 
 
     def test_factory_array_frozen_caller_array_copied(self):
-        op = first_moment(PhaseMatrix.exponential(0.5, 6))
+        mat = PhaseMatrix.exponential(0.5, 6)
+        op = first_moment(mat)
         assert not op.entries.flags.writeable
-        given = math.pi * np.eye(4, dtype=complex)
-        op = MomentOperator(given, source="explicit")
+        assert not op.symbol.flags.writeable
+        given = np.array(op.symbol)
+        copy = SchurToeplitz(mat, given)
         assert given.flags.writeable
-        assert not np.shares_memory(op.entries, given)
-        assert not op.entries.flags.writeable
+        assert not np.shares_memory(copy.symbol, given)
+        assert not copy.symbol.flags.writeable
+        given[0] = 0.0
+        np.testing.assert_array_equal(copy.entries, op.entries)
 
 
 class TestMomentSpectrum:
@@ -107,9 +111,9 @@ def moment_builds(monkeypatch):
     """Counts the complex first-moment operators `moment_spectrum` builds."""
     calls = []
 
-    def spy(matrix, dim=None):
+    def spy(matrix):
         calls.append(matrix.dim)
-        return first_moment(matrix, dim)
+        return first_moment(matrix)
 
     monkeypatch.setattr(spectral, "first_moment", spy)
     return calls
@@ -314,9 +318,9 @@ def complex_calls(monkeypatch):
     """Counts the window operators `_localization` builds: the complex path."""
     calls = []
 
-    def spy(matrix, window, dim=None):
+    def spy(matrix, window):
         calls.append(window)
-        return window_operator(matrix, window, dim)
+        return window_operator(matrix, window)
 
     monkeypatch.setattr(spectral, "window_operator", spy)
     return calls
