@@ -33,7 +33,9 @@ from .distribution import (
     window_probability,
 )
 from .spectral import (
+    Localization,
     first_moment,
+    localization,
     localization_max,
     localization_sweep,
     moment_spectrum,
@@ -70,7 +72,9 @@ __all__ = [
     "sample",
     "window_operator",
     "window_probability",
+    "Localization",
     "first_moment",
+    "localization",
     "localization_max",
     "localization_sweep",
     "moment_spectrum",

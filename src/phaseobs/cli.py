@@ -221,7 +221,7 @@ def cmd_moment(args) -> int:
     return 0
 
 
-def _localization_fields(loc: spectral._Localization) -> dict:
+def _localization_fields(loc: spectral.Localization) -> dict:
     """lambda_max, gap = 1 - lambda_max as a decimal string, and the method.
 
     A dense lambda_max stays a double.  A prolate one is written as the
@@ -243,7 +243,7 @@ def _localization_fields(loc: spectral._Localization) -> dict:
 
 
 def cmd_localize(args) -> int:
-    loc = spectral._localization(_load_matrix(args), _load_window(args.window))
+    loc = spectral.localization(_load_matrix(args), _load_window(args.window))
     payload = {**_localization_fields(loc), "maximizer": loc.maximizer.to_dict()}
     _emit(_dumps(payload, pretty=True), args.out)
     return 0
@@ -270,7 +270,7 @@ def cmd_sweep(args) -> int:
     else:
         raise PhaseObsError("sweep requires --truncations or --q-sweep")
     rows = [(param, _localization_fields(
-                 spectral._localization(mat, window, maximizer=False))["lambda_max"])
+                 spectral.localization(mat, window, maximizer=False))["lambda_max"])
             for param, mat in cases]
     _emit(_csv(f"{header},lambda_max", rows), args.out)
     return 0

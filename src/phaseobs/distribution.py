@@ -65,22 +65,24 @@ def _diagonal_weights(
     return np.bincount(bins, prod.real, size) + 1j * np.bincount(bins, prod.imag, size)
 
 
-def _arc_symbol(size: int, lo: float, hi: float) -> np.ndarray:
-    """(1/2pi) int_lo^hi exp(i k theta) dtheta for k = 0..size-1; a whole
-    turn is exactly the delta symbol."""
-    k = np.arange(size)
-    # row k = 0 is overwritten below; max(k, 1) only keeps 0/0 out
-    t = (np.exp(1j * k * hi) - np.exp(1j * k * lo)) / (TWO_PI * 1j * np.maximum(k, 1))
-    t[0] = (hi - lo) / TWO_PI
-    # exp(2*pi*i*k) rounds to 1 + O(k eps), so zero the k > 0 terms by hand
-    t[1:] *= hi - lo != TWO_PI
+def _arc_symbol(size: int, length: float) -> np.ndarray:
+    """Real symbol P_0 = L/2pi, P_k = sin(k L/2)/(pi k) for k = 0..size-1:
+    (1/2pi) int exp(i k theta) dtheta over the arc of length L centred at 0
+    (Slepian 1978).  A whole turn is exactly the delta symbol."""
+    k = np.arange(1, size)
+    t = np.empty(size)
+    t[0] = length / TWO_PI
+    # sin(k pi) rounds to O(k eps), so zero the k > 0 terms by hand
+    t[1:] = np.sin(k * (length / 2)) / (np.pi * k) * (length != TWO_PI)
     return t
 
 
 def _window_symbol(window: PhaseWindow, size: int) -> np.ndarray:
-    """Window integrals t_k for k = 0..size-1, summed in closed form per arc."""
-    arcs = ((0.0, TWO_PI),) if window.is_full_circle() else window.arcs
-    return sum((_arc_symbol(size, lo, hi) for lo, hi in arcs), np.zeros(size, complex))
+    """Window integrals t_k for k = 0..size-1: per arc, the centred symbol
+    turned to the arc's centre c by exp(i k c) (phase-shift covariance)."""
+    k = np.arange(size)
+    return sum((np.exp(1j * k * ((lo + hi) / 2)) * _arc_symbol(size, hi - lo)
+                for lo, hi in window.arcs), np.zeros(size, complex))
 
 
 def _pair(w: np.ndarray, t: np.ndarray) -> complex:

@@ -215,22 +215,25 @@ def superpose(
 
 @dataclass(frozen=True)
 class PhaseWindow:
-    """Finite union of disjoint half-open arcs [lo, hi) within [0, 2*pi)."""
+    """Finite union of disjoint half-open arcs [lo, hi) within [0, 2*pi).
+
+    Pieces that touch (lo equal to the previous hi) are stored merged, as
+    one arc."""
 
     arcs: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        arcs = tuple(
-            (float(lo), float(hi)) for lo, hi in _pair_list(self.arcs, "arcs")
-        )
-        prev_hi = 0.0
-        for lo, hi in arcs:
+        arcs: list[tuple[float, float]] = []
+        for lo, hi in _pair_list(self.arcs, "arcs"):
             if not (0.0 <= lo < hi <= TWO_PI):
                 raise PhaseObsError(f"arc ({lo}, {hi}) outside 0 <= lo < hi <= 2*pi")
-            if lo < prev_hi:
+            if arcs and lo < arcs[-1][1]:
                 raise PhaseObsError("arcs must be sorted by lo and pairwise disjoint")
-            prev_hi = hi
-        object.__setattr__(self, "arcs", arcs)
+            if arcs and lo == arcs[-1][1]:
+                arcs[-1] = (arcs[-1][0], hi)
+            else:
+                arcs.append((lo, hi))
+        object.__setattr__(self, "arcs", tuple(arcs))
 
     @classmethod
     def full_circle(cls) -> "PhaseWindow":
@@ -242,7 +245,17 @@ class PhaseWindow:
 
     def is_full_circle(self) -> bool:
         """True when the arcs tile all of [0, 2*pi) with no gaps."""
-        return not self.complement().arcs and bool(self.arcs)
+        return self.arcs == ((0.0, TWO_PI),)
+
+    @property
+    def arc(self) -> tuple[float, float] | None:
+        """(start, end) of the one arc the window is, joined across
+        0 = 2*pi when it wraps (then end <= start); None when the window is
+        empty or two or more arcs."""
+        arcs = self.arcs
+        if len(arcs) == 2 and arcs[0][0] == 0.0 and arcs[1][1] == TWO_PI:
+            return arcs[1][0], arcs[0][1]
+        return arcs[0] if len(arcs) == 1 else None
 
     def shifted(self, alpha: float) -> "PhaseWindow":
         """Translate every arc by alpha mod 2*pi, re-splitting wrapped arcs."""

@@ -8,10 +8,10 @@ approaching 1 monotonically as the truncation grows.
 
 On one arc of length L centred at c the window symbol is
 exp(i k c) sin(k L/2)/(pi k), so E(X) = D (C o P) D^* with
-D = diag(exp(i n c)) and P the real prolate symbol (Slepian 1978).  A real
-C, as every builtin is, then takes a real symmetric eigensolve, several
-times cheaper than the complex Hermitian one that two or more arcs, the
-full circle and a complex C still take.
+D = diag(exp(i n c)) and P the real prolate symbol (Slepian 1978).  Every
+C on one arc is solved in that form: a real C, as every builtin is, takes
+a real symmetric eigensolve, several times cheaper than the complex
+Hermitian one; two or more arcs and the full circle take E(X) itself.
 
 The gap 1 - lambda_max shrinks like exp(-c S) for the canonical matrix, so
 a dense double eigensolve cannot resolve it beyond S ~ 20.  Where it
@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import PhaseObsError, PrecisionError
 from .hardy import TWO_PI, HardyState, PhaseWindow
 from .observable import PhaseMatrix, _fix_vector_phase
-from .distribution import SchurToeplitz, _schur_toeplitz, window_operator
+from .distribution import SchurToeplitz, _arc_symbol, _schur_toeplitz, window_operator
 
 # A dense symmetric eigensolve is backward stable: lambda_max carries an
 # absolute error of order S * eps * ||E||, and ||E|| <= 1.  1 - lambda_max
@@ -74,7 +74,7 @@ def moment_spectrum(matrix: PhaseMatrix) -> np.ndarray:
     return np.linalg.eigvalsh(first_moment(matrix).entries)
 
 
-class _Localization(NamedTuple):
+class Localization(NamedTuple):
     """lambda_max with its gap 1 - lambda_max, both floats on the "dense"
     path and mpmath numbers at working precision on the "prolate" path;
     the maximizer is None when only the values were asked for."""
@@ -88,21 +88,6 @@ class _Localization(NamedTuple):
 def _unit(vec: np.ndarray) -> HardyState:
     vec = _fix_vector_phase(vec)
     return HardyState(vec / np.linalg.norm(vec))
-
-
-def _single_arc(window: PhaseWindow) -> tuple[float, float] | None:
-    """(start, end) of the one arc the window's pieces make up, joining
-    pieces that touch, also across 0 = 2*pi (then end <= start); None when
-    the window is not one arc."""
-    merged: list[list[float]] = []
-    for lo, hi in window.arcs:
-        if merged and merged[-1][1] == lo:
-            merged[-1][1] = hi
-        else:
-            merged.append([lo, hi])
-    if len(merged) == 2 and merged[0][0] == 0.0 and merged[1][1] == TWO_PI:
-        return merged[1][0], merged[0][1]
-    return tuple(merged[0]) if len(merged) == 1 else None
 
 
 def _prolate_top(ctx, size: int, length) -> list:
@@ -181,41 +166,31 @@ def _prolate_gap(size: int, start: float, end: float) -> tuple[Any, np.ndarray]:
     )
 
 
-def _prolate_symbol(size: int, length: float) -> np.ndarray:
-    """Real symbol P_0 = L/2pi, P_k = sin(k L/2)/(pi k) for k = 0..size-1
-    of the arc of length L centred at 0."""
-    k = np.arange(1, size)
-    t = np.empty(size)
-    t[0] = length / TWO_PI
-    t[1:] = np.sin(k * (length / 2)) / (math.pi * k)
-    return t
-
-
-def _localization(
+def localization(
     matrix: PhaseMatrix,
     window: PhaseWindow,
     dim: int | None = None,
     maximizer: bool = True,
-) -> _Localization:
+) -> Localization:
     """lambda_max, its gap and maximizer, with the path that resolved them.
 
     The dense eigensolve (eigh, or eigvalsh without `maximizer`) is kept
     wherever 1 - lambda_max clears its error bound (and on the full circle,
     where lambda_max = 1 exactly).  On one arc of length L centred at c,
     E(X) = D (C o P) D^* with D = diag(exp(i n c)) and P the real prolate
-    symbol, so a real C takes a real symmetric eigensolve.  Below the bound
-    the canonical matrix on a single arc takes the prolate path; anything
-    else raises PrecisionError.
+    symbol; that form is solved, real for a real C, and its maximizer v is
+    lifted to D v.  Below the bound the canonical matrix on a single arc
+    takes the prolate path; anything else raises PrecisionError.
     """
     mat = matrix if dim is None else matrix.truncated(dim)
     full = window.is_full_circle()
-    arc = None if full else _single_arc(window)
-    # a real C on one arc, the only case the prolate path below can take
-    if arc is not None and not mat.entries.imag.any():
+    arc = None if full else window.arc
+    if arc is not None:
         start, end = arc
         length = end - start + (TWO_PI if end <= start else 0.0)
         phases = np.exp(1j * np.arange(mat.dim) * (start + length / 2))
-        entries = _schur_toeplitz(mat.entries.real, _prolate_symbol(mat.dim, length))
+        c = mat.entries if mat.entries.imag.any() else mat.entries.real
+        entries = _schur_toeplitz(c, _arc_symbol(mat.dim, length))
     else:
         phases = 1.0  # E(X) itself: no diagonal unitary to undo
         entries = window_operator(mat, window).entries
@@ -227,7 +202,7 @@ def _localization(
     bound = _DENSE_RESOLUTION * mat.dim
     if 1.0 - lam > bound or full:
         top = _unit(evecs[:, -1] * phases) if maximizer else None
-        return _Localization(lam, 1.0 - lam, "dense", top)
+        return Localization(lam, 1.0 - lam, "dense", top)
     if arc is None or not np.all(mat.entries == 1):
         raise PrecisionError(
             f"1 - lambda_max = {1.0 - lam:.3g} at truncation S={mat.dim} is "
@@ -236,7 +211,7 @@ def _localization(
         )
     gap, vec = _prolate_gap(mat.dim, start, end)
     top = _unit(vec * phases) if maximizer else None
-    return _Localization(1 - gap, gap, "prolate", top)
+    return Localization(1 - gap, gap, "prolate", top)
 
 
 def localization_max(
@@ -251,7 +226,7 @@ def localization_max(
     neither applies.  The eigenvector phase is fixed so the first
     significant component is real positive.
     """
-    loc = _localization(matrix, window, dim)
+    loc = localization(matrix, window, dim)
     return loc.lam, loc.maximizer
 
 
@@ -266,4 +241,4 @@ def localization_sweep(
     """
     if list(dims) != sorted(dims):
         raise PhaseObsError("truncation list must be ascending")
-    return [(int(s), _localization(matrix, window, s, maximizer=False).lam) for s in dims]
+    return [(int(s), localization(matrix, window, s, maximizer=False).lam) for s in dims]

@@ -224,7 +224,7 @@ class TestCommands:
         rows = []
         for dim in (2, 4, 6):
             cut = PhaseMatrix.from_dict(load(path)).truncated(dim)
-            loc = spectral._localization(cut, window, maximizer=False)
+            loc = spectral.localization(cut, window, maximizer=False)
             rows.append((dim, cli._localization_fields(loc)["lambda_max"]))
         assert out.read_text() == cli._csv("S,lambda_max", rows)
 
@@ -251,8 +251,8 @@ class TestCommands:
         window = PhaseWindow(((0.0, math.pi),))
         rows = []
         for dim in (1, 2, 7, 16, 64):
-            loc = spectral._localization(PhaseMatrix.exponential(0.9, dim), window,
-                                         maximizer=False)
+            loc = spectral.localization(PhaseMatrix.exponential(0.9, dim), window,
+                                        maximizer=False)
             rows.append((dim, cli._localization_fields(loc)["lambda_max"]))
         assert out.read_text() == cli._csv("S,lambda_max", rows)
 
@@ -431,6 +431,47 @@ class TestOptionRanges:
         out = tmp_path / "out.txt"
         assert main([argv[0], "--matrix", canonical2, "--state", plus_state,
                      *argv[1:], "--out", str(out)]) == 0
+
+
+class TestExitContracts:
+    """Each refusal exits with its code and message and leaves no output."""
+
+    @pytest.mark.parametrize("argv, status, code, message", [
+        (["validate", "--matrix", "canonical"], 1, "error",
+         "builtin matrix 'canonical' requires --dim"),
+        (["validate", "--matrix", "exponential", "--dim", "4"], 1, "error",
+         "exponential matrix requires --q"),
+        (["sweep", "--matrix", "exponential", "--q", "0.9", "--dim", "8",
+          "--window", "0:1", "--truncations", "4", "--q-sweep", "0.5"], 1, "error",
+         "use either --truncations or --q-sweep, not both"),
+        (["sweep", "--matrix", "exponential", "--window", "0:1", "--q-sweep", "0.5"],
+         1, "error", "--q-sweep requires --dim"),
+        (["sweep", "--matrix", "exponential", "--q", "0.9", "--dim", "8",
+          "--window", "0:1"], 1, "error", "sweep requires --truncations or --q-sweep"),
+        (["kernel-check", "--matrix", "canonical", "--dim", "2", "--state", "{wide}"],
+         1, "error", "state band limit exceeds matrix dimension"),
+        (["kraus", "--matrix", "{bad}"], 2, "validation", "not a phase matrix: psd (1)"),
+        (["localize", "--matrix", "{bad}", "--window", "0:1"], 2, "validation",
+         "not a phase matrix: psd (1)"),
+        (["density", "--matrix", "{bad}", "--state", "{plus}"], 2, "validation",
+         "not a phase matrix: psd (1)"),
+    ])
+    def test_refusal(self, argv, status, code, message, plus_state, tmp_path, capsys):
+        files = {
+            "plus": plus_state,
+            "wide": write_json(tmp_path / "wide.json",
+                               {"coeffs": [[0.5, 0.0]] * 4}),
+            "bad": write_json(tmp_path / "bad.json", {
+                "kind": "explicit", "dim": 2,
+                "entries": [[[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [1.0, 0.0]]]}),
+        }
+        out = tmp_path / "out.txt"
+        assert main([arg.format(**files) for arg in argv] + ["--out", str(out)]) == status
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        diag = json.loads(captured.err)
+        assert (diag["code"], diag["message"]) == (code, message)
+        assert not out.exists()
 
 
 class TestLoadJson:

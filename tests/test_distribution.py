@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from conftest import (
     bisect_sample,
     eig2,
     loop_density,
+    loop_window_integral,
     loop_window_operator,
     loop_window_probability,
     random_gram_matrix,
@@ -74,6 +76,34 @@ class TestFourierWindowIntegral:
             assert fourier_window_integral(k, window) == pytest.approx(
                 quad_window_integral(k, window), abs=1e-10
             )
+
+
+class TestWindowSymbol:
+    """Per arc, the centred sin symbol turned to the arc's centre."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 33])
+    def test_matches_loop_oracle(self, size):
+        rng = np.random.default_rng(26 + size)
+        for _ in range(20):
+            window = random_window(rng)
+            expected = [loop_window_integral(k, window) for k in range(size)]
+            np.testing.assert_allclose(
+                distribution._window_symbol(window, size), expected, rtol=0, atol=1e-15
+            )
+
+    @pytest.mark.parametrize("lo, length", [
+        (1.0, 1e-9), (0.0, 1e-9), (6.2, 1e-9), (0.5, 1e-6), (2.0, 1e-3), (3.0, 0.05),
+    ])
+    def test_short_arcs_match_mpmath(self, lo, length):
+        size = 64
+        hi = lo + length
+        given = distribution._window_symbol(PhaseWindow(((lo, hi),)), size)
+        with mpmath.workdps(40):
+            a, b = mpmath.mpf(lo), mpmath.mpf(hi)
+            for k in range(size):
+                exact = ((b - a) / (2 * mpmath.pi) if k == 0 else
+                         (mpmath.expj(k * b) - mpmath.expj(k * a)) / (2j * mpmath.pi * k))
+                assert abs(given[k] - exact) <= 1e-13 * abs(exact)
 
 
 class TestDensity:
@@ -266,12 +296,12 @@ class TestWindowOperator:
     def test_factory_array_not_copied(self):
         mat = PhaseMatrix.exponential(0.9, 256)
         tracemalloc.start()
-        op = window_operator(mat, HALF)
+        entries = window_operator(mat, HALF).entries
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert not op.entries.flags.writeable
+        assert not entries.flags.writeable
         # a copy would hold two S x S complex arrays at once
-        assert peak < 1.5 * op.entries.nbytes
+        assert peak < 1.5 * entries.nbytes
 
     def test_hermitian_and_spectrum(self):
         rng = np.random.default_rng(32)

@@ -198,6 +198,32 @@ class TestPhaseWindow:
         with pytest.raises(PhaseObsError):
             PhaseWindow(((-0.1, 1.0),))
 
+    def test_touching_pieces_merge(self):
+        assert PhaseWindow(((0.0, 1.0), (1.0, math.pi))).arcs == ((0.0, math.pi),)
+        window = PhaseWindow(((0.0, 0.5), (0.5, 1.0), (2.0, 3.0), (3.0, 4.0)))
+        assert window.arcs == ((0.0, 1.0), (2.0, 4.0))
+
+    def test_tiling_pieces_are_the_full_circle(self, monkeypatch):
+        window = PhaseWindow(((0.0, 1.0), (1.0, 4.0), (4.0, TWO_PI)))
+        assert window.arcs == ((0.0, TWO_PI),)
+
+        def refuse(self):
+            raise AssertionError("is_full_circle built a complement")
+
+        monkeypatch.setattr(PhaseWindow, "complement", refuse)
+        assert window.is_full_circle()
+        assert not PhaseWindow(((0.0, 1.0), (1.5, TWO_PI))).is_full_circle()
+        assert not PhaseWindow(()).is_full_circle()
+
+    def test_arc(self):
+        assert PhaseWindow(((1.0, 2.0),)).arc == (1.0, 2.0)
+        assert PhaseWindow(((0.0, 1.0), (5.0, TWO_PI))).arc == (5.0, 1.0)
+        assert PhaseWindow(((0.0, 1.0), (1.0, 2.0), (5.0, TWO_PI))).arc == (5.0, 2.0)
+        assert PhaseWindow.full_circle().arc == (0.0, TWO_PI)
+        assert PhaseWindow(((0.5, 1.0), (5.0, TWO_PI))).arc is None
+        assert PhaseWindow(((0.0, 1.0), (2.0, 3.0))).arc is None
+        assert PhaseWindow(()).arc is None
+
 
 class TestJson:
     def test_state_round_trip(self):

@@ -13,6 +13,7 @@ from phaseobs import (
     PrecisionError,
     TWO_PI,
     first_moment,
+    localization,
     localization_max,
     localization_sweep,
     moment_spectrum,
@@ -20,8 +21,8 @@ from phaseobs import (
     window_probability,
 )
 from phaseobs import spectral
-from phaseobs.distribution import _schur_toeplitz
-from phaseobs.spectral import _localization, _prolate_gap, _prolate_symbol
+from phaseobs.distribution import _arc_symbol, _schur_toeplitz
+from phaseobs.spectral import _prolate_gap
 
 HALF = PhaseWindow(((0.0, math.pi),))
 EPS = np.finfo(float).eps
@@ -222,7 +223,7 @@ class TestExactGap:
 
     @pytest.mark.parametrize("size", [4, 8, 12, 16])
     def test_dense_gap_within_its_bound(self, size):
-        loc = _localization(PhaseMatrix.canonical(size), HALF)
+        loc = localization(PhaseMatrix.canonical(size), HALF)
         assert loc.method == "dense"
         gap, _ = _prolate_gap(size, 0.0, math.pi)
         assert abs(loc.gap - gap) <= 8 * size * np.finfo(float).eps
@@ -244,7 +245,7 @@ class TestExactGap:
         # the program), to 8 digits
         expected = {32: "1.4805157e-23", 64: "6.7382061e-48", 512: "2.0777225e-390"}
         for size, value in expected.items():
-            gap = _localization(PhaseMatrix.canonical(size), HALF).gap
+            gap = localization(PhaseMatrix.canonical(size), HALF).gap
             assert relative(gap, mpmath.mpf(value)) <= 1e-7
 
     def test_shift_covariance(self):
@@ -256,7 +257,7 @@ class TestExactGap:
             HALF.shifted(5.0),  # wraps through 2*pi
         ]
         assert len(windows[-1].arcs) == 2
-        locs = [_localization(mat, window) for window in windows]
+        locs = [localization(mat, window) for window in windows]
         assert all(loc.method == "prolate" for loc in locs)
         for loc in locs[1:]:
             assert relative(loc.gap, locs[0].gap) <= 1e-9
@@ -265,7 +266,7 @@ class TestExactGap:
         # the window misses only [1, 1.5): the gap is the bottom eigenvalue
         # of the small arc's operator, far below the 0.75 S + 30 digits
         window = PhaseWindow(((1.0, 1.5),)).complement()
-        loc = _localization(PhaseMatrix.canonical(16), window)
+        loc = localization(PhaseMatrix.canonical(16), window)
         assert loc.method == "prolate"
         assert relative(loc.gap, mpmath_gap(16, 1.5, 1.0 + TWO_PI)) <= 1e-6
         assert loc.lam < 1
@@ -283,9 +284,9 @@ class TestExactGap:
 
     def test_explicit_all_ones_takes_exact_path(self):
         mat = PhaseMatrix.explicit(np.ones((40, 40)))
-        loc = _localization(mat, HALF)
+        loc = localization(mat, HALF)
         assert loc.method == "prolate"
-        assert loc.gap == _localization(PhaseMatrix.canonical(40), HALF).gap
+        assert loc.gap == localization(PhaseMatrix.canonical(40), HALF).gap
 
     def test_two_arcs_refused(self):
         window = PhaseWindow(((0.0, 1.0), (2.0, 4.0)))
@@ -315,7 +316,8 @@ def random_arc(rng):
 
 @pytest.fixture
 def complex_calls(monkeypatch):
-    """Counts the window operators `_localization` builds: the complex path."""
+    """Counts the window operators `localization` builds: the E(X) path of
+    two or more arcs and the full circle."""
     calls = []
 
     def spy(matrix, window):
@@ -327,7 +329,8 @@ def complex_calls(monkeypatch):
 
 
 class TestRealForm:
-    """A real matrix on one arc is solved as the real symmetric C o P."""
+    """Every matrix on one arc is solved as C o P, real symmetric for a real
+    matrix."""
 
     @pytest.mark.parametrize("size", [1, 2, 7, 33, 200])
     def test_matches_complex_eigh(self, size, complex_calls):
@@ -348,7 +351,7 @@ class TestRealForm:
         assert len(windows[2].arcs) == 2
         for mat in matrices:
             for window in windows:
-                loc = _localization(mat, window)
+                loc = localization(mat, window)
                 entries = window_operator(mat, window).entries
                 evals = np.linalg.eigvalsh(entries)
                 assert abs(float(loc.lam) - evals[-1]) <= 8 * size * EPS
@@ -365,9 +368,9 @@ class TestRealForm:
             (lo, hi), = window.arcs
             bound = 8 * size * EPS
             gap, _ = _prolate_gap(size, lo, hi)
-            real = _schur_toeplitz(np.ones((size, size)), _prolate_symbol(size, hi - lo))
+            real = _schur_toeplitz(np.ones((size, size)), _arc_symbol(size, hi - lo))
             assert abs(1.0 - np.linalg.eigvalsh(real)[-1] - gap) <= bound
-            loc = _localization(PhaseMatrix.canonical(size), window)
+            loc = localization(PhaseMatrix.canonical(size), window)
             if loc.method == "dense":
                 assert abs(loc.gap - gap) <= bound
             else:
@@ -378,23 +381,57 @@ class TestRealForm:
         rng = np.random.default_rng(62)
         mat = random_gram_matrix(rng, 24)
         assert mat.entries.imag.any()
-        loc = _localization(mat, HALF)
-        assert complex_calls == [HALF]
-        evals, evecs = np.linalg.eigh(window_operator(mat, HALF).entries)
-        assert loc.lam == float(evals[-1])
+        for window in (HALF, random_arc(rng), HALF.shifted(5.0)):
+            loc = localization(mat, window)
+            entries = window_operator(mat, window).entries
+            assert abs(loc.lam - np.linalg.eigh(entries)[0][-1]) <= 8 * mat.dim * EPS
+            v = loc.maximizer.coeffs
+            assert np.linalg.norm(entries @ v - loc.lam * v) <= 1e-12
+        assert complex_calls == []
 
     def test_two_arcs_take_complex_path(self, complex_calls):
         window = PhaseWindow(((0.0, 1.0), (2.0, 4.0)))
-        loc = _localization(PhaseMatrix.exponential(0.7, 24), window)
+        loc = localization(PhaseMatrix.exponential(0.7, 24), window)
         assert complex_calls == [window]
         assert loc.method == "dense"
 
     def test_full_circle_stays_exact(self, complex_calls):
         full = PhaseWindow.full_circle()
         for mat in (PhaseMatrix.exponential(0.7, 24), PhaseMatrix.canonical(24)):
-            loc = _localization(mat, full)
+            loc = localization(mat, full)
             assert loc.lam == 1.0 and loc.gap == 0.0 and loc.method == "dense"
         assert complex_calls == [full, full]
+
+
+def arc_window(lo, length):
+    """The arc [lo, lo + length), split at 2*pi when it wraps."""
+    hi = lo + length
+    if hi <= TWO_PI:
+        return PhaseWindow(((lo, hi),))
+    return PhaseWindow(((0.0, hi - TWO_PI), (lo, TWO_PI)))
+
+
+class TestSzegoBound:
+    """For exponential(q) on one arc of length L, lambda_max stays below
+    (2/pi) arctan((1+q)/(1-q) tan(L/4)), the largest value of the Toeplitz
+    symbol of E(X), the Poisson kernel of radius q integrated over the arc,
+    and rises toward it with S (Grenander & Szego 1958).  The bound depends
+    on L only, not on the arc's centre."""
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.97])
+    @pytest.mark.parametrize("length", [0.1, 1.5, math.pi, 5.8])
+    def test_below_and_rising(self, q, length):
+        bound = 2 / math.pi * math.atan((1 + q) / (1 - q) * math.tan(length / 4))
+        sizes = (16, 64, 256)
+        for lo in (0.0, 2.0, 5.5):  # 5.5 wraps through 2*pi for each length > 0.79
+            window = arc_window(lo, length)
+            shortfalls = [
+                bound - localization(PhaseMatrix.exponential(q, s), window,
+                                     maximizer=False).lam
+                for s in sizes
+            ]
+            assert 0 < shortfalls[2] < shortfalls[1] < shortfalls[0]
+        assert len(arc_window(5.5, length).arcs) == (2 if length > 0.79 else 1)
 
 
 @pytest.fixture
@@ -428,12 +465,12 @@ class TestValuesOnly:
         for mat in matrices:
             for window in windows:
                 try:
-                    full = _localization(mat, window)
+                    full = localization(mat, window)
                 except PrecisionError:
                     with pytest.raises(PrecisionError):
-                        _localization(mat, window, maximizer=False)
+                        localization(mat, window, maximizer=False)
                     continue
-                values = _localization(mat, window, maximizer=False)
+                values = localization(mat, window, maximizer=False)
                 assert values.maximizer is None
                 assert values.method == full.method
                 if full.method == "dense":
@@ -456,6 +493,6 @@ class TestValuesOnly:
     def test_prolate_rows_unchanged(self, size):
         mat = PhaseMatrix.canonical(size)
         rows = localization_sweep(mat, HALF, [size])
-        full = _localization(mat, HALF)
+        full = localization(mat, HALF)
         assert full.method == "prolate"
         assert rows == [(size, full.lam)]
