@@ -258,21 +258,24 @@ class PhaseWindow:
         return arcs[0] if len(arcs) == 1 else None
 
     def shifted(self, alpha: float) -> "PhaseWindow":
-        """Translate every arc by alpha mod 2*pi, re-splitting wrapped arcs."""
+        """Translate every arc by alpha mod 2*pi, re-splitting wrapped arcs.
+
+        An end at 2*pi lands where a start at 0 does, at alpha exactly, so
+        the images of arcs that touch across 0 = 2*pi touch and merge."""
         alpha = canonical_angle(alpha)
         if alpha == 0.0:
             return self
         pieces = []
         for lo, hi in self.arcs:
-            lo2, hi2 = lo + alpha, hi + alpha
+            lo2 = lo + alpha
+            if hi < TWO_PI and hi + alpha <= TWO_PI:
+                pieces.append((lo2, hi + alpha))
+                continue
+            wrapped = alpha if hi == TWO_PI else hi + alpha - TWO_PI
             if lo2 >= TWO_PI:
-                pieces.append((lo2 - TWO_PI, hi2 - TWO_PI))
-            elif hi2 > TWO_PI:
-                pieces.append((lo2, TWO_PI))
-                if hi2 - TWO_PI > 0.0:
-                    pieces.append((0.0, hi2 - TWO_PI))
+                pieces.append((lo2 - TWO_PI, wrapped))
             else:
-                pieces.append((lo2, hi2))
+                pieces += [(lo2, TWO_PI), (0.0, wrapped)]
         pieces.sort()
         return PhaseWindow(tuple(pieces))
 

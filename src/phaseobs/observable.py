@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PhaseObsError, ValidationError
 from .hardy import _complex_pairs, _pairs
@@ -127,9 +128,10 @@ class PhaseMatrix:
             raise PhaseObsError("dimension must be >= 1")
         if not 0.0 <= q <= 1.0:
             raise PhaseObsError(f"exponential parameter q={q} outside [0, 1]")
-        n = np.arange(dim)
-        entries = np.power(float(q), np.abs(np.subtract.outer(n, n)), dtype=float)
-        entries = entries.astype(complex)
+        powers = np.power(float(q), np.arange(dim), dtype=float)
+        # q^|n-m| read off the Toeplitz view of q^(S-1) .. q .. q^(S-1)
+        generator = np.concatenate((powers[:0:-1], powers))
+        entries = sliding_window_view(generator, dim)[::-1].astype(complex)
         entries[np.diag_indices(dim)] = 1.0
         return cls(entries, label="exponential", q=float(q))
 

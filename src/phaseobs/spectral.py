@@ -9,9 +9,13 @@ approaching 1 monotonically as the truncation grows.
 On one arc of length L centred at c the window symbol is
 exp(i k c) sin(k L/2)/(pi k), so E(X) = D (C o P) D^* with
 D = diag(exp(i n c)) and P the real prolate symbol (Slepian 1978).  Every
-C on one arc is solved in that form: a real C, as every builtin is, takes
-a real symmetric eigensolve, several times cheaper than the complex
-Hermitian one; two or more arcs and the full circle take E(X) itself.
+C on one arc is solved in that form: a real C takes a real symmetric
+eigensolve, several times cheaper than the complex Hermitian one, and a
+real persymmetric C (J C J = C for the reversal J, as every builtin is)
+splits C o P into even and odd blocks of half the size (Cantoni & Butler
+1976); two or more arcs and the full circle take E(X) itself.  The
+values come from eigvalsh; the maximizer from inverse iteration, or from
+eigh where the top eigenvalue is not simple.
 
 The gap 1 - lambda_max shrinks like exp(-c S) for the canonical matrix, so
 a dense double eigensolve cannot resolve it beyond S ~ 20.  Where it
@@ -43,6 +47,8 @@ _DENSE_RESOLUTION = 8 * np.finfo(float).eps
 # below about 10**-20000 is refused rather than computed.
 _MAX_DIGITS = 20_000
 _MAX_RQI_STEPS = 30
+# Inverse-iteration solves for a maximizer before eigh takes over.
+_INVERSE_SOLVES = 3
 
 
 def first_moment(matrix: PhaseMatrix) -> SchurToeplitz:
@@ -54,24 +60,38 @@ def first_moment(matrix: PhaseMatrix) -> SchurToeplitz:
     return SchurToeplitz(matrix, t)
 
 
+def _persymmetric(c: np.ndarray) -> bool:
+    """True for a real symmetric c with J c J = c, J the reversal, as every
+    builtin phase matrix is."""
+    return c.dtype == float and np.array_equal(c, c.T) and np.array_equal(c, c[::-1, ::-1])
+
+
 def moment_spectrum(matrix: PhaseMatrix) -> np.ndarray:
     """Ascending real eigenvalues of the first-moment operator.
 
     For a real C the operator is pi I + i B with B_{nm} = c_{nm} / (m - n)
     real antisymmetric.  If C is also persymmetric (as every builtin is),
-    J B J = -B for the reversal J, which makes J B symmetric and unitarily
-    similar to i B, so the spectrum is pi + eigvalsh(J B): a real solve.
+    J B J = -B for the reversal J, which makes R = J B symmetric and
+    unitarily similar to i B, with J R J = -R: R maps even vectors
+    (x = J x) to odd ones.  In the basis (y, +-J y)/sqrt2 it is
+    [[0, K^T], [K, 0]] with K = R_11 + R_12 J (and sqrt2 R_{n,mid} as a
+    last column for an odd size), so the spectrum is pi +- svdvals(K), plus
+    pi once for an odd size (Cantoni & Butler 1976): a real solve at half
+    size, symmetric about pi by construction.
     """
-    c = matrix.entries
-    if not c.imag.any():
-        real = c.real
-        if np.array_equal(real, real.T) and np.array_equal(real, real[::-1, ::-1]):
-            # (J B)_{nm} = c_{S-1-n,m} h_{n+m}: h_j = 1/(j - (S-1)), h_{S-1} = 0
-            offsets = np.arange(2 * matrix.dim - 1, dtype=float) - (matrix.dim - 1)
-            h = np.divide(1.0, offsets, out=np.zeros_like(offsets), where=offsets != 0)
-            reversed_b = real[::-1] * sliding_window_view(h, matrix.dim)
-            return math.pi + np.linalg.eigvalsh(reversed_b)
-    return np.linalg.eigvalsh(first_moment(matrix).entries)
+    c = matrix.entries if matrix.entries.imag.any() else matrix.entries.real
+    if not _persymmetric(c):
+        return np.linalg.eigvalsh(first_moment(matrix).entries)
+    size, half = matrix.dim, matrix.dim // 2
+    # R_{nm} = (J B)_{nm} = c_{S-1-n,m} h_{n+m}: h_j = 1/(j - (S-1)), h_{S-1} = 0
+    offsets = np.arange(2 * size - 1, dtype=float) - (size - 1)
+    h = np.divide(1.0, offsets, out=np.zeros_like(offsets), where=offsets != 0)
+    top = c[::-1][:half] * sliding_window_view(h, size)[:half]
+    k = top[:, :half] + top[:, ::-1][:, :half]
+    if size % 2:
+        k = np.column_stack((k, math.sqrt(2) * top[:, half]))
+    s = np.linalg.svd(k, compute_uv=False)  # descending
+    return math.pi + np.concatenate((-s, np.zeros(size % 2), s[::-1]))
 
 
 class Localization(NamedTuple):
@@ -132,6 +152,24 @@ def _prolate_top(ctx, size: int, length) -> list:
     raise PrecisionError(f"prolate eigenvector at S={size} did not converge")
 
 
+def _prolate_row(ctx, size: int, length, c: int) -> list:
+    """Row c of the prolate matrix of an arc of length L: P_cm =
+    sin(x (c - m)) / (pi (c - m)) with x = L/2, and P_cc = L / 2pi.
+
+    The sines come from sin((j+1) x) = 2 cos x sin(j x) - sin((j-1) x) in
+    place of S separate evaluations.  An error made at step j reaches
+    sin(k x) multiplied by sin((k-j) x) / sin x, so the recurrence carries
+    log10(S / sin x) + 5 guard digits."""
+    x = length / 2
+    with ctx.extradps(int(math.log10(size / math.sin(float(x)))) + 5):
+        twice_cos = 2 * ctx.cos(x)
+        sines = [ctx.zero, ctx.sin(x)]
+        while len(sines) < size:
+            sines.append(twice_cos * sines[-1] - sines[-2])
+    return [sines[abs(c - m)] / (ctx.pi * abs(c - m)) if m != c else length / (2 * ctx.pi)
+            for m in range(size)]
+
+
 def _prolate_gap(size: int, start: float, end: float) -> tuple[Any, np.ndarray]:
     """1 - lambda_max and the unit top eigenvector of the prolate matrix
     P_{nm} = sin(L (n - m) / 2) / (pi (n - m)), P_nn = L / 2pi, of the arc
@@ -154,8 +192,7 @@ def _prolate_gap(size: int, start: float, end: float) -> tuple[Any, np.ndarray]:
         length = hi - lo + (turn if end <= start else 0)
         v = _prolate_top(ctx, size, length)
         c = max(range(size), key=v.__getitem__)
-        row = [ctx.sin(length * (c - m) / 2) / (ctx.pi * (c - m)) if m != c
-               else length / turn for m in range(size)]
+        row = _prolate_row(ctx, size, length, c)
         gap = 1 - ctx.fdot(row, v) / v[c]
         if gap > size * ctx.mpf(10) ** (20 - digits):
             return gap, np.array(v, dtype=float)
@@ -166,6 +203,66 @@ def _prolate_gap(size: int, start: float, end: float) -> tuple[Any, np.ndarray]:
     )
 
 
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of a real symmetric a with J a J = a: in the
+    basis (y, +-J y)/sqrt2 a is diag(A_11 + A_12 J, A_11 - A_12 J), and for
+    an odd size the middle row and column join the even block, scaled by
+    sqrt2 (Cantoni & Butler 1976)."""
+    size, half = a.shape[0], a.shape[0] // 2
+    a11, a12j = a[:half, :half], a[:half, ::-1][:, :half]
+    even = np.empty((size - half, size - half))
+    even[:half, :half] = a11 + a12j
+    if size % 2:
+        even[half, :half] = even[:half, half] = math.sqrt(2) * a[half, :half]
+        even[half, half] = a[half, half]
+    return even, a11 - a12j
+
+
+def _lift(y: np.ndarray, size: int, sign: float) -> np.ndarray:
+    """(y, sign J y)/sqrt2 of length `size` from an eigenvector y of the even
+    (sign +1) or odd (sign -1) block of `_halves`; y of the even block ends
+    in the middle entry at an odd size."""
+    half = size // 2
+    v = np.zeros(size)
+    v[:half] = y[:half] / math.sqrt(2)
+    v[size - half:] = sign * v[:half][::-1]
+    if size % 2 and sign > 0:
+        v[half] = y[half]
+    return v
+
+
+def _inverse_iteration(a: np.ndarray, lam: float, bound: float) -> np.ndarray | None:
+    """Unit eigenvector of the Hermitian a for its simple eigenvalue lam, by
+    at most _INVERSE_SOLVES solves of (a - lam I) x = y from a fixed start;
+    None when ||a y - lam y|| stays above `bound` or a - lam I is singular."""
+    shifted = a.copy()
+    shifted[np.diag_indices_from(a)] -= lam
+    y = np.ones(a.shape[0], dtype=a.dtype)
+    for _ in range(_INVERSE_SOLVES):
+        try:
+            y = np.linalg.solve(shifted, y)
+        except np.linalg.LinAlgError:
+            return None
+        y /= np.linalg.norm(y)
+        if np.linalg.norm(a @ y - lam * y) <= bound:
+            return y
+    return None
+
+
+def _top_vector(entries, blocks, spectra, win: int, bound: float) -> np.ndarray:
+    """Top eigenvector of `entries`, whose eigenvalues are the `spectra` of
+    its `blocks` (itself, or the two `_halves`), the top one in blocks[win]:
+    inverse iteration on that block, lifted to full size, or eigh of
+    `entries` where the top eigenvalue is not simple to `bound` or the
+    iteration does not reach it."""
+    values = np.sort(np.concatenate(spectra))
+    if values.size == 1 or values[-1] - values[-2] > bound:
+        y = _inverse_iteration(blocks[win], values[-1], bound)
+        if y is not None:
+            return y if len(blocks) == 1 else _lift(y, entries.shape[0], 1.0 - 2 * win)
+    return np.linalg.eigh(entries)[1][:, -1]
+
+
 def localization(
     matrix: PhaseMatrix,
     window: PhaseWindow,
@@ -174,13 +271,17 @@ def localization(
 ) -> Localization:
     """lambda_max, its gap and maximizer, with the path that resolved them.
 
-    The dense eigensolve (eigh, or eigvalsh without `maximizer`) is kept
-    wherever 1 - lambda_max clears its error bound (and on the full circle,
-    where lambda_max = 1 exactly).  On one arc of length L centred at c,
+    lambda_max comes from a dense eigvalsh and is kept wherever
+    1 - lambda_max clears its error bound (and on the full circle, where
+    lambda_max = 1 exactly).  On one arc of length L centred at c,
     E(X) = D (C o P) D^* with D = diag(exp(i n c)) and P the real prolate
-    symbol; that form is solved, real for a real C, and its maximizer v is
-    lifted to D v.  Below the bound the canonical matrix on a single arc
-    takes the prolate path; anything else raises PrecisionError.
+    symbol; that form is solved, real for a real C, and for a real
+    persymmetric C through its even and odd blocks at half size.  The
+    maximizer v, lifted to D v, comes from inverse iteration on the block
+    or operator that holds lambda_max; where that eigenvalue is not simple
+    to the bound or the residual does not reach it, from eigh of the whole
+    operator.  Below the bound the canonical matrix on a single arc takes
+    the prolate path; anything else raises PrecisionError.
     """
     mat = matrix if dim is None else matrix.truncated(dim)
     full = window.is_full_circle()
@@ -194,14 +295,16 @@ def localization(
     else:
         phases = 1.0  # E(X) itself: no diagonal unitary to undo
         entries = window_operator(mat, window).entries
-    if maximizer:
-        evals, evecs = np.linalg.eigh(entries)
-    else:
-        evals = np.linalg.eigvalsh(entries)
-    lam = float(evals[-1])
+    split = arc is not None and mat.dim > 1 and _persymmetric(c)
+    blocks = _halves(entries) if split else (entries,)
+    spectra = [np.linalg.eigvalsh(b) for b in blocks]
+    win = int(np.argmax([s[-1] for s in spectra]))
+    lam = float(spectra[win][-1])
     bound = _DENSE_RESOLUTION * mat.dim
     if 1.0 - lam > bound or full:
-        top = _unit(evecs[:, -1] * phases) if maximizer else None
+        top = None
+        if maximizer:
+            top = _unit(_top_vector(entries, blocks, spectra, win, bound) * phases)
         return Localization(lam, 1.0 - lam, "dense", top)
     if arc is None or not np.all(mat.entries == 1):
         raise PrecisionError(

@@ -257,9 +257,11 @@ class TestCommands:
         assert out.read_text() == cli._csv("S,lambda_max", rows)
 
     def test_sweeps_take_no_eigenvectors(self, tmp_path, monkeypatch):
-        solves = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(a) or eigh(a))
+        solves = []  # eigenvector work: eigh, or the solves of inverse iteration
+        for name in ("eigh", "solve"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, real=real, name=name:
+                                solves.append(name) or real(*a))
         matrix = random_gram_matrix(np.random.default_rng(10), 8)
         path = write_json(tmp_path / "gram.json", matrix.to_dict())
         out = str(tmp_path / "sweep.csv")
@@ -269,7 +271,7 @@ class TestCommands:
                      "--window", f"0:{math.pi}", "--q-sweep", "0.2,0.7", "--out", out]) == 0
         assert solves == []
         assert main(["localize", "--matrix", path, "--window", "0:1,2:4", "--out", out]) == 0
-        assert len(solves) == 1
+        assert solves == ["solve"]  # its maximizer by inverse iteration, with no eigh
 
     def test_sweep_q_values(self, tmp_path):
         out = tmp_path / "qsweep.csv"

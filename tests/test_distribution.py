@@ -419,12 +419,20 @@ class TestConditions:
 
     def test_covariance_random(self):
         rng = np.random.default_rng(35)
+        edges = np.random.default_rng(135)
         for _ in range(100):
             mat = random_gram_matrix(rng, 6)
             psi = random_state(rng, 6)
             alpha = float(rng.random() * 4 * math.pi - 2 * math.pi)
-            window = random_window(rng)
-            assert check_covariance(mat, psi, alpha, window) <= 1e-12
+            lo, hi = np.sort(edges.random(2) * TWO_PI)
+            windows = (
+                random_window(rng),
+                PhaseWindow(((float(lo), TWO_PI),)),  # ends at 2*pi
+                PhaseWindow(((0.0, float(lo)), (float(hi), TWO_PI))),  # wraps
+                PhaseWindow.full_circle(),
+            )
+            for window in windows:
+                assert check_covariance(mat, psi, alpha, window) <= 1e-12
 
 
 class TestKernel:

@@ -190,6 +190,14 @@ class TestPhaseWindow:
         window = PhaseWindow(((0.5, 1.0), (2.0, 3.0)))
         assert window.shifted(TWO_PI).arcs == window.arcs
 
+    def test_shift_lands_two_pi_where_zero_lands(self):
+        rng = np.random.default_rng(7)
+        touching = PhaseWindow(((0.0, 1.0), (3.0, TWO_PI)))  # one arc across 0 = 2*pi
+        for alpha in rng.uniform(0.01, 3.0, 500):
+            assert PhaseWindow.full_circle().shifted(alpha).is_full_circle()
+            assert touching.shifted(alpha).arc[1] == 1.0 + alpha
+        assert PhaseWindow.full_circle().shifted(1e-20).is_full_circle()
+
     def test_rejects_overlap_and_disorder(self):
         with pytest.raises(PhaseObsError):
             PhaseWindow(((0.0, 2.0), (1.0, 3.0)))

@@ -118,6 +118,16 @@ class TestFamilies:
                 PhaseMatrix.trivial(dim).entries,
             )
 
+    def test_exponential_matches_power_table(self):
+        """The Toeplitz view of q^k gives the entries of q^|n-m| bit for bit."""
+        for q in (0.0, 0.3, 0.9, 1.0):
+            for dim in (1, 2, 7, 1024):
+                n = np.arange(dim)
+                expected = np.power(q, np.abs(np.subtract.outer(n, n)), dtype=float)
+                expected[np.diag_indices(dim)] = 1.0
+                entries = PhaseMatrix.exponential(q, dim).entries
+                assert entries.tobytes() == expected.astype(complex).tobytes()
+
     def test_exponential_half(self):
         mat = PhaseMatrix.exponential(0.5, 2)
         np.testing.assert_allclose(mat.entries, [[1, 0.5], [0.5, 1]])

@@ -22,7 +22,7 @@ from phaseobs import (
 )
 from phaseobs import spectral
 from phaseobs.distribution import _arc_symbol, _schur_toeplitz
-from phaseobs.spectral import _prolate_gap
+from phaseobs.spectral import _halves, _lift, _prolate_gap, _prolate_row
 
 HALF = PhaseWindow(((0.0, math.pi),))
 EPS = np.finfo(float).eps
@@ -123,7 +123,7 @@ def moment_builds(monkeypatch):
 class TestMomentRealForm:
     """A real persymmetric C takes pi + eigvalsh(J B), a real solve."""
 
-    @pytest.mark.parametrize("size", [1, 2, 7, 64, 300])
+    @pytest.mark.parametrize("size", [1, 2, 7, 63, 64, 65, 300])
     def test_matches_complex_path(self, size, moment_builds):
         for mat in (
             PhaseMatrix.exponential(0.9, size),
@@ -135,6 +135,21 @@ class TestMomentRealForm:
             assert np.max(np.abs(moment_spectrum(mat) - reference)) <= 1e-13
         assert np.all(moment_spectrum(PhaseMatrix.trivial(size)) == math.pi)
         assert moment_builds == []
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 63, 64, 1024])
+    def test_symmetric_about_pi(self, size):
+        """pi +- the singular values of the half-size block, and pi itself
+        at the middle of an odd size."""
+        for mat in (PhaseMatrix.exponential(0.9, size), PhaseMatrix.canonical(size)):
+            spectrum = moment_spectrum(mat)
+            assert spectrum.shape == (size,)
+            assert np.all(np.diff(spectrum) >= 0.0)
+            if size % 2:
+                assert spectrum[size // 2] == math.pi
+            below, above = spectrum[: size // 2], spectrum[size - size // 2:]
+            assert np.all(below < math.pi) and np.all(above > math.pi)
+            # each pair rounds pi - s and pi + s of one singular value s
+            assert np.max(np.abs(below + above[::-1] - TWO_PI), initial=0.0) <= 2 * TWO_PI * EPS
 
     def test_other_matrices_take_complex_path(self, moment_builds):
         rng = np.random.default_rng(54)
@@ -422,15 +437,15 @@ class TestSzegoBound:
     @pytest.mark.parametrize("length", [0.1, 1.5, math.pi, 5.8])
     def test_below_and_rising(self, q, length):
         bound = 2 / math.pi * math.atan((1 + q) / (1 - q) * math.tan(length / 4))
-        sizes = (16, 64, 256)
         for lo in (0.0, 2.0, 5.5):  # 5.5 wraps through 2*pi for each length > 0.79
             window = arc_window(lo, length)
-            shortfalls = [
-                bound - localization(PhaseMatrix.exponential(q, s), window,
-                                     maximizer=False).lam
-                for s in sizes
-            ]
-            assert 0 < shortfalls[2] < shortfalls[1] < shortfalls[0]
+            for sizes in ((16, 64, 256), (15, 63, 255)):  # even and odd halves
+                shortfalls = [
+                    bound - localization(PhaseMatrix.exponential(q, s), window,
+                                         maximizer=False).lam
+                    for s in sizes
+                ]
+                assert 0 < shortfalls[2] < shortfalls[1] < shortfalls[0]
         assert len(arc_window(5.5, length).arcs) == (2 if length > 0.79 else 1)
 
 
@@ -496,3 +511,144 @@ class TestValuesOnly:
         full = localization(mat, HALF)
         assert full.method == "prolate"
         assert rows == [(size, full.lam)]
+
+
+def wrapped_arc(rng):
+    """A random arc across 0 = 2*pi, stored as two pieces."""
+    lo, hi = np.sort(rng.uniform(0.0, TWO_PI, 2))
+    return PhaseWindow(((0.0, float(lo)), (float(hi), TWO_PI)))
+
+
+@pytest.fixture
+def value_solves(monkeypatch):
+    """Counts the sizes of the eigenvalue-only solves."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+class TestHalfSize:
+    """A real persymmetric C on one arc is solved through the even and odd
+    blocks of C o P, and the maximizer comes from inverse iteration."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 63, 64, 1024])
+    def test_blocks_hold_the_spectrum(self, size):
+        rng = np.random.default_rng(90 + size)
+        bound = 8 * size * EPS
+        mat = PhaseMatrix.exponential(float(rng.uniform(0.05, 0.95)), size)
+        windows = [random_arc(rng), wrapped_arc(rng)] + (
+            [] if size == 1024 else [random_arc(rng), wrapped_arc(rng)])
+        for window in windows:
+            start, end = window.arc
+            length = end - start + (TWO_PI if end <= start else 0.0)
+            entries = _schur_toeplitz(mat.entries.real, _arc_symbol(size, length))
+            full = np.linalg.eigvalsh(entries)
+            halves = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in _halves(entries)]))
+            assert np.max(np.abs(halves - full)) <= bound
+            loc = localization(mat, window, maximizer=False)
+            assert abs(loc.lam - full[-1]) <= bound
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 64])
+    def test_lift_gives_eigenvectors(self, size):
+        rng = np.random.default_rng(100 + size)
+        a = rng.standard_normal((size, size))
+        a = a + a.T
+        a = a + a[::-1, ::-1]
+        reversal = np.eye(size)[::-1]
+        for sign, block in zip((1.0, -1.0), _halves(a)):
+            evals, evecs = np.linalg.eigh(block)
+            for lam, y in zip(evals, evecs.T):
+                v = _lift(y, size, sign)
+                assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+                np.testing.assert_array_equal(reversal @ v, sign * v)
+                assert np.linalg.norm(a @ v - lam * v) <= 8 * size * EPS * np.linalg.norm(a, 2)
+
+    @pytest.mark.parametrize("size", [2, 7, 64, 200])
+    def test_maximizer_residual(self, size):
+        rng = np.random.default_rng(110 + size)
+        bound = 8 * size * EPS
+        q = float(rng.uniform(0.05, 0.95))
+        steps = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
+        matrices = [
+            PhaseMatrix.exponential(q, size),
+            # (-q)^|n-m|: real persymmetric, with an odd top eigenvector at even S
+            PhaseMatrix.explicit((-q) ** steps),
+            PhaseMatrix.canonical(size),
+            PhaseMatrix.trivial(size),
+            random_gram_matrix(rng, size),
+            random_gram_matrix(rng, size),
+        ]
+        windows = [random_arc(rng), wrapped_arc(rng), PhaseWindow(((0.0, 1.0), (2.0, 4.0)))]
+        for mat in matrices:
+            for window in windows:
+                try:
+                    loc = localization(mat, window)
+                except PrecisionError:
+                    continue
+                if loc.method == "dense":
+                    v = loc.maximizer.coeffs
+                    entries = window_operator(mat, window).entries
+                    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+                    assert np.linalg.norm(entries @ v - loc.lam * v) <= bound
+
+    @pytest.mark.parametrize("size", [64, 200])
+    def test_maximizer_without_eigh(self, size, vector_solves):
+        """A simple top eigenvalue needs no dense eigenvector solve."""
+        rng = np.random.default_rng(120 + size)
+        for mat in (PhaseMatrix.exponential(0.9, size), random_gram_matrix(rng, size)):
+            for window in (HALF, random_arc(rng), wrapped_arc(rng)):
+                assert localization(mat, window).method == "dense"
+        assert vector_solves == []
+
+    def test_near_tie_takes_eigh(self, vector_solves):
+        """A top eigenvalue within 8*S*eps of the next is left to eigh."""
+        entries = np.eye(8)
+        entries[0, 1] = entries[1, 0] = 1e-14
+        loc = localization(PhaseMatrix.explicit(entries), HALF)
+        assert vector_solves == [8]
+        assert loc.maximizer is not None
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 64])
+    def test_trivial_maximizer_is_last_basis_vector(self, size):
+        rng = np.random.default_rng(130 + size)
+        mat = PhaseMatrix.trivial(size)
+        for window in (HALF, random_arc(rng), wrapped_arc(rng), PhaseWindow.full_circle()):
+            v = localization(mat, window).maximizer.coeffs
+            assert np.flatnonzero(v).tolist() == [size - 1]
+            assert abs(v[-1]) == pytest.approx(1.0, abs=1e-15)
+
+    def test_builtin_sweeps_solve_at_half_size(self, value_solves):
+        dims = [1, 2, 7, 8, 33, 128]
+        for mat in (
+            PhaseMatrix.exponential(0.9, 128),
+            PhaseMatrix.canonical(16),
+            PhaseMatrix.trivial(128),
+        ):
+            for window in (HALF, random_arc(np.random.default_rng(140)), HALF.shifted(5.0)):
+                sizes = [s for s in dims if s <= mat.dim]
+                value_solves.clear()
+                localization_sweep(mat, window, sizes)
+                expected = [b for s in sizes for b in ((s - s // 2, s // 2) if s > 1 else (1,))]
+                assert value_solves == expected
+
+
+class TestProlateRow:
+    @pytest.mark.parametrize("size", [2, 33, 256])
+    @pytest.mark.parametrize("length", [1e-6, 0.05, 1.0, math.pi, TWO_PI - 0.05, TWO_PI - 1e-6])
+    def test_matches_entrywise_sines(self, size, length):
+        ctx = mpmath.MPContext()
+        ctx.dps = int(0.8 * size) + 30
+        arc = ctx.mpf(length)
+        for c in (0, size // 3, size - 1):
+            row = _prolate_row(ctx, size, arc, c)
+            with ctx.extradps(20):  # the entry-by-entry row, 20 digits further
+                reference = [ctx.sin(arc * (c - m) / 2) / (ctx.pi * (c - m)) if m != c
+                             else arc / (2 * ctx.pi) for m in range(size)]
+            assert len(row) == size
+            assert max(abs(a - b) for a, b in zip(row, reference)) <= ctx.mpf(10) ** -ctx.dps
