@@ -36,46 +36,35 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _dumps(obj, pretty: bool = False) -> str:
-    """One JSON document and a newline.  Every double is written in its
-    shortest round-trip form; numpy scalars and arrays are accepted."""
+def _dumps(obj, pretty: bool = False) -> bytes:
+    """One JSON document and a newline, as UTF-8 bytes.  Every double is
+    written in its shortest round-trip form; numpy scalars and arrays are
+    accepted."""
     option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
     if pretty:
         option |= orjson.OPT_INDENT_2
-    return orjson.dumps(obj, option=option).decode()
+    return orjson.dumps(obj, option=option)
 
 
 def _diag(code: str, message: str, detail=None) -> None:
     payload = {"code": code, "message": message, "detail": detail}
-    sys.stderr.write(_dumps(payload))
+    sys.stderr.write(_dumps(payload).decode())
 
 
 def _load_json(path: str) -> dict:
     """Strict UTF-8 JSON: NaN, Infinity, an overflowing literal such as
     1e400, a byte order mark or invalid UTF-8 raise orjson.JSONDecodeError,
-    a ValueError.
-
-    The cyclic garbage collector is paused during the decode: the lists it
-    builds (one per [re, im] pair of an explicit matrix) hold no cycles,
-    and the collections their allocation triggers took about half the time.
-    """
+    a ValueError."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return orjson.loads(data)
-    finally:
-        if enabled:
-            gc.enable()
+        return orjson.loads(fh.read())
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".phaseobs-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -83,23 +72,43 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(data: bytes, out: str | None) -> None:
     if out:
-        _atomic_write(out, text)
+        _atomic_write(out, data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
 
 
-def _fmt(x) -> str:
-    """Shortest decimal that round-trips the binary double."""
-    return repr(float(x))
+def _cells(column) -> list[bytes]:
+    """The cells of one CSV column, from one orjson pass: integers as str
+    spells them, doubles as repr does (the shortest decimal that round-trips
+    the binary double).
+
+    orjson and repr spell a finite double alike except where repr turns to
+    exponent form, at nonzero |x| < 1e-4 and at |x| >= 1e16 ("1e-05" and
+    "1e+16" against "0.00001" and "1e16"); orjson writes null for nan and
+    +-inf.  Only those cells are spelled again, by repr.
+    """
+    arr = np.ascontiguousarray(column)
+    if not arr.size:
+        return []
+    cells = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+    if arr.dtype.kind == "f":
+        mag = np.abs(arr)
+        # ~(mag < 1e16) holds for nan as well
+        for i in np.flatnonzero(~(mag < 1e16) | ((mag < 1e-4) & (arr != 0))):
+            cells[i] = repr(float(arr[i])).encode()
+    return cells
 
 
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    lines.extend(",".join(str(x) if isinstance(x, (int, str)) else _fmt(x) for x in row)
-                 for row in rows)
-    return "\n".join(lines) + "\n"
+def _lines(rows: list[bytes]) -> bytes:
+    """Each row and a newline; no rows make no bytes."""
+    return b"\n".join([*rows, b""])
+
+
+def _csv(header: str, *columns: list[bytes]) -> bytes:
+    """A header line and one line per row of the columns' cells."""
+    return _lines([header.encode(), *map(b",".join, zip(*columns))])
 
 
 def _matrix_spec(args) -> dict:
@@ -164,8 +173,8 @@ def cmd_density(args) -> int:
     matrix = _load_matrix(args)
     state = _load_state(args.state)
     values = distribution.density_grid(matrix, state, args.grid)
-    rows = [(TWO_PI * j / args.grid, values[j]) for j in range(args.grid)]
-    _emit(_csv("theta,value", rows), args.out)
+    thetas = TWO_PI * np.arange(args.grid) / args.grid
+    _emit(_csv("theta,value", _cells(thetas), _cells(values)), args.out)
     return 0
 
 
@@ -175,7 +184,7 @@ def cmd_cdf(args) -> int:
     thetas = TWO_PI * np.arange(args.grid + 1) / args.grid
     thetas[-1] = TWO_PI
     values = distribution.exact_cdf(matrix, state, thetas)
-    _emit(_csv("theta,value", zip(thetas, values)), args.out)
+    _emit(_csv("theta,value", _cells(thetas), _cells(values)), args.out)
     return 0
 
 
@@ -207,17 +216,16 @@ def cmd_kernel_check(args) -> int:
     thetas = TWO_PI * np.arange(8) / 8
     sandwiches = distribution.kernel_apply(matrix, s, state, thetas, args.grid)
     directs = distribution.density(matrix, state, state, thetas).real
-    rows = [(theta, direct, sandwich, abs(direct - sandwich))
-            for theta, direct, sandwich in zip(thetas, directs, sandwiches)]
-    _emit(_csv("theta,density,kernel,abs_err", rows), args.out)
+    columns = (thetas, directs, sandwiches, np.abs(directs - sandwiches))
+    _emit(_csv("theta,density,kernel,abs_err", *map(_cells, columns)), args.out)
     return 0
 
 
 def cmd_moment(args) -> int:
     matrix = _load_matrix(args)
     spectrum = spectral.moment_spectrum(matrix)
-    rows = [(i, val) for i, val in enumerate(spectrum)]
-    _emit(_csv("index,eigenvalue", rows), args.out)
+    _emit(_csv("index,eigenvalue", _cells(np.arange(spectrum.size)), _cells(spectrum)),
+          args.out)
     return 0
 
 
@@ -229,7 +237,7 @@ def _localization_fields(loc: spectral.Localization) -> dict:
     reads below 1 and adds up with gap to exactly 1.
     """
     if loc.method == "dense":
-        fields = {"lambda_max": loc.lam, "gap": _fmt(loc.gap)}
+        fields = {"lambda_max": loc.lam, "gap": repr(loc.gap)}
     else:
         from decimal import Context, Decimal
 
@@ -257,22 +265,24 @@ def cmd_sweep(args) -> int:
         raise PhaseObsError("use either --truncations or --q-sweep, not both")
     if truncations:
         full = _load_matrix(args)
-        cases = ((dim, full.truncated(dim)) for dim in truncations)
-        header = "S"
+        params, header = truncations, "S"
+        matrices = (full.truncated(dim) for dim in truncations)
     elif q_sweep:
         if args.matrix != "exponential":
             raise PhaseObsError("--q-sweep builds exponential matrices; "
                                 "it requires --matrix exponential")
         if args.dim is None:
             raise PhaseObsError("--q-sweep requires --dim")
-        cases = ((q, PhaseMatrix.exponential(q, args.dim)) for q in q_sweep)
-        header = "q"
+        params, header = q_sweep, "q"
+        matrices = (PhaseMatrix.exponential(q, args.dim) for q in q_sweep)
     else:
         raise PhaseObsError("sweep requires --truncations or --q-sweep")
-    rows = [(param, _localization_fields(
-                 spectral.localization(mat, window, maximizer=False))["lambda_max"])
-            for param, mat in cases]
-    _emit(_csv(f"{header},lambda_max", rows), args.out)
+    lams = [_localization_fields(spectral.localization(mat, window, maximizer=False))
+            ["lambda_max"] for mat in matrices]
+    # a prolate lambda_max is a decimal string already; the dense ones are doubles
+    dense = _cells([np.nan if isinstance(lam, str) else lam for lam in lams])
+    column = [lam.encode() if isinstance(lam, str) else cell for lam, cell in zip(lams, dense)]
+    _emit(_csv(f"{header},lambda_max", _cells(params), column), args.out)
     return 0
 
 
@@ -280,7 +290,7 @@ def cmd_sample(args) -> int:
     matrix = _load_matrix(args)
     state = _load_state(args.state)
     draws = distribution.sample(matrix, state, args.samples, args.seed)
-    _emit("".join(_fmt(x) + "\n" for x in draws), args.out)
+    _emit(_lines(_cells(draws)), args.out)
     return 0
 
 
@@ -353,6 +363,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         _diag("usage", str(exc))
         return 1
+    # The cyclic collector is paused while the command runs: its objects
+    # (orjson's tree of an explicit matrix, one list per [re, im] pair, above
+    # all) hold no cycles, and the passes their allocation triggers cost
+    # about a fifth of an explicit matrix's decode, convert and free.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         _check_ranges(args)
         return args.handler(args)
@@ -368,6 +384,9 @@ def main(argv=None) -> int:
     except (PhaseObsError, OSError, KeyError, TypeError, ValueError) as exc:
         _diag("error", str(exc))
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main_entry() -> None:

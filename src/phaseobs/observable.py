@@ -100,6 +100,16 @@ class PhaseMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
+    @classmethod
+    def _adopt(cls, entries: np.ndarray, label: str, q: float | None = None) -> "PhaseMatrix":
+        """A phase matrix over a square complex array that this class built or
+        already checked: made read-only as it is, with no scan and no copy."""
+        entries.setflags(write=False)
+        matrix = cls.__new__(cls)
+        for name, value in (("entries", entries), ("label", label), ("q", q)):
+            object.__setattr__(matrix, name, value)
+        return matrix
+
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
@@ -109,14 +119,14 @@ class PhaseMatrix:
         """All-ones matrix: the sharpest phase observable."""
         if dim < 1:
             raise PhaseObsError("dimension must be >= 1")
-        return cls(np.ones((dim, dim), dtype=complex), label="canonical")
+        return cls._adopt(np.ones((dim, dim), dtype=complex), "canonical")
 
     @classmethod
     def trivial(cls, dim: int) -> "PhaseMatrix":
         """Identity matrix: the uniform (phase-blind) observable."""
         if dim < 1:
             raise PhaseObsError("dimension must be >= 1")
-        return cls(np.eye(dim, dtype=complex), label="trivial")
+        return cls._adopt(np.eye(dim, dtype=complex), "trivial")
 
     @classmethod
     def exponential(cls, q: float, dim: int) -> "PhaseMatrix":
@@ -133,7 +143,7 @@ class PhaseMatrix:
         generator = np.concatenate((powers[:0:-1], powers))
         entries = sliding_window_view(generator, dim)[::-1].astype(complex)
         entries[np.diag_indices(dim)] = 1.0
-        return cls(entries, label="exponential", q=float(q))
+        return cls._adopt(entries, "exponential", float(q))
 
     @classmethod
     def from_gram(cls, vectors) -> "PhaseMatrix":
@@ -164,7 +174,7 @@ class PhaseMatrix:
         scale = 1.0 / np.sqrt(np.real(np.diag(arr)))
         fixed = arr * np.outer(scale, scale)
         fixed[np.diag_indices(arr.shape[0])] = 1.0
-        return cls(fixed, label="explicit")
+        return cls._adopt(fixed, "explicit")
 
     def to_dict(self) -> dict:
         data: dict = {"kind": self.label, "dim": self.dim}
@@ -188,12 +198,13 @@ class PhaseMatrix:
         raise PhaseObsError(f"unknown matrix kind {kind!r}")
 
     def truncated(self, dim: int) -> "PhaseMatrix":
-        """Top-left principal submatrix (still a phase matrix)."""
+        """Top-left principal submatrix (still a phase matrix): a read-only
+        view of this matrix's entries."""
         if not 1 <= dim <= self.dim:
             raise PhaseObsError(f"truncation {dim} outside [1, {self.dim}]")
         if dim == self.dim:
             return self
-        return PhaseMatrix(self.entries[:dim, :dim], label=self.label, q=self.q)
+        return PhaseMatrix._adopt(self.entries[:dim, :dim], self.label, self.q)
 
 
 @dataclass(frozen=True, eq=False)

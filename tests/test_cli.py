@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import random_gram_matrix
+from conftest import TWO_PI, random_gram_matrix, random_state
 from phaseobs import PhaseMatrix, PhaseWindow, cli, distribution, observable, spectral
 from phaseobs.cli import main
 from phaseobs.hardy import _pair_floats, _pairs
@@ -26,6 +26,16 @@ SQ2 = 1 / math.sqrt(2)
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def reference_csv(header, rows):
+    """The per-cell CSV formatter the CLI's writer replaced, kept as its
+    oracle: ints and strings as str spells them, every other cell as
+    repr(float(x))."""
+    lines = [header]
+    lines.extend(",".join(str(x) if isinstance(x, (int, str)) else repr(float(x))
+                          for x in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture
@@ -226,7 +236,7 @@ class TestCommands:
             cut = PhaseMatrix.from_dict(load(path)).truncated(dim)
             loc = spectral.localization(cut, window, maximizer=False)
             rows.append((dim, cli._localization_fields(loc)["lambda_max"]))
-        assert out.read_text() == cli._csv("S,lambda_max", rows)
+        assert out.read_text() == reference_csv("S,lambda_max", rows)
 
     def test_builtin_truncation_above_dim_exits_1(self, tmp_path, capsys):
         path = write_json(tmp_path / "exp8.json", PhaseMatrix.exponential(0.9, 8).to_dict())
@@ -254,7 +264,35 @@ class TestCommands:
             loc = spectral.localization(PhaseMatrix.exponential(0.9, dim), window,
                                         maximizer=False)
             rows.append((dim, cli._localization_fields(loc)["lambda_max"]))
-        assert out.read_text() == cli._csv("S,lambda_max", rows)
+        assert out.read_text() == reference_csv("S,lambda_max", rows)
+
+    def test_views_give_the_bytes_of_copies(self, tmp_path):
+        # truncations are views of their parent's entries and builtins are
+        # adopted without a copy; the public constructor's contiguous copies
+        # give the same bytes
+        window = PhaseWindow(((0.0, math.pi),))
+        gram = random_gram_matrix(np.random.default_rng(18), 24)
+        sources = {
+            "exponential": (PhaseMatrix.exponential(0.9, 256),
+                            ["--matrix", "exponential", "--q", "0.9", "--dim", "256"]),
+            "gram": (gram, ["--matrix", write_json(tmp_path / "gram.json", gram.to_dict())]),
+        }
+        out = tmp_path / "out.csv"
+        for full, argv in sources.values():
+            dims = (1, 2, 7, full.dim // 2 - 1, full.dim - 1, full.dim)
+            assert main(["sweep", *argv, "--window", f"0:{math.pi}", "--truncations",
+                         ",".join(map(str, dims)), "--out", str(out)]) == 0
+            rows = []
+            for dim in dims:
+                copy = PhaseMatrix(full.entries[:dim, :dim], label=full.label, q=full.q)
+                assert copy.entries.flags.c_contiguous
+                loc = spectral.localization(copy, window, maximizer=False)
+                rows.append((dim, cli._localization_fields(loc)["lambda_max"]))
+            assert out.read_text() == reference_csv("S,lambda_max", rows)
+            assert main(["moment", *argv, "--out", str(out)]) == 0
+            copy = PhaseMatrix(full.entries, label=full.label, q=full.q)
+            assert out.read_text() == reference_csv(
+                "index,eigenvalue", enumerate(spectral.moment_spectrum(copy)))
 
     def test_sweeps_take_no_eigenvectors(self, tmp_path, monkeypatch):
         solves = []  # eigenvector work: eigh, or the solves of inverse iteration
@@ -477,34 +515,66 @@ class TestExitContracts:
 
 
 class TestLoadJson:
-    def test_collector_paused_during_decode(self, plus_state, monkeypatch):
-        seen = []
-        loads = orjson.loads
-        monkeypatch.setattr(cli.orjson, "loads",
-                            lambda data: seen.append(gc.isenabled()) or loads(data))
-        assert gc.isenabled()
-        assert cli._load_json(plus_state)["coeffs"][0] == [SQ2, 0.0]
-        assert seen == [False]
-        assert gc.isenabled()
+    # main pauses the cyclic collector around the whole command, so every
+    # decode and the conversions after it run without collector passes
 
-    def test_collector_restored_after_decode_error(self, tmp_path):
+    @pytest.fixture
+    def exits(self, tmp_path, plus_state):
+        """argv for exits 0, 1 (a decode error) and 2 (a validation failure)."""
         bad = tmp_path / "bad.json"
         bad.write_text('{"coeffs": [[NaN, 0.0]]}')
+        not_psd = write_json(tmp_path / "not_psd.json", {
+            "kind": "explicit", "dim": 2,
+            "entries": [[[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [1.0, 0.0]]]})
+        state = ["--state", plus_state, "--grid", "4"]
+        return {
+            0: ["density", "--matrix", "canonical", "--dim", "2", *state],
+            1: ["density", "--matrix", "canonical", "--dim", "2", "--state", str(bad)],
+            2: ["density", "--matrix", not_psd, *state],
+        }
+
+    def test_collector_paused_during_decode(self, plus_state, monkeypatch, capsys):
+        seen = []
+        handler, loads = cli.cmd_density, orjson.loads
+        monkeypatch.setattr(cli, "cmd_density",
+                            lambda args: seen.append(("handler", gc.isenabled())) or handler(args))
+        monkeypatch.setattr(cli.orjson, "loads",
+                            lambda data: seen.append(("decode", gc.isenabled())) or loads(data))
         assert gc.isenabled()
-        with pytest.raises(orjson.JSONDecodeError):
-            cli._load_json(str(bad))
+        assert main(["density", "--matrix", "canonical", "--dim", "2",
+                     "--state", plus_state, "--grid", "4"]) == 0
+        assert seen == [("handler", False), ("decode", False)]
+        assert gc.isenabled()
+        # _load_json itself leaves the collector as it finds it
+        seen.clear()
+        assert cli._load_json(plus_state)["coeffs"][0] == [SQ2, 0.0]
+        assert seen == [("decode", True)]
+
+    def test_collector_restored_after_decode_error(self, exits, monkeypatch, capsys):
+        for status, argv in exits.items():
+            assert gc.isenabled()
+            assert main(argv) == status
+            assert gc.isenabled()
+        # an exception main does not map to an exit code restores it as well
+        def broken(args):
+            raise RuntimeError("broken handler")
+
+        monkeypatch.setattr(cli, "cmd_density", broken)
+        with pytest.raises(RuntimeError):
+            main(exits[0])
         assert gc.isenabled()
 
-    def test_collector_left_disabled(self, plus_state, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{")
+    def test_collector_left_disabled(self, exits, monkeypatch, capsys):
+        seen = []
+        handler = cli.cmd_density
+        monkeypatch.setattr(cli, "cmd_density",
+                            lambda args: seen.append(gc.isenabled()) or handler(args))
         gc.disable()
         try:
-            cli._load_json(plus_state)
-            assert not gc.isenabled()
-            with pytest.raises(orjson.JSONDecodeError):
-                cli._load_json(str(bad))
-            assert not gc.isenabled()
+            for status, argv in exits.items():
+                assert main(argv) == status
+                assert not gc.isenabled()
+            assert seen == [False] * 3
         finally:
             gc.enable()
 
@@ -660,9 +730,9 @@ class TestCodec:
               1e308, -1e308, 1.7976931348623157e308, 1e-05, 1e16, 0.1])
     def test_doubles_round_trip(self, values):
         for pretty in (False, True):
-            text = cli._dumps({"values": values}, pretty=pretty)
-            assert text.endswith("}\n")
-            assert bits(json.loads(text)["values"]) == bits(values)
+            data = cli._dumps({"values": values}, pretty=pretty)
+            assert data.endswith(b"}\n")
+            assert bits(json.loads(data)["values"]) == bits(values)
 
     def test_numpy_scalars(self):
         payload = {"a": np.float64(0.1), "b": np.float32(0.5), "c": np.int64(3)}
@@ -710,7 +780,7 @@ class TestCodec:
         z = np.array([[complex(-0.0, 5e-324), complex(1e16, -0.0), complex(0.1, -1e-320)],
                       [complex(-1e16, 2.5), complex(0.0, -0.0), complex(1e-05, 3e16)]])
         for arr in (z, z[0], z.T):
-            assert (cli._dumps({"rows": _pair_floats(arr)}).encode()
+            assert (cli._dumps({"rows": _pair_floats(arr)})
                     == orjson.dumps({"rows": _pairs(arr)}) + b"\n")
             assert (orjson.dumps(_pairs(arr))
                     == orjson.dumps(np.stack([arr.real, arr.imag], -1).tolist()))
@@ -728,6 +798,98 @@ class TestCodec:
             assert main([*argv, "--out", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert isinstance(json.loads(outs[0].read_bytes()), dict)
+
+
+class TestWriter:
+    @given(st.lists(st.floats(), max_size=50))
+    @example([])
+    @example([math.nan])
+    @example([math.inf])
+    @example([-math.inf])
+    @example([0.0])
+    @example([-0.0])
+    @example([5e-324])
+    @example([1e-05])
+    @example([1e-04])
+    @example([math.nextafter(1e-04, 0.0)])
+    @example([1e16])
+    @example([math.nextafter(1e16, 0.0)])
+    @example([-1e16, -1e-05, 0.1, 3.0, 1e15, 123456789012345.67, 1.7976931348623157e308])
+    def test_lines_spell_repr(self, values):
+        assert cli._lines(cli._cells(values)) == "".join(repr(x) + "\n" for x in values).encode()
+
+    def test_integer_cells(self):
+        values = [0, 1, -7, 1024, 2**62]
+        assert cli._cells(values) == [str(x).encode() for x in values]
+        assert cli._cells(np.arange(3)) == [b"0", b"1", b"2"]
+
+    @pytest.mark.parametrize("command", ["density", "cdf", "kernel-check", "moment", "sweep",
+                                         "sweep-canonical", "q-sweep", "sample", "sample-0"])
+    def test_command_matches_reference_formatter(self, command, tmp_path):
+        rng = np.random.default_rng(16)
+        state = random_state(rng, 8, band_limit=5)
+        argv_state = ["--state", write_json(tmp_path / "state.json", state.to_dict())]
+        matrix = PhaseMatrix.exponential(0.9, 8)
+        exp = ["--matrix", "exponential", "--q", "0.9", "--dim", "8"]
+        half = PhaseWindow(((0.0, math.pi),))
+
+        def sweep_rows(params, matrices):
+            return [(param, cli._localization_fields(
+                        spectral.localization(mat, half, maximizer=False))["lambda_max"])
+                    for param, mat in zip(params, matrices)]
+
+        if command == "density":
+            argv = ["density", *exp, *argv_state, "--grid", "64"]
+            values = distribution.density_grid(matrix, state, 64)
+            expected = reference_csv("theta,value", [(TWO_PI * j / 64, values[j])
+                                                     for j in range(64)])
+        elif command == "cdf":
+            argv = ["cdf", *exp, *argv_state, "--grid", "64"]
+            thetas = TWO_PI * np.arange(65) / 64
+            thetas[-1] = TWO_PI
+            values = distribution.exact_cdf(matrix, state, thetas)
+            expected = reference_csv("theta,value", zip(thetas, values))
+        elif command == "kernel-check":
+            argv = ["kernel-check", *exp, *argv_state, "--grid", "512"]
+            thetas = TWO_PI * np.arange(8) / 8
+            sandwiches = distribution.kernel_apply(matrix, 5, state, thetas, 512)
+            directs = distribution.density(matrix, state, state, thetas).real
+            expected = reference_csv("theta,density,kernel,abs_err", [
+                (theta, direct, sandwich, abs(direct - sandwich))
+                for theta, direct, sandwich in zip(thetas, directs, sandwiches)])
+        elif command == "moment":
+            argv = ["moment", *exp]
+            expected = reference_csv("index,eigenvalue",
+                                     enumerate(spectral.moment_spectrum(matrix)))
+        elif command == "sweep":
+            argv = ["sweep", *exp, "--window", f"0:{math.pi}", "--truncations", "1,2,5,8"]
+            dims = (1, 2, 5, 8)
+            expected = reference_csv("S,lambda_max",
+                                     sweep_rows(dims, map(matrix.truncated, dims)))
+        elif command == "sweep-canonical":
+            argv = ["sweep", "--matrix", "canonical", "--dim", "40", "--window", f"0:{math.pi}",
+                    "--truncations", "2,8,32,40"]
+            dims = (2, 8, 32, 40)
+            rows = sweep_rows(dims, (PhaseMatrix.canonical(dim) for dim in dims))
+            # dense doubles and prolate decimal strings in one column
+            assert {type(lam) for _, lam in rows} == {float, str}
+            expected = reference_csv("S,lambda_max", rows)
+        elif command == "q-sweep":
+            qs = (1e-05, 0.3, 0.9)
+            argv = ["sweep", "--matrix", "exponential", "--dim", "8", "--window", f"0:{math.pi}",
+                    "--q-sweep", ",".join(map(repr, qs))]
+            expected = reference_csv("q,lambda_max", sweep_rows(
+                qs, (PhaseMatrix.exponential(q, 8) for q in qs)))
+        else:
+            count = 0 if command == "sample-0" else 500
+            argv = ["sample", *exp, *argv_state, "--samples", str(count), "--seed", "3"]
+            draws = distribution.sample(matrix, state, count, 3)
+            expected = "".join(repr(float(x)) + "\n" for x in draws)
+        out = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+        if command == "sample-0":
+            assert expected == ""
 
 
 def test_cli_import_loads_no_optional_modules():

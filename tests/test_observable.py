@@ -164,6 +164,37 @@ class TestFamilies:
             )
 
 
+class TestEntries:
+    def test_built_entries_are_read_only(self):
+        rng = np.random.default_rng(17)
+        for mat in (PhaseMatrix.canonical(4), PhaseMatrix.trivial(4),
+                    PhaseMatrix.exponential(0.5, 4),
+                    PhaseMatrix.explicit(random_gram_matrix(rng, 4).entries)):
+            assert not mat.entries.flags.writeable
+            with pytest.raises(ValueError):
+                mat.entries[0, 1] = 2.0
+
+    def test_truncation_is_a_read_only_view(self):
+        full = PhaseMatrix.exponential(0.9, 16)
+        for dim in (1, 2, 7, 15):
+            cut = full.truncated(dim)
+            assert np.shares_memory(cut.entries, full.entries)
+            assert not cut.entries.flags.writeable
+            with pytest.raises(ValueError):
+                cut.entries[0, 0] = 2.0
+            np.testing.assert_array_equal(cut.entries, full.entries[:dim, :dim])
+            assert (cut.label, cut.q, cut.dim) == ("exponential", 0.9, dim)
+        assert full.truncated(16) is full
+
+    def test_public_constructor_copies(self):
+        given = np.eye(3, dtype=complex)
+        mat = PhaseMatrix(given)
+        assert not np.shares_memory(mat.entries, given)
+        assert given.flags.writeable and not mat.entries.flags.writeable
+        with pytest.raises(PhaseObsError):
+            PhaseMatrix(np.full((2, 2), np.nan, dtype=complex))
+
+
 class TestFromGram:
     def test_equal_vectors_give_canonical(self):
         vecs = np.tile(np.array([3, 4j]) / 5.0, (4, 1))
