@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PhaseObsError, ValidationError
 from .hardy import TWO_PI, HardyState, PhaseWindow, phase_shift, superpose
-from .observable import PhaseMatrix
+from .observable import PhaseMatrix, _symmetric, _toeplitz
 
 # Imaginary residue / probability-bound tolerance: larger deviations signal
 # an invalid matrix and raise instead of being clamped away.
@@ -39,6 +38,9 @@ _BRACKET = 5e-11
 _OVERSHOOT = 1e-11
 # Rounds after which `sample` only bisects, so that every draw closes.
 _NEWTON_ROUNDS = 16
+# Entries of one block of `kernel_apply`'s table of exp(-i n x_j): its
+# working memory does not grow with the grid.
+_KERNEL_BLOCK = 1 << 14
 
 
 def _aligned(matrix: PhaseMatrix, state: HardyState) -> np.ndarray:
@@ -54,9 +56,12 @@ def _diagonal_weights(
 ) -> np.ndarray:
     """w_k = sum_{n-m=k} c_{n,m} conj(a_n) b_m for k = -(S-1)..(S-1), with
     b = a unless phi is given, so that f_{psi,phi}(theta) = sum_k w_k
-    exp(i k theta)."""
+    exp(i k theta).  A builtin gives w_k = c_|k| sum_m conj(a_{m+k}) b_m,
+    one correlation in O(S) memory; a dense C bins its S x S products."""
     a = _aligned(matrix, psi)
     b = a if phi is None or phi is psi else _aligned(matrix, phi)
+    if matrix._generator is not None:
+        return _symmetric(matrix._generator) * np.correlate(a, b, "full").conj()
     dim = matrix.dim
     n = np.arange(dim)
     bins = np.subtract.outer(n, n).ravel() + (dim - 1)
@@ -104,12 +109,15 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _schur_toeplitz(entries: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """C o T(t): entry (n, m) is c_{n,m} t_{n-m} for the Hermitian symbol
-    t_0..t_{S-1}; T(t) is a strided view of the symbol, never materialized."""
-    size = entries.shape[0]
+def _schur_toeplitz(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """C o T(t), entry (n, m) c_{n,m} t_{n-m} for the Hermitian symbol
+    t_0..t_{S-1}, as a new array.  A dense C is multiplied by a strided view
+    of T(t); the real generator c_0..c_{S-1} of a Toeplitz C gives T(c t),
+    one copy of a strided view, with no S x S C."""
     full = np.concatenate((t[:0:-1].conj(), t))  # t_{-(S-1)} .. t_{S-1}
-    return entries * sliding_window_view(full[::-1], size)[::-1]
+    if c.ndim == 1:
+        return _toeplitz(_symmetric(c) * full).copy()
+    return c * _toeplitz(full)
 
 
 def _real(value, what: str):
@@ -202,7 +210,8 @@ class SchurToeplitz:
     @cached_property
     def entries(self) -> np.ndarray:
         """entries[n][m] = c_{n,m} t_{n-m}, read-only, built once."""
-        arr = _schur_toeplitz(self.matrix.entries, self.symbol)
+        c = self.matrix._generator
+        arr = _schur_toeplitz(self.matrix.entries if c is None else c, self.symbol)
         arr.setflags(write=False)
         return arr
 
@@ -256,7 +265,7 @@ def kernel_C(matrix: PhaseMatrix, s: int, x: float, y: float) -> complex:
     n = np.arange(s + 1)
     left = np.exp(-1j * n * float(x))
     right = np.exp(1j * n * float(y))
-    return complex(left @ matrix.entries[: s + 1, : s + 1] @ right)
+    return complex(left @ matrix._block(s + 1) @ right)
 
 
 def kernel_apply(
@@ -268,7 +277,8 @@ def kernel_apply(
 ):
     """Kernel sandwich (1/2pi)^2 double integral of
     conj(psi(x)) C_s(x - theta, y - theta) psi(y) by the periodic
-    trapezoid rule on a G x G grid (computed separably).
+    trapezoid rule on a G x G grid (computed separably, the grid walked in
+    blocks of _KERNEL_BLOCK table entries).
 
     Requires psi band-limited to indices <= s; then the result matches the
     density at theta once G exceeds the band limit.  theta may be an array:
@@ -285,11 +295,16 @@ def kernel_apply(
     n = np.arange(s + 1)
     head = np.zeros(s + 1, dtype=complex)
     head[: min(a.size, s + 1)] = a[: s + 1]
-    modes = np.outer(TWO_PI * np.arange(grid_size) / grid_size, -1j * n)
-    np.exp(modes, out=modes)  # exp(-i n x_j), one G x (s+1) array
     # (1/G) sum_j exp(i n x_j) psi(x_j); the left projection is its conjugate
-    right = ((modes @ head).conj() @ modes).conj() / grid_size
-    block = matrix.entries[: s + 1, : s + 1]
+    right = np.zeros(s + 1, dtype=complex)
+    rows = max(1, _KERNEL_BLOCK // (s + 1))
+    for lo in range(0, grid_size, rows):
+        x = TWO_PI * np.arange(lo, min(lo + rows, grid_size)) / grid_size
+        modes = np.outer(x, -1j * n)
+        np.exp(modes, out=modes)  # exp(-i n x_j) on this block of the grid
+        right += (modes @ head).conj() @ modes
+    right = right.conj() / grid_size
+    block = matrix._block(s + 1)
     values = np.empty(np.shape(theta), dtype=complex)
     for index, t in np.ndenumerate(np.asarray(theta, dtype=float)):
         shifted = right * np.exp(-1j * n * t)

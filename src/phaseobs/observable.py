@@ -87,13 +87,42 @@ def validate(entries) -> ValidationReport:
     return ValidationReport(dim=dim, issues=tuple(issues))
 
 
+def _toeplitz(full: np.ndarray) -> np.ndarray:
+    """The Toeplitz matrix T_{n,m} = t_{n-m} of full = t_{-(S-1)} .. t_{S-1},
+    as a read-only strided view of `full`: nothing is copied."""
+    return sliding_window_view(full[::-1], (full.size + 1) // 2)[::-1]
+
+
+def _symmetric(generator: np.ndarray) -> np.ndarray:
+    """c_{S-1} .. c_1 c_0 c_1 .. c_{S-1}: the full symbol of the real
+    symmetric Toeplitz matrix with generator c_0 .. c_{S-1}."""
+    return np.concatenate((generator[:0:-1], generator))
+
+
+def _dense(generator: np.ndarray) -> np.ndarray:
+    """The complex S x S Toeplitz matrix c_{|n-m|} of a real generator."""
+    return _toeplitz(_symmetric(generator)).astype(complex, order="C")
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseMatrix:
-    """Hermitian PSD unit-diagonal matrix (c_{n,m}) plus a family label."""
+    """Hermitian PSD unit-diagonal matrix (c_{n,m}) plus a family label.
+
+    The builtins (`canonical`, `trivial`, `exponential`) are real symmetric
+    Toeplitz, c_{n,m} = c_{|n-m|}, and keep only their generator
+    c_0 .. c_{S-1}; their dense `entries` are built once, read-only, on first
+    access.  The public constructor and `explicit` hold dense entries: a
+    label alone does not vouch for Toeplitz structure.
+    """
 
     entries: np.ndarray
     label: str = "explicit"
     q: float | None = None
+
+    # real generator of a builtin, read-only; None for dense matrices
+    _generator = None
+    # the builtin whose entries a truncated builtin's entries view
+    _parent = None
 
     def __post_init__(self):
         arr = _as_square_matrix(self.entries).copy()
@@ -101,32 +130,62 @@ class PhaseMatrix:
         object.__setattr__(self, "entries", arr)
 
     @classmethod
-    def _adopt(cls, entries: np.ndarray, label: str, q: float | None = None) -> "PhaseMatrix":
-        """A phase matrix over a square complex array that this class built or
-        already checked: made read-only as it is, with no scan and no copy."""
-        entries.setflags(write=False)
+    def _adopt(cls, label: str, q: float | None = None, **storage) -> "PhaseMatrix":
+        """A phase matrix that this class built or already checked, over its
+        `entries` (a square complex array) or its `_generator` (with the
+        `_parent` of a truncation): arrays are made read-only as they are,
+        with no scan and no copy."""
         matrix = cls.__new__(cls)
-        for name, value in (("entries", entries), ("label", label), ("q", q)):
+        for name, value in (("label", label), ("q", q), *storage.items()):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
             object.__setattr__(matrix, name, value)
         return matrix
 
+    def __getattr__(self, name: str):
+        # only the dense entries of a builtin are ever missing
+        if name != "entries" or self._generator is None:
+            raise AttributeError(name)
+        if self._parent is not None:
+            arr = self._parent.entries[: self.dim, : self.dim]
+        else:
+            arr = _dense(self._generator)
+            arr.setflags(write=False)
+        object.__setattr__(self, "entries", arr)
+        return arr
+
+    def __repr__(self) -> str:
+        # the dataclass repr would print, and so build, a builtin's entries
+        return f"PhaseMatrix(label={self.label!r}, dim={self.dim}, q={self.q!r})"
+
     @property
     def dim(self) -> int:
+        if self._generator is not None:
+            return self._generator.size
         return self.entries.shape[0]
+
+    def _block(self, size: int) -> np.ndarray:
+        """The top-left size x size block of the entries; a builtin builds it
+        from its generator's prefix, with no S x S array."""
+        if self._generator is None:
+            return self.entries[:size, :size]
+        return _dense(self._generator[:size])
 
     @classmethod
     def canonical(cls, dim: int) -> "PhaseMatrix":
         """All-ones matrix: the sharpest phase observable."""
         if dim < 1:
             raise PhaseObsError("dimension must be >= 1")
-        return cls._adopt(np.ones((dim, dim), dtype=complex), "canonical")
+        return cls._adopt("canonical", _generator=np.ones(dim))
 
     @classmethod
     def trivial(cls, dim: int) -> "PhaseMatrix":
         """Identity matrix: the uniform (phase-blind) observable."""
         if dim < 1:
             raise PhaseObsError("dimension must be >= 1")
-        return cls._adopt(np.eye(dim, dtype=complex), "trivial")
+        generator = np.zeros(dim)
+        generator[0] = 1.0
+        return cls._adopt("trivial", _generator=generator)
 
     @classmethod
     def exponential(cls, q: float, dim: int) -> "PhaseMatrix":
@@ -138,12 +197,8 @@ class PhaseMatrix:
             raise PhaseObsError("dimension must be >= 1")
         if not 0.0 <= q <= 1.0:
             raise PhaseObsError(f"exponential parameter q={q} outside [0, 1]")
-        powers = np.power(float(q), np.arange(dim), dtype=float)
-        # q^|n-m| read off the Toeplitz view of q^(S-1) .. q .. q^(S-1)
-        generator = np.concatenate((powers[:0:-1], powers))
-        entries = sliding_window_view(generator, dim)[::-1].astype(complex)
-        entries[np.diag_indices(dim)] = 1.0
-        return cls._adopt(entries, "exponential", float(q))
+        generator = np.power(float(q), np.arange(dim), dtype=float)
+        return cls._adopt("exponential", float(q), _generator=generator)
 
     @classmethod
     def from_gram(cls, vectors) -> "PhaseMatrix":
@@ -174,7 +229,7 @@ class PhaseMatrix:
         scale = 1.0 / np.sqrt(np.real(np.diag(arr)))
         fixed = arr * np.outer(scale, scale)
         fixed[np.diag_indices(arr.shape[0])] = 1.0
-        return cls._adopt(fixed, "explicit")
+        return cls._adopt("explicit", entries=fixed)
 
     def to_dict(self) -> dict:
         data: dict = {"kind": self.label, "dim": self.dim}
@@ -198,13 +253,17 @@ class PhaseMatrix:
         raise PhaseObsError(f"unknown matrix kind {kind!r}")
 
     def truncated(self, dim: int) -> "PhaseMatrix":
-        """Top-left principal submatrix (still a phase matrix): a read-only
-        view of this matrix's entries."""
+        """Top-left principal submatrix (still a phase matrix) whose entries
+        are a read-only view of this matrix's; a builtin's keeps the prefix
+        of the generator and builds no entries until they are read."""
         if not 1 <= dim <= self.dim:
             raise PhaseObsError(f"truncation {dim} outside [1, {self.dim}]")
         if dim == self.dim:
             return self
-        return PhaseMatrix._adopt(self.entries[:dim, :dim], self.label, self.q)
+        if self._generator is None:
+            return PhaseMatrix._adopt(self.label, self.q, entries=self.entries[:dim, :dim])
+        return PhaseMatrix._adopt(self.label, self.q, _generator=self._generator[:dim],
+                                  _parent=self)
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PhaseObsError, PrecisionError
 from .hardy import TWO_PI, HardyState, PhaseWindow
-from .observable import PhaseMatrix, _fix_vector_phase
+from .observable import PhaseMatrix, _fix_vector_phase, _symmetric
 from .distribution import SchurToeplitz, _arc_symbol, _schur_toeplitz, window_operator
 
 # A dense symmetric eigensolve is backward stable: lambda_max carries an
@@ -60,10 +60,16 @@ def first_moment(matrix: PhaseMatrix) -> SchurToeplitz:
     return SchurToeplitz(matrix, t)
 
 
-def _persymmetric(c: np.ndarray) -> bool:
-    """True for a real symmetric c with J c J = c, J the reversal, as every
-    builtin phase matrix is."""
-    return c.dtype == float and np.array_equal(c, c.T) and np.array_equal(c, c[::-1, ::-1])
+def _real_form(matrix: PhaseMatrix) -> tuple[np.ndarray, bool]:
+    """C as the spectral solves take it, and whether it is real symmetric
+    persymmetric (J C J = C for the reversal J).  A builtin gives its real
+    generator, persymmetric by construction; a dense C gives its entries,
+    real where no imaginary part is nonzero, and is checked exactly."""
+    if matrix._generator is not None:
+        return matrix._generator, True
+    c = matrix.entries if matrix.entries.imag.any() else matrix.entries.real
+    return c, (c.dtype == float and np.array_equal(c, c.T)
+               and np.array_equal(c, c[::-1, ::-1]))
 
 
 def moment_spectrum(matrix: PhaseMatrix) -> np.ndarray:
@@ -79,14 +85,17 @@ def moment_spectrum(matrix: PhaseMatrix) -> np.ndarray:
     pi once for an odd size (Cantoni & Butler 1976): a real solve at half
     size, symmetric about pi by construction.
     """
-    c = matrix.entries if matrix.entries.imag.any() else matrix.entries.real
-    if not _persymmetric(c):
+    c, persymmetric = _real_form(matrix)
+    if not persymmetric:
         return np.linalg.eigvalsh(first_moment(matrix).entries)
     size, half = matrix.dim, matrix.dim // 2
     # R_{nm} = (J B)_{nm} = c_{S-1-n,m} h_{n+m}: h_j = 1/(j - (S-1)), h_{S-1} = 0
     offsets = np.arange(2 * size - 1, dtype=float) - (size - 1)
     h = np.divide(1.0, offsets, out=np.zeros_like(offsets), where=offsets != 0)
-    top = c[::-1][:half] * sliding_window_view(h, size)[:half]
+    if c.ndim == 1:  # c_{S-1-n,m} = c_|n+m-(S-1)|: R is Hankel in c_|j| h_j
+        top = sliding_window_view(_symmetric(c) * h, size)[:half]
+    else:
+        top = c[::-1][:half] * sliding_window_view(h, size)[:half]
     k = top[:, :half] + top[:, ::-1][:, :half]
     if size % 2:
         k = np.column_stack((k, math.sqrt(2) * top[:, half]))
@@ -290,12 +299,12 @@ def localization(
         start, end = arc
         length = end - start + (TWO_PI if end <= start else 0.0)
         phases = np.exp(1j * np.arange(mat.dim) * (start + length / 2))
-        c = mat.entries if mat.entries.imag.any() else mat.entries.real
+        c, persymmetric = _real_form(mat)
         entries = _schur_toeplitz(c, _arc_symbol(mat.dim, length))
     else:
         phases = 1.0  # E(X) itself: no diagonal unitary to undo
         entries = window_operator(mat, window).entries
-    split = arc is not None and mat.dim > 1 and _persymmetric(c)
+    split = arc is not None and mat.dim > 1 and persymmetric
     blocks = _halves(entries) if split else (entries,)
     spectra = [np.linalg.eigvalsh(b) for b in blocks]
     win = int(np.argmax([s[-1] for s in spectra]))
@@ -306,7 +315,7 @@ def localization(
         if maximizer:
             top = _unit(_top_vector(entries, blocks, spectra, win, bound) * phases)
         return Localization(lam, 1.0 - lam, "dense", top)
-    if arc is None or not np.all(mat.entries == 1):
+    if arc is None or not np.all(c == 1):
         raise PrecisionError(
             f"1 - lambda_max = {1.0 - lam:.3g} at truncation S={mat.dim} is "
             f"within the dense eigensolver's error bound 8*S*eps = {bound:.3g}; "

@@ -124,6 +124,20 @@ def loop_density(matrix, psi, phi, theta):
     return total
 
 
+def bincount_weights(matrix, psi, phi=None):
+    """w_k = sum_{n-m=k} c_{n,m} conj(a_n) b_m for k = -(S-1)..(S-1), b = a
+    unless phi is given, by binning the S x S products of the dense entries
+    on their diagonals n - m: the oracle of the generator weights."""
+    a = psi.padded(matrix.dim).coeffs
+    b = a if phi is None else phi.padded(matrix.dim).coeffs
+    dim = matrix.dim
+    n = np.arange(dim)
+    bins = np.subtract.outer(n, n).ravel() + (dim - 1)
+    prod = (matrix.entries * np.outer(a.conj(), b)).ravel()
+    size = 2 * dim - 1
+    return np.bincount(bins, prod.real, size) + 1j * np.bincount(bins, prod.imag, size)
+
+
 def arc_cdf(matrix, psi, theta):
     """Probability of [0, theta) at a 1-D array theta, as the pairing
     sum_k w_k t_k(theta) over k = -(S-1)..(S-1) with the arc symbol

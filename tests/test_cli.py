@@ -911,6 +911,23 @@ def test_cli_import_loads_no_optional_modules():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="reads the child's peak RSS by wait4")
+def test_large_builtin_sample_memory(tmp_path):
+    # a builtin's draws need no S x S array: at S = 4096 a dense copy of the
+    # matrix is 268 MB and binning its weights took about 800 MB
+    a = random_state(np.random.default_rng(940), 4096).coeffs
+    state = write_json(tmp_path / "state.json", {"coeffs": np.stack([a.real, a.imag], -1).tolist()})
+    out = tmp_path / "draws.txt"
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "tests" / "peak_rss.py"), "80",
+         sys.executable, "-m", "phaseobs.cli", "sample", "--matrix", "exponential", "--q", "0.9",
+         "--dim", "4096", "--state", state, "--samples", "1000", "--out", str(out)],
+        cwd=root, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert len(out.read_bytes().splitlines()) == 1000
+
+
 def _blas_children(tmp_path, argv, threads):
     """Output bytes of `python -m phaseobs.cli argv` in a child process with
     `threads` BLAS threads."""

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from conftest import (
     arc_cdf,
+    bincount_weights,
     bisect_sample,
     eig2,
     loop_density,
@@ -43,7 +44,7 @@ from phaseobs import (
     window_probability,
 )
 from phaseobs import distribution
-from phaseobs.distribution import _invert_cdf
+from phaseobs.distribution import _diagonal_weights, _invert_cdf
 
 HALF = PhaseWindow(((0.0, math.pi),))
 PLUS = normalize([1, 1])  # (eta_0 + eta_1)/sqrt(2)
@@ -801,3 +802,111 @@ class TestWindowProbabilityProperties:
         assert window_probability(mat, psi, PhaseWindow.full_circle()) == 1.0
         two_pieces = PhaseWindow(((0.0, 2.0), (2.0, TWO_PI)))
         assert window_probability(mat, psi, two_pieces) == 1.0
+
+
+EPS = np.finfo(float).eps
+
+
+def builtins(dim):
+    return (PhaseMatrix.canonical(dim), PhaseMatrix.trivial(dim),
+            PhaseMatrix.exponential(0.9, dim), PhaseMatrix.exponential(0.3, dim))
+
+
+def dense_copy(mat):
+    """The same matrix through the public constructor, label and q included:
+    dense entries, because a label cannot vouch for Toeplitz structure."""
+    return PhaseMatrix(mat.entries, label=mat.label, q=mat.q)
+
+
+class TestGeneratorWeights:
+    """A builtin's weights are c_|k| times one correlation of the states."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 64, 257])
+    def test_match_bincount(self, dim):
+        rng = np.random.default_rng(900 + dim)
+        psi, phi = random_state(rng, dim), random_state(rng, dim)
+        short = random_state(rng, (dim + 1) // 2)  # padded to the matrix
+        for mat in builtins(dim):
+            assert mat._generator is not None
+            for left, right in ((psi, None), (psi, phi), (short, psi), (phi, short)):
+                w = _diagonal_weights(mat, left, right)
+                assert w.shape == (2 * dim - 1,)
+                # unit states: 4 S eps ||a|| ||b|| is 4 S eps
+                assert np.max(np.abs(w - bincount_weights(mat, left, right))) <= 4 * dim * EPS
+
+    def test_public_constructor_takes_dense_path(self):
+        rng = np.random.default_rng(910)
+        psi = random_state(rng, 64)
+        mat = PhaseMatrix(PhaseMatrix.exponential(0.9, 64).entries, label="exponential", q=0.9)
+        assert mat._generator is None
+        np.testing.assert_array_equal(_diagonal_weights(mat, psi), bincount_weights(mat, psi))
+        # a matrix that is not Toeplitz keeps its own weights whatever its label
+        gram = random_gram_matrix(rng, 8)
+        fake = PhaseMatrix(gram.entries, label="exponential", q=0.9)
+        psi8 = random_state(rng, 8)
+        np.testing.assert_array_equal(_diagonal_weights(fake, psi8), bincount_weights(gram, psi8))
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 16])
+    def test_operators_equal_dense_forms(self, dim):
+        window = PhaseWindow(((0.5, 2.0), (3.0, 5.5)))
+        for mat in builtins(dim):
+            copy = dense_copy(mat)
+            for make in (lambda m: window_operator(m, window), first_moment):
+                np.testing.assert_array_equal(make(mat).entries, make(copy).entries)
+            for s in range(dim):
+                np.testing.assert_array_equal(mat._block(s + 1), copy.entries[: s + 1, : s + 1])
+                assert kernel_C(mat, s, 0.3, 1.9) == kernel_C(copy, s, 0.3, 1.9)
+
+    def test_tabulations_build_no_entries(self):
+        rng = np.random.default_rng(920)
+        for mat in builtins(32):
+            psi = random_state(rng, 32, band_limit=20)
+            density_grid(mat, psi, 64)
+            exact_cdf(mat, psi, np.linspace(0.0, TWO_PI, 9))
+            window_probability(mat, psi, HALF)
+            kernel_apply(mat, 20, psi, 1.0, 256)
+            kernel_C(mat, 20, 0.0, 1.0)
+            sample(mat, psi, 10, 1)
+            window_operator(mat, HALF).entries
+            assert "entries" not in vars(mat)
+
+
+def traced_peak(run):
+    """Peak bytes numpy and Python allocate while `run()` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBuiltinMemory:
+    """Tabulating a builtin takes O(S + G) memory: one dense copy of
+    exponential(0.9, 4096) alone is 268 MB."""
+
+    def test_tabulations_at_4096(self):
+        mat = PhaseMatrix.exponential(0.9, 4096)
+        psi = random_state(np.random.default_rng(930), 4096)
+        thetas = TWO_PI * np.arange(4097) / 4096
+        for run in (lambda: density_grid(mat, psi, 4096),
+                    lambda: window_probability(mat, psi, HALF),
+                    lambda: exact_cdf(mat, psi, thetas),
+                    lambda: sample(mat, psi, 1000, 5)):
+            assert traced_peak(run) < 4e6
+
+    def test_kernel_grid_walked_in_blocks(self):
+        mat = PhaseMatrix.exponential(0.9, 4096)
+        psi = random_state(np.random.default_rng(931), 256)
+        thetas = TWO_PI * np.arange(8) / 8
+        # a G x (s+1) table of exponentials alone would be 16.8 MB
+        assert traced_peak(lambda: kernel_apply(mat, 255, psi, thetas, 4096)) < 2e6
+
+    def test_blocked_kernel_matches_density(self):
+        rng = np.random.default_rng(932)
+        thetas = TWO_PI * np.arange(8) / 8
+        for s, grid in ((0, 2), (3, 4097), (200, 1000), (255, 4096)):
+            mat = PhaseMatrix.exponential(0.9, s + 1)
+            psi = random_state(rng, s + 1)
+            np.testing.assert_allclose(kernel_apply(mat, s, psi, thetas, max(grid, 2 * s + 2)),
+                                       density(mat, psi, psi, thetas).real, atol=1e-12)

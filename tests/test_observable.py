@@ -186,6 +186,17 @@ class TestEntries:
             assert (cut.label, cut.q, cut.dim) == ("exponential", 0.9, dim)
         assert full.truncated(16) is full
 
+    def test_builtin_entries_built_on_first_access(self):
+        mat = PhaseMatrix.exponential(0.9, 4096)
+        assert repr(mat) == "PhaseMatrix(label='exponential', dim=4096, q=0.9)"
+        assert mat.to_dict() == {"kind": "exponential", "dim": 4096, "q": 0.9}
+        assert "entries" not in vars(mat.truncated(16))
+        assert "entries" not in vars(mat)
+        small = PhaseMatrix.exponential(0.5, 5)
+        assert small.entries is small.entries and small.entries.flags.c_contiguous
+        np.testing.assert_array_equal(small.entries, 0.5 ** np.abs(np.subtract.outer(
+            np.arange(5), np.arange(5))))
+
     def test_public_constructor_copies(self):
         given = np.eye(3, dtype=complex)
         mat = PhaseMatrix(given)

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import eig2, random_gram_matrix
 from phaseobs import (
@@ -160,6 +162,42 @@ class TestMomentRealForm:
             reference = np.linalg.eigvalsh(first_moment(mat).entries)
             np.testing.assert_array_equal(moment_spectrum(mat), reference)
         assert moment_builds == [16, 16]
+
+
+    def test_label_does_not_vouch(self, moment_builds):
+        # a real matrix that is not persymmetric, labelled as a builtin by the
+        # public constructor, still takes the checked path
+        real = real_gram_matrix(np.random.default_rng(55), 16)
+        fake = PhaseMatrix(real.entries, label="exponential", q=0.9)
+        reference = np.linalg.eigvalsh(first_moment(real).entries)
+        np.testing.assert_array_equal(moment_spectrum(fake), reference)
+        assert moment_builds == [16]
+
+
+class TestGeneratorSolves:
+    """A builtin's spectra come from its generator: no dense C and no
+    symmetry scan, and the bytes of its public-constructor dense copy."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 64, 65])
+    def test_bytes_of_dense_copy(self, size):
+        windows = (HALF, PhaseWindow(((0.0, 1.0), (5.0, TWO_PI))),
+                   PhaseWindow(((0.5, 2.0), (3.0, 5.5))), PhaseWindow.full_circle())
+        for mat in (PhaseMatrix.exponential(0.9, size), PhaseMatrix.exponential(0.2, size),
+                    PhaseMatrix.trivial(size), PhaseMatrix.canonical(min(size, 7))):
+            copy = PhaseMatrix(mat.entries, label=mat.label, q=mat.q)
+            np.testing.assert_array_equal(moment_spectrum(mat), moment_spectrum(copy))
+            for window in windows:
+                ours, theirs = localization(mat, window), localization(copy, window)
+                assert (ours.lam, ours.gap, ours.method) == (theirs.lam, theirs.gap, theirs.method)
+                np.testing.assert_array_equal(ours.maximizer.coeffs, theirs.maximizer.coeffs)
+
+    def test_no_dense_matrix(self):
+        for mat in (PhaseMatrix.exponential(0.9, 64), PhaseMatrix.canonical(16)):
+            moment_spectrum(mat)
+            localization(mat, HALF)
+            localization_sweep(mat, HALF, [4, 9, 16])
+            assert "entries" not in vars(mat)
+            assert "entries" not in vars(mat.truncated(9))
 
 
 class TestLocalization:
@@ -447,6 +485,26 @@ class TestSzegoBound:
                 ]
                 assert 0 < shortfalls[2] < shortfalls[1] < shortfalls[0]
         assert len(arc_window(5.5, length).arcs) == (2 if length > 0.79 else 1)
+
+    def test_half_circle_shortfalls(self):
+        bound = 2 / math.pi * math.atan(19 * math.tan(math.pi / 4))
+        assert bound == pytest.approx(0.9665245832868518, abs=1e-15)
+        half = PhaseWindow(((0.0, math.pi),))
+        for size, shortfall in ((16, 7.0e-4), (64, 4.08e-5), (256, 2.51e-6), (1024, 1.57e-7)):
+            lam = localization(PhaseMatrix.exponential(0.9, size), half, maximizer=False).lam
+            assert bound - lam == pytest.approx(shortfall, rel=5e-3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.05, 0.95), st.floats(0.1, TWO_PI - 0.1), st.floats(0.0, TWO_PI))
+    def test_bound_at_any_arc(self, q, length, centre):
+        bound = 2 / math.pi * math.atan((1 + q) / (1 - q) * math.tan(length / 4))
+        window = arc_window(math.fmod(centre - length / 2 + TWO_PI, TWO_PI), length)
+        full = PhaseMatrix.exponential(q, 128)
+        lams = [localization(full, window, size, maximizer=False).lam for size in (8, 32, 128)]
+        for size, lam in zip((8, 32, 128), lams):
+            assert lam <= bound + 8 * size * EPS
+        # nested compressions of one operator: nondecreasing to rounding
+        assert lams[0] <= lams[1] + 8 * 32 * EPS and lams[1] <= lams[2] + 8 * 128 * EPS
 
 
 @pytest.fixture
