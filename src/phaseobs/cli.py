@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import re
 import sys
 import tempfile
+from itertools import chain
 
 import numpy as np
 import orjson
@@ -54,17 +56,74 @@ def _diag(code: str, message: str, detail=None) -> None:
 def _load_json(path: str) -> dict:
     """Strict UTF-8 JSON: NaN, Infinity, an overflowing literal such as
     1e400, a byte order mark or invalid UTF-8 raise orjson.JSONDecodeError,
-    a ValueError."""
+    a ValueError.  A 3-level `entries` grid is read a row at a time (see
+    `_entries_by_row`); every other file, and every file that path refuses,
+    is decoded whole."""
     with open(path, "rb") as fh:
-        return orjson.loads(fh.read())
+        data = fh.read()
+    doc = _entries_by_row(data)
+    return orjson.loads(data) if doc is None else doc
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+# The comma between two rows of a 3-level grid: "] ] , [ [" with any JSON
+# whitespace between the tokens.  The re module compiles it on first use, so
+# a command that reads no file never compiles it.
+_ROW_SEAM = rb"\][ \t\n\r]*\][ \t\n\r]*(,)[ \t\n\r]*\[[ \t\n\r]*\["
+_NONCE = "phaseobs row seam 9d3f0c61b2e84a57"
+# A raw newline is whitespace in value position and illegal inside a string,
+# so orjson accepts the marker only as an array element.
+_MARKER = b'[\n"' + _NONCE.encode() + b'"]'
+
+
+def _entries_by_row(data: bytes) -> dict | None:
+    """The document with its `entries` as one float array, decoded a row at a
+    time: the bytes from the first row seam to the last are swapped for a
+    marker, orjson decodes that head and tail, and then each row between the
+    seams alone.  None unless the marker comes back as a direct element of
+    the top-level `entries` and every row converts to the first row's shape;
+    the whole-file decode then decides.
+
+    Accepted files give `np.ascontiguousarray(orjson.loads(data)["entries"],
+    dtype=float)` bit for bit: the marker stood in value position of that
+    array, so each row between the seams is one of its elements.  A file
+    without a backslash spells every string plainly, so without the nonce
+    none of its strings can equal the marker's.
+    """
+    seams = [m.start(1) for m in re.finditer(_ROW_SEAM, data)]
+    if not seams or b"\\" in data or _NONCE.encode() in data:
+        return None
+    try:
+        doc = orjson.loads(data[:seams[0] + 1] + _MARKER + data[seams[-1]:])
+        entries = doc.get("entries") if type(doc) is dict else None
+        if type(entries) is not list:
+            return None
+        at = entries.index([_NONCE])
+        view = memoryview(data)
+        middle = (orjson.loads(view[a + 1:b]) for a, b in zip(seams, seams[1:]))
+        shape = np.asarray(entries[0], dtype=float).shape
+        out = np.empty((len(entries) + len(seams) - 2, *shape))
+        for i, row in enumerate(chain(entries[:at], middle, entries[at + 1:])):
+            row = np.asarray(row, dtype=float)
+            if row.shape != shape:
+                return None
+            out[i] = row
+    except (ValueError, TypeError):
+        return None
+    doc["entries"] = out
+    return doc
+
+
+def _atomic_write(path: str, chunks) -> None:
+    """Write the byte chunks to a temporary file beside `path`, then rename
+    it over `path`; the file gets the mode a plain open would give it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".phaseobs-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -72,11 +131,25 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-def _emit(data: bytes, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
+    """Write an iterable of byte chunks to `out`, or to stdout."""
     if out:
-        _atomic_write(out, data)
+        _atomic_write(out, chunks)
     else:
-        sys.stdout.write(data.decode())
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode())
+
+
+def _json_rows(rows: np.ndarray):
+    """The bytes of `_dumps({"rows": rows})` for an array `rows`, as chunks of
+    one row each: orjson writes each row's float view without nested lists,
+    and no buffer holds them all."""
+    yield b'{"rows":['
+    for i, row in enumerate(rows):
+        if i:
+            yield b","
+        yield orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)
+    yield b"]}\n"
 
 
 def _cells(column) -> list[bytes]:
@@ -162,7 +235,7 @@ def cmd_validate(args) -> int:
         report = observable.validate(_complex_pairs(spec["entries"], "entries"))
     else:
         report = observable.validate(PhaseMatrix.from_dict(spec).entries)
-    _emit(_dumps(report.to_dict(), pretty=True), args.out)
+    _emit([_dumps(report.to_dict(), pretty=True)], args.out)
     if not report.valid:
         _diag("invalid-matrix", "phase matrix validation failed", report.to_dict())
         return 2
@@ -174,7 +247,7 @@ def cmd_density(args) -> int:
     state = _load_state(args.state)
     values = distribution.density_grid(matrix, state, args.grid)
     thetas = TWO_PI * np.arange(args.grid) / args.grid
-    _emit(_csv("theta,value", _cells(thetas), _cells(values)), args.out)
+    _emit([_csv("theta,value", _cells(thetas), _cells(values))], args.out)
     return 0
 
 
@@ -184,7 +257,7 @@ def cmd_cdf(args) -> int:
     thetas = TWO_PI * np.arange(args.grid + 1) / args.grid
     thetas[-1] = TWO_PI
     values = distribution.exact_cdf(matrix, state, thetas)
-    _emit(_csv("theta,value", _cells(thetas), _cells(values)), args.out)
+    _emit([_csv("theta,value", _cells(thetas), _cells(values))], args.out)
     return 0
 
 
@@ -194,15 +267,13 @@ def cmd_window_prob(args) -> int:
     window = _load_window(args.window)
     prob = distribution.window_probability(matrix, state, window)
     payload = {"probability": prob, "window_measure": window.measure}
-    _emit(_dumps(payload, pretty=True), args.out)
+    _emit([_dumps(payload, pretty=True)], args.out)
     return 0
 
 
 def cmd_kraus(args) -> int:
     family = observable.kraus_decompose(_load_matrix(args))
-    # the rows' float view: orjson writes the bytes of family.to_dict()
-    # without the nested lists being built
-    _emit(_dumps({"rows": _pair_floats(family.z)}), args.out)
+    _emit(_json_rows(_pair_floats(family.z)), args.out)
     return 0
 
 
@@ -217,14 +288,14 @@ def cmd_kernel_check(args) -> int:
     sandwiches = distribution.kernel_apply(matrix, s, state, thetas, args.grid)
     directs = distribution.density(matrix, state, state, thetas).real
     columns = (thetas, directs, sandwiches, np.abs(directs - sandwiches))
-    _emit(_csv("theta,density,kernel,abs_err", *map(_cells, columns)), args.out)
+    _emit([_csv("theta,density,kernel,abs_err", *map(_cells, columns))], args.out)
     return 0
 
 
 def cmd_moment(args) -> int:
     matrix = _load_matrix(args)
     spectrum = spectral.moment_spectrum(matrix)
-    _emit(_csv("index,eigenvalue", _cells(np.arange(spectrum.size)), _cells(spectrum)),
+    _emit([_csv("index,eigenvalue", _cells(np.arange(spectrum.size)), _cells(spectrum))],
           args.out)
     return 0
 
@@ -253,7 +324,7 @@ def _localization_fields(loc: spectral.Localization) -> dict:
 def cmd_localize(args) -> int:
     loc = spectral.localization(_load_matrix(args), _load_window(args.window))
     payload = {**_localization_fields(loc), "maximizer": loc.maximizer.to_dict()}
-    _emit(_dumps(payload, pretty=True), args.out)
+    _emit([_dumps(payload, pretty=True)], args.out)
     return 0
 
 
@@ -282,7 +353,7 @@ def cmd_sweep(args) -> int:
     # a prolate lambda_max is a decimal string already; the dense ones are doubles
     dense = _cells([np.nan if isinstance(lam, str) else lam for lam in lams])
     column = [lam.encode() if isinstance(lam, str) else cell for lam, cell in zip(lams, dense)]
-    _emit(_csv(f"{header},lambda_max", _cells(params), column), args.out)
+    _emit([_csv(f"{header},lambda_max", _cells(params), column)], args.out)
     return 0
 
 
@@ -290,7 +361,7 @@ def cmd_sample(args) -> int:
     matrix = _load_matrix(args)
     state = _load_state(args.state)
     draws = distribution.sample(matrix, state, args.samples, args.seed)
-    _emit(_lines(_cells(draws)), args.out)
+    _emit([_lines(_cells(draws))], args.out)
     return 0
 
 
@@ -364,9 +435,10 @@ def main(argv=None) -> int:
         _diag("usage", str(exc))
         return 1
     # The cyclic collector is paused while the command runs: its objects
-    # (orjson's tree of an explicit matrix, one list per [re, im] pair, above
-    # all) hold no cycles, and the passes their allocation triggers cost
-    # about a fifth of an explicit matrix's decode, convert and free.
+    # (orjson's trees of an explicit matrix's rows, one list per [re, im]
+    # pair, above all) hold no cycles, and the passes their allocation
+    # triggers cost about a fifth of an explicit matrix's decode, convert
+    # and free.
     enabled = gc.isenabled()
     gc.disable()
     try:

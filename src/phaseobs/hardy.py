@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -49,40 +48,10 @@ def _pair_list(values, what: str) -> list[tuple[float, float]]:
     return pairs
 
 
-def _float_array(rows) -> np.ndarray:
-    """`np.ascontiguousarray(rows, dtype=float)`, with a nested list
-    flattened level by level and its leaves converted by one call.
-
-    Each level must hold only lists of one length; the flat list of leaves
-    then goes to one `np.array` call.  numpy's own scalar discovery on that
-    flat list gives every leaf the conversion, or the refusal, that it gets
-    in the whole tree.  Anything else (an array, tuples, ragged or mixed
-    nesting, leaves that are sequences) is left to numpy's conversion of
-    the tree, which decides as before.
-    """
-    shape, node = [], rows
-    while type(node) is list:
-        shape.append(len(node))
-        if not node:
-            break
-        node = node[0]
-    level, regular = [rows], bool(shape)
-    for size in shape:
-        regular = set(map(type, level)) == {list} and set(map(len, level)) == {size}
-        if not regular:
-            break
-        level = list(chain.from_iterable(level))
-    if regular:
-        flat = np.array(level, dtype=float)
-        if flat.ndim == 1:
-            return flat.reshape(shape)
-    return np.ascontiguousarray(rows, dtype=float)
-
-
 def _complex_pairs(rows, what: str) -> np.ndarray:
     """Complex array from nested [re, im] pairs (the last axis of `rows`)."""
     try:
-        arr = _float_array(rows)
+        arr = np.ascontiguousarray(rows, dtype=float)
     except (TypeError, ValueError) as exc:
         raise PhaseObsError(f"{what} must be a regular array of pairs") from exc
     if arr.ndim < 1 or arr.shape[-1] != 2:

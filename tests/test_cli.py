@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import re
+import stat
 import struct
 import subprocess
 import sys
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TWO_PI, random_gram_matrix, random_state
@@ -681,6 +683,13 @@ BAD_FILES = {
               ["density", "--matrix", "canonical", "--dim", "2", "--state", "{}"]),
     "matrix": (b'{"kind": "explicit", "dim": 1, "entries": [[[X, 0.0]]], "note": "N"}',
                ["validate", "--matrix", "{}"]),
+    # the bad token sits in a middle row, which the row reader decodes alone
+    "matrix-rows": (b'{"kind": "explicit", "dim": 4, "entries": ['
+                    b'[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], '
+                    b'[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], '
+                    b'[[0.0, 0.0], [0.0, 0.0], [X, 0.0], [0.0, 0.0]], '
+                    b'[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]], "note": "N"}',
+                    ["kraus", "--matrix", "{}"]),
     "window": (b'{"arcs": [[0.0, X]], "note": "N"}',
                ["window-prob", "--matrix", "canonical", "--dim", "2",
                 "--state", "STATE", "--window", "{}"]),
@@ -708,7 +717,11 @@ class TestDecoderEdges:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and "Traceback" not in captured.err
-        assert json.loads(lines[0])["code"] == "error"
+        # the message of the whole-file decode, wherever the token sits
+        with pytest.raises(orjson.JSONDecodeError) as whole:
+            orjson.loads(text)
+        assert json.loads(lines[0]) == {"code": "error", "message": str(whole.value),
+                                        "detail": None}
 
     @pytest.mark.parametrize("kind", BAD_FILES)
     def test_template_accepted(self, kind, plus_state, tmp_path, capsys):
@@ -718,6 +731,119 @@ class TestDecoderEdges:
         path.write_bytes(template.replace(b"X", b"1.0"))
         argv = [str(path) if a == "{}" else plus_state if a == "STATE" else a for a in argv]
         assert main(argv) == 0
+
+
+JSON_SPACE = st.text(" \t\n\r", max_size=3)
+# strings that hold a row seam, and the reader's nonce plain and \u-escaped
+SEAM_STRINGS = ["]], [[", "x ] ] , [ [ y", "]],[[1.0, 2.0]],[["]
+NONCES = [orjson.dumps(cli._NONCE), b'"\\u' + b"%04x" % ord(cli._NONCE[0])
+          + cli._NONCE[1:].encode() + b'"']
+
+
+@st.composite
+def matrix_files(draw):
+    """The bytes of a matrix file: any JSON whitespace between tokens, keys
+    in any order, extra keys whose strings hold row seams or the nonce,
+    duplicate `entries` keys, 1 to 8 rows, ragged rows, string and null
+    leaves and 4-level grids."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    depth = draw(st.sampled_from([3, 3, 3, 4]))
+    # one file in three has odd leaves or ragged rows, and then only some
+    odd, ragged = draw(st.integers(0, 2)) == 0, draw(st.integers(0, 2)) == 0
+    number = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.integers(-2**53, 2**53))
+    odd_leaf = st.sampled_from([None, "1.5", "x", True, b'"\\u0031"'])
+
+    def rarely(flag):
+        return flag and draw(st.integers(0, 4)) == 0
+
+    def pair():
+        size = draw(st.sampled_from([0, 1, 3])) if rarely(ragged) else 2
+        node = [draw(odd_leaf if rarely(odd) else number) for _ in range(size)]
+        return [node] if depth == 4 else node
+
+    def row():
+        size = draw(st.integers(0, 5)) if rarely(ragged) else cols
+        return [pair() for _ in range(size)]
+
+    entries = [row() for _ in range(rows)]
+    if rarely(odd):
+        entries.insert(draw(st.integers(0, rows)), [b"NONCE"])
+    items = [("kind", "explicit"), ("dim", rows), ("entries", entries)]
+    extras = st.sampled_from(["note", "note", "seams", "entries", "nonce"])
+    for key in draw(st.lists(extras, max_size=2)):
+        value = {"note": "N", "seams": draw(st.sampled_from(SEAM_STRINGS)),
+                 "entries": [[[1.0, 0.0]]], "nonce": [b"NONCE"]}[key]
+        items.insert(draw(st.integers(0, len(items))), (key, value))
+
+    def dump(node):
+        space = draw(JSON_SPACE)
+        if isinstance(node, list):
+            inner = b",".join(dump(x) for x in node) if node else draw(JSON_SPACE).encode()
+            return space.encode() + b"[" + inner + b"]" + draw(JSON_SPACE).encode()
+        if node == b"NONCE":
+            node = draw(st.sampled_from(NONCES))
+        elif not isinstance(node, bytes):
+            node = orjson.dumps(node)
+        return space.encode() + node + draw(JSON_SPACE).encode()
+
+    body = b",".join(dump(key) + b":" + dump(value) for key, value in items)
+    return b"{" + body + b"}"
+
+
+class TestRowReader:
+    """An explicit matrix file read a row at a time gives the whole-file
+    decode's entries bit for bit, and every other key as it is."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("rows") / "matrix.json"
+
+    @settings(max_examples=300)
+    @given(data=matrix_files())
+    @example(data=b'{"entries": [[[1.0, 2.0]], [[3.0, 4.0]], [[5.0, 6.0]]]}')
+    @example(data=b'{"entries": [[[1.0, 2.0]], [[3.0, 4.0]]], "entries": [[[1.0, 0.0]]]}')
+    @example(data=b'{"entries": [[[1.0, 0.0]]], "entries": [[[1.0, 2.0]], [[3.0, 4.0]]]}')
+    # the marker lands in "a"; a file element equal to it must not pass for it
+    @example(data=b'{"a": [[[1.0, 2.0]], [[3.0, 4.0]]], "entries": [[[1.0, 2.0]], ['
+             + NONCES[0] + b'], [[5.0, 6.0]]]}')
+    @example(data=b'{"a": [[[1.0, 2.0]], [[3.0, 4.0]]], "entries": [[[1.0, 2.0]], ['
+             + NONCES[1] + b'], [[5.0, 6.0]]]}')
+    @example(data=b'{"entries": [[[[1.0, 2.0]], [[3.0, 4.0]]], [[[5.0, 6.0]], [[7.0, 8.0]]]]}')
+    @example(data=b'{"entries": [[[1.0, 2.0]], [[3.0, 4.0]], [[5.0]], [[7.0, 8.0]]]}')
+    @example(data=b'{"entries": [[[1.0, 2.0]], [[3.0, 4.0], [5.0, 6.0]], [[7.0, 8.0]]]}')
+    @example(data=b'{"entries": [[[1.0, 2.0]], [[null, "1.5"]], [[7.0, 8.0]]], "n": "]], [["}')
+    def test_matches_whole_file_decode(self, path, data):
+        path.write_bytes(data)
+        try:
+            whole = orjson.loads(data)
+        except orjson.JSONDecodeError as exc:
+            with pytest.raises(orjson.JSONDecodeError, match=re.escape(str(exc))):
+                cli._load_json(path)
+            return
+        got = cli._load_json(path)
+        assert got.keys() == whole.keys()
+        assert all(got[key] == whole[key] for key in whole if key != "entries")
+        try:
+            expected = np.ascontiguousarray(whole["entries"], dtype=float)
+        except (TypeError, ValueError):
+            assert got["entries"] == whole["entries"]
+            return
+        decoded = np.ascontiguousarray(got["entries"], dtype=float)
+        assert decoded.shape == expected.shape
+        assert decoded.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dumps", [
+        json.dumps, orjson.dumps, lambda doc: json.dumps(doc, indent=2),
+        lambda doc: json.dumps(doc, separators=("\n,\r\n", ":\t"))])
+    def test_common_layouts_read_by_row(self, dumps, path):
+        matrix = random_gram_matrix(np.random.default_rng(17), 7)
+        doc = {"dim": 7, "entries": _pairs(matrix.entries), "kind": "explicit"}
+        data = dumps(doc)
+        got = cli._entries_by_row(data if isinstance(data, bytes) else data.encode())
+        assert got is not None
+        assert got["entries"].tobytes() == _pair_floats(matrix.entries).tobytes()
+        assert {**got, "entries": None} == {**doc, "entries": None}
 
 
 def bits(values):
@@ -775,6 +901,18 @@ class TestCodec:
         assert main(["kraus", *argv, "--out", str(out)]) == 0
         family = observable.kraus_decompose(matrix)
         assert out.read_bytes() == orjson.dumps(family.to_dict()) + b"\n"
+
+    @pytest.mark.parametrize("spec", ["gram", "trivial"])
+    def test_kraus_stdout_bytes_are_to_dict(self, spec, tmp_path, capsys):
+        # trivial(4) has rank 1: one row and no separator
+        if spec == "gram":
+            matrix = random_gram_matrix(np.random.default_rng(16), 9)
+        else:
+            matrix = PhaseMatrix.trivial(4)
+        spec = {"kind": "explicit", "dim": matrix.dim, "entries": _pairs(matrix.entries)}
+        assert main(["kraus", "--matrix", write_json(tmp_path / "m.json", spec)]) == 0
+        family = observable.kraus_decompose(PhaseMatrix.from_dict(spec))
+        assert capsys.readouterr().out.encode() == orjson.dumps(family.to_dict()) + b"\n"
 
     def test_pair_floats_encode_as_pairs(self):
         z = np.array([[complex(-0.0, 5e-324), complex(1e16, -0.0), complex(0.1, -1e-320)],
@@ -926,6 +1064,45 @@ def test_large_builtin_sample_memory(tmp_path):
         cwd=root, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert len(out.read_bytes().splitlines()) == 1000
+
+
+@pytest.fixture(scope="module")
+def gram512(tmp_path_factory):
+    """A 512 x 512 explicit Gram matrix file written by `json.dumps`, like the
+    benchmark's (12 MB)."""
+    matrix = random_gram_matrix(np.random.default_rng(941), 512)
+    return write_json(tmp_path_factory.mktemp("gram") / "gram512.json", matrix.to_dict())
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="reads the child's peak RSS by wait4")
+@pytest.mark.parametrize("argv", [["kraus"], ["localize", "--window", f"0:{math.pi}"]],
+                         ids=["kraus", "localize"])
+def test_large_explicit_matrix_memory(argv, gram512, tmp_path):
+    # the file is read a row at a time and Kraus rows are written a row at a
+    # time: decoding it whole, and buffering the 11 MB Kraus output, took
+    # both commands to about 102 MB
+    out = tmp_path / "out.json"
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "tests" / "peak_rss.py"), "70",
+         sys.executable, "-m", "phaseobs.cli", *argv, "--matrix", gram512, "--out", str(out)],
+        cwd=root, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert isinstance(orjson.loads(out.read_bytes()), dict)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_output_mode_follows_umask(umask, tmp_path):
+    # the atomic write gives its file the mode a plain open gives a new file
+    out, plain = tmp_path / "valid.json", tmp_path / "plain.json"
+    saved = os.umask(umask)
+    try:
+        assert main(["validate", "--matrix", "canonical", "--dim", "2", "--out", str(out)]) == 0
+        plain.write_bytes(b"")
+    finally:
+        os.umask(saved)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
 def _blas_children(tmp_path, argv, threads):
