@@ -1,81 +1,69 @@
-"""Covariant phase observables on truncated Hardy space."""
+"""Covariant phase observables on truncated Hardy space.
 
-from .errors import PhaseObsError, PrecisionError, ValidationError
-from .hardy import (
-    TWO_PI,
-    HardyState,
-    PhaseWindow,
-    evaluate,
-    normalize,
-    phase_shift,
-    superpose,
-)
-from .observable import (
-    KrausFamily,
-    PhaseMatrix,
-    ValidationReport,
-    kraus_decompose,
-    kraus_reconstruct,
-    validate,
-)
-from .distribution import (
-    SchurToeplitz,
-    check_covariance,
-    check_interference,
-    density,
-    density_grid,
-    exact_cdf,
-    fourier_window_integral,
-    kernel_C,
-    kernel_apply,
-    sample,
-    window_operator,
-    window_probability,
-)
-from .spectral import (
-    Localization,
-    first_moment,
-    localization,
-    localization_max,
-    localization_sweep,
-    moment_spectrum,
-)
+Each public name is imported from its layer module on first access (PEP
+562), so a process that needs one layer, such as a CLI child, compiles and
+runs only that layer and the ones it imports.
+"""
+
+import importlib
+
+_LAYERS = {
+    "errors": ("PhaseObsError", "PrecisionError", "ValidationError"),
+    "hardy": (
+        "TWO_PI",
+        "HardyState",
+        "PhaseWindow",
+        "evaluate",
+        "normalize",
+        "phase_shift",
+        "superpose",
+    ),
+    "observable": (
+        "KrausFamily",
+        "PhaseMatrix",
+        "ValidationReport",
+        "kraus_decompose",
+        "kraus_reconstruct",
+        "validate",
+    ),
+    "distribution": (
+        "SchurToeplitz",
+        "check_covariance",
+        "check_interference",
+        "density",
+        "density_grid",
+        "exact_cdf",
+        "fourier_window_integral",
+        "kernel_C",
+        "kernel_apply",
+        "sample",
+        "window_operator",
+        "window_probability",
+    ),
+    "spectral": (
+        "Localization",
+        "first_moment",
+        "localization",
+        "localization_max",
+        "localization_sweep",
+        "moment_spectrum",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _LAYERS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PhaseObsError",
-    "PrecisionError",
-    "ValidationError",
-    "TWO_PI",
-    "HardyState",
-    "PhaseWindow",
-    "evaluate",
-    "normalize",
-    "phase_shift",
-    "superpose",
-    "KrausFamily",
-    "PhaseMatrix",
-    "ValidationReport",
-    "kraus_decompose",
-    "kraus_reconstruct",
-    "validate",
-    "SchurToeplitz",
-    "check_covariance",
-    "check_interference",
-    "density",
-    "density_grid",
-    "exact_cdf",
-    "fourier_window_integral",
-    "kernel_C",
-    "kernel_apply",
-    "sample",
-    "window_operator",
-    "window_probability",
-    "Localization",
-    "first_moment",
-    "localization",
-    "localization_max",
-    "localization_sweep",
-    "moment_spectrum",
-]
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -41,17 +41,29 @@ def random_window(rng, max_arcs=3):
     return PhaseWindow(arcs)
 
 
-def numpy_pairs(rows):
-    """Complex array of nested [re, im] pairs by numpy's conversion of the
-    whole list tree: the oracle of `hardy._complex_pairs`, which raises
-    PhaseObsError exactly where this does."""
+def walked_pairs(rows):
+    """Complex array of nested [re, im] pairs by a pure-Python walk of the
+    tree, level by level, with the rules numpy applies to a float array:
+    lists, tuples and arrays are levels, the nodes of a level are all levels
+    or all leaves, and levels of one depth have one length; each leaf
+    converts by float(), None to nan.  The oracle of `hardy._complex_pairs`,
+    which raises PhaseObsError exactly where this does."""
+    level, shape = [rows], []
+    while any(isinstance(node, (list, tuple, np.ndarray)) for node in level):
+        if not all(isinstance(node, (list, tuple, np.ndarray)) for node in level):
+            raise PhaseObsError("not a regular array")
+        lengths = {len(node) for node in level}
+        if len(lengths) != 1:
+            raise PhaseObsError("not a regular array")
+        shape.append(lengths.pop())
+        level = [child for node in level for child in node]
     try:
-        arr = np.ascontiguousarray(rows, dtype=float)
+        leaves = [math.nan if leaf is None else float(leaf) for leaf in level]
     except (TypeError, ValueError) as exc:
         raise PhaseObsError("not a regular array") from exc
-    if arr.ndim < 1 or arr.shape[-1] != 2:
+    if not shape or shape[-1] != 2:
         raise PhaseObsError("not an array of pairs")
-    return arr.view(complex)[..., 0]
+    return np.array(leaves, dtype=float).reshape(shape).view(complex)[..., 0]
 
 
 def loop_fix_phase(vec):

@@ -8,6 +8,7 @@ import stat
 import struct
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -1030,23 +1031,197 @@ class TestWriter:
             assert expected == ""
 
 
-def test_cli_import_loads_no_optional_modules():
+class TestColumnLines:
+    """`sample`'s one-column writer spells the lines of `_lines(_cells(...))`
+    without a bytes object per cell."""
+
+    @given(st.lists(st.floats(), max_size=50))
+    @example([])
+    @example([1e-05, 0.5, math.nan, 2.0, -1e16])
+    @example([0.25, 5e-324, 3.0])
+    def test_matches_cells(self, values):
+        assert cli._column_lines(np.array(values, dtype=float)) == cli._lines(cli._cells(values))
+
+    def test_integers(self):
+        assert cli._column_lines(np.arange(3)) == b"0\n1\n2\n"
+
+    def test_memory(self, tmp_path):
+        # a bytes object per cell took 100 000 draws to 16.6 MB
+        draws = np.random.default_rng(17).random(100_000) * TWO_PI
+        draws[[0, 40_000, 99_999]] = [3e-05, 1e-09, 2e-06]  # spelled in exponent form
+        out = tmp_path / "draws.txt"
+        tracemalloc.start()
+        try:
+            cli._emit([cli._column_lines(draws)], str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert out.read_bytes() == cli._lines(cli._cells(draws))
+
+
+def test_cli_import_loads_no_optional_modules(tmp_path):
     # mpmath and decimal are imported only on the exact path and scipy only by
-    # the tests; loading any of them at start-up slows every invocation
+    # the tests; loading any of them at start-up slows every invocation.  A
+    # command loads only its layers: validate and kraus neither distribution
+    # nor spectral, the tabulations no spectral
+    state = write_json(tmp_path / "state.json",
+                       random_state(np.random.default_rng(3), 8).to_dict())
+    exp = ["--matrix", "exponential", "--q", "0.9", "--dim", "8"]
+    half = ["--window", f"0:{math.pi}"]
+    neither = ("phaseobs.distribution", "phaseobs.spectral")
+    runs = [
+        ([], neither),
+        (["validate", *exp], neither),
+        (["kraus", *exp], neither),
+        (["density", *exp, "--state", state], ("phaseobs.spectral",)),
+        (["cdf", *exp, "--state", state], ("phaseobs.spectral",)),
+        (["window-prob", *exp, "--state", state, *half], ("phaseobs.spectral",)),
+        (["kernel-check", *exp, "--state", state], ("phaseobs.spectral",)),
+        (["sample", *exp, "--state", state, "--samples", "10"], ("phaseobs.spectral",)),
+        (["moment", *exp], ()),
+        (["localize", *exp, *half], ()),
+        (["sweep", *exp, *half, "--truncations", "4,8"], ()),
+    ]
     code = (
-        "import sys, phaseobs.cli; "
-        "print([m for m in ('mpmath', 'scipy', 'decimal') if m in sys.modules])"
+        "import sys; from phaseobs import cli; argv = sys.argv[2:]; "
+        "print(cli.main(argv) if argv else 0, "
+        "[m for m in sys.argv[1].split(',') if m in sys.modules])"
     )
-    env = dict(os.environ, PYTHONPATH="src")
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=Path(__file__).resolve().parent.parent,
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert proc.stdout.strip() == "[]"
+    for argv, layers in runs:
+        absent = ("mpmath", "scipy", "decimal", *layers)
+        if argv:
+            argv = [*argv, "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, ",".join(absent), *argv],
+            cwd=Path(__file__).resolve().parent.parent,
+            env=dict(os.environ, PYTHONPATH="src"),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout.strip() == "0 []", argv
+
+
+def test_public_names_resolve():
+    # the package imports its layers on first access; every public name is
+    # there for `import *` and `dir`
+    import phaseobs
+
+    assert len(phaseobs.__all__) == len(set(phaseobs.__all__)) == 34
+    names = {}
+    exec("from phaseobs import *", names)
+    assert set(phaseobs.__all__) <= set(names)
+    assert set(phaseobs.__all__) <= set(dir(phaseobs))
+    assert names["sample"] is distribution.sample
+    with pytest.raises(AttributeError):
+        phaseobs.no_such_name
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["density"], ["density", "-h"], ["density", "cdf"],
+    ["sample", "--matrix", "canonical", "--state", "s.json", "--samples", "x"],
+    ["sweep", "--matrix", "m.json", "--window", "0:1", "--q-sweep", "0.5", "--bogus"],
+    ["kraus", "--matrix", "canonical", "--dim", "4", "--out", "k.json"],
+])
+def test_one_subparser_parses_like_all(argv, capsys):
+    # main builds only the sub-parser argv[0] names; its usage, help and
+    # messages are those of the parser with every command
+    def parsed(parser):
+        try:
+            return vars(parser.parse_args(argv))
+        except cli._UsageError as exc:
+            return str(exc)
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr().out
+
+    assert parsed(cli._build_parser(argv)) == parsed(cli._build_parser([]))
+
+
+# stdout and stderr buffered, as a user's pipes are, so that what main_entry
+# leaves unflushed is lost
+_CHILD_ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+              "PYTHONPATH": "src"}
+
+
+def _cli_child(argv):
+    """`python -m phaseobs.cli argv` in a child process, stdout and stderr
+    piped, so that it leaves through `main_entry`."""
+    return subprocess.run([sys.executable, "-m", "phaseobs.cli", *argv], capture_output=True,
+                          cwd=Path(__file__).resolve().parent.parent, env=_CHILD_ENV)
+
+
+class TestExitPath:
+    """`main_entry` flushes stdout and stderr and leaves by `os._exit`."""
+
+    @pytest.mark.parametrize("command", ["kraus", "sample", "cdf"])
+    def test_stdout_matches_out_file(self, command, tmp_path):
+        state = write_json(tmp_path / "state.json",
+                           random_state(np.random.default_rng(7), 64).to_dict())
+        exp = ["--matrix", "exponential", "--q", "0.9", "--dim", "64", "--state", state]
+        argv = {"kraus": ["kraus", "--matrix", "canonical", "--dim", "300"],
+                "sample": ["sample", *exp, "--samples", "20000", "--seed", "5"],
+                "cdf": ["cdf", *exp]}[command]
+        out = tmp_path / "out"
+        to_file = _cli_child([*argv, "--out", str(out)])
+        to_pipe = _cli_child(argv)
+        assert (to_file.returncode, to_pipe.returncode) == (0, 0)
+        assert to_file.stdout == to_file.stderr == to_pipe.stderr == b""
+        assert to_pipe.stdout == out.read_bytes()
+        assert out.read_bytes()
+
+    @pytest.mark.parametrize("argv, status, code", [
+        (["validate", "--matrix", "canonical", "--dim", "8"], 0, None),
+        (["validate", "--matrix", "canonical"], 1, "error"),
+        (["validate"], 1, "usage"),
+        (["validate", "--matrix", "{bad}"], 2, "invalid-matrix"),
+    ])
+    def test_one_diagnostic_line(self, argv, status, code, tmp_path):
+        bad = write_json(tmp_path / "bad.json", {
+            "kind": "explicit", "dim": 2,
+            "entries": [[[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [1.0, 0.0]]]})
+        proc = _cli_child([arg.format(bad=bad) for arg in argv])
+        assert proc.returncode == status
+        lines = proc.stderr.splitlines()
+        assert [json.loads(line)["code"] for line in lines] == ([code] if code else [])
+        if status == 1:
+            assert proc.stdout == b""
+        else:
+            assert json.loads(proc.stdout)["valid"] is (status == 0)
+
+    def test_reader_closes_early(self, tmp_path):
+        state = write_json(tmp_path / "state.json",
+                           random_state(np.random.default_rng(7), 64).to_dict())
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "phaseobs.cli", "sample", "--matrix", "exponential",
+             "--q", "0.9", "--dim", "64", "--state", state, "--samples", "20000"],
+            cwd=Path(__file__).resolve().parent.parent, env=_CHILD_ENV,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["code"] == "error"
+
+    @staticmethod
+    def _entry(code):
+        return subprocess.run(
+            [sys.executable, "-c", f"from phaseobs import cli\n{code}\ncli.main_entry()",
+             "validate", "--matrix", "canonical", "--dim", "2"],
+            cwd=Path(__file__).resolve().parent.parent, env=_CHILD_ENV,
+            capture_output=True, text=True)
+
+    def test_unmapped_exception_keeps_traceback(self):
+        proc = self._entry("def broken(args): raise RuntimeError('unmapped')\n"
+                           "cli.cmd_validate = broken")
+        assert proc.returncode == 1
+        assert "Traceback" in proc.stderr and "RuntimeError: unmapped" in proc.stderr
+
+    def test_no_teardown(self):
+        proc = self._entry("import atexit; atexit.register(print, 'teardown')")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["valid"] is True
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="reads the child's peak RSS by wait4")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import numpy_pairs
+from conftest import walked_pairs
 from phaseobs import (
     HardyState,
     PhaseObsError,
@@ -321,7 +321,7 @@ class TestPairDecoder:
     @example("ab")
     @example(1.5)
     def test_matches_numpy(self, rows):
-        expected = pairs_or_none(numpy_pairs, rows)
+        expected = pairs_or_none(walked_pairs, rows)
         got = pairs_or_none(lambda r: _complex_pairs(r, "rows"), rows)
         if expected is None:
             assert got is None
