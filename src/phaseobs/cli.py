@@ -529,7 +529,7 @@ def main_entry() -> None:
     """Run `main` on the process's arguments and leave without interpreter
     teardown: once stdout and stderr are flushed, nothing is left to write
     (outputs are closed files, and phaseobs registers no atexit handler), and
-    freeing numpy's modules object by object costs a child about 30 ms.  If
+    freeing numpy's modules object by object costs a child 20-30 ms.  If
     a flush raises, the process leaves by `sys.exit` instead."""
     code = main()
     try:
