@@ -10,7 +10,6 @@ precision cannot resolve; diagnostics go to stderr as JSON.
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import re
 import sys
@@ -25,8 +24,9 @@ from .hardy import (TWO_PI, HardyState, PhaseWindow, _complex_pairs, _pair_float
                     normalize)
 from .observable import PhaseMatrix
 
-# orjson is imported after the layers: loaded before them, it left a child's
-# peak RSS about 0.2 MB higher (heap layout, measured on kernel-check)
+# orjson is imported after observable and hardy: loaded before them, it left
+# the peak RSS of `validate` and `kraus`, which load no other layer, 0.2 to
+# 0.35 MB higher (heap layout)
 import orjson
 
 BUILTIN_KINDS = ("canonical", "trivial", "exponential")
@@ -155,54 +155,25 @@ def _json_rows(rows: np.ndarray):
     yield b"]}\n"
 
 
-def _respelled(arr: np.ndarray) -> np.ndarray:
-    """Indices of the cells of `arr` that orjson and repr spell differently.
-
-    Integers are spelled alike, and so is a finite double except where repr
-    turns to exponent form, at nonzero |x| < 1e-4 and at |x| >= 1e16
-    ("1e-05" and "1e+16" against "0.00001" and "1e16"); orjson writes null
-    for nan and +-inf.
-    """
-    if arr.dtype.kind != "f":
-        return np.empty(0, dtype=np.intp)
-    mag = np.abs(arr)
-    # ~(mag < 1e16) holds for nan as well
-    return np.flatnonzero(~(mag < 1e16) | ((mag < 1e-4) & (arr != 0)))
-
-
-def _cells(column) -> list[bytes]:
-    """The cells of one CSV column, from one orjson pass: integers as str
-    spells them, doubles as repr does (the shortest decimal that round-trips
-    the binary double).  Only the cells `_respelled` names are spelled by
-    repr."""
-    arr = np.ascontiguousarray(column)
-    if not arr.size:
-        return []
-    cells = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
-    for i in _respelled(arr):
-        cells[i] = repr(float(arr[i])).encode()
-    return cells
-
-
-def _lines(rows: list[bytes]) -> bytes:
-    """Each row and a newline; no rows make no bytes."""
-    return b"\n".join([*rows, b""])
-
-
-# orjson's "[a,b,c]" becomes "a\nb\nc\n": a flat array's brackets and commas
-# appear nowhere else in it
 _AS_LINES = bytes.maketrans(b",]", b"\n\n")
 
 
 def _column_lines(column) -> bytes:
-    """`_lines(_cells(column))` for one column, without a bytes object per
-    cell: orjson's cells become lines in one `translate`, and only the cells
-    `_respelled` names are replaced, by repr."""
+    """The cells of one column, a line each, from one orjson pass: integers
+    as str spells them, doubles as repr does.  One `translate` makes orjson's
+    "[a,b,c]" lines (a flat array has brackets and commas nowhere else), with
+    no bytes object per cell, and only the cells orjson spells otherwise are
+    replaced, by repr: nonzero |x| < 1e-4 and |x| >= 1e16 ("0.00001" and
+    "1e16" against "1e-05" and "1e+16"), and nan and +-inf (null)."""
     arr = np.ascontiguousarray(column)
     if not arr.size:
         return b""
     text = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY).translate(_AS_LINES, b"[")
-    flagged = _respelled(arr)
+    if arr.dtype.kind != "f":
+        return text
+    mag = np.abs(arr)
+    # ~(mag < 1e16) holds for nan as well
+    flagged = np.flatnonzero(~(mag < 1e16) | ((mag < 1e-4) & (arr != 0)))
     if not flagged.size:
         return text
     ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))
@@ -216,9 +187,14 @@ def _column_lines(column) -> bytes:
     return b"".join(parts)
 
 
+def _cells(column) -> list[bytes]:
+    """The cells of one CSV column, as `_column_lines` spells them."""
+    return _column_lines(column).split(b"\n")[:-1]
+
+
 def _csv(header: str, *columns: list[bytes]) -> bytes:
     """A header line and one line per row of the columns' cells."""
-    return _lines([header.encode(), *map(b",".join, zip(*columns))])
+    return b"\n".join([header.encode(), *map(b",".join, zip(*columns)), b""])
 
 
 def _matrix_spec(args) -> dict:
@@ -272,7 +248,7 @@ def cmd_validate(args) -> int:
     spec = _matrix_spec(args)
     if spec.get("kind") == "explicit":
         # validate the raw entries: building a PhaseMatrix would raise instead
-        report = observable.validate(_complex_pairs(spec["entries"], "entries"))
+        report = observable.validate(observable._explicit_entries(spec))
     else:
         report = observable.validate(PhaseMatrix.from_dict(spec).entries)
     _emit([_dumps(report.to_dict(), pretty=True)], args.out)
@@ -498,13 +474,6 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         _diag("usage", str(exc))
         return 1
-    # The cyclic collector is paused while the command runs: its objects
-    # (orjson's trees of an explicit matrix's rows, one list per [re, im]
-    # pair, above all) hold no cycles, and the passes their allocation
-    # triggers cost about a fifth of an explicit matrix's decode, convert
-    # and free.
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         _check_ranges(args)
         return args.handler(args)
@@ -520,9 +489,6 @@ def main(argv=None) -> int:
     except (PhaseObsError, OSError, KeyError, TypeError, ValueError) as exc:
         _diag("error", str(exc))
         return 1
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def main_entry() -> None:

@@ -264,5 +264,5 @@ class PhaseWindow:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PhaseWindow":
-        return cls(tuple(_pair_list(data["arcs"], "arcs")))
+        return cls(data["arcs"])
 

@@ -104,6 +104,25 @@ def _dense(generator: np.ndarray) -> np.ndarray:
     return _toeplitz(_symmetric(generator)).astype(complex, order="C")
 
 
+def _field(data: dict, key: str, kind: type):
+    """data[key] of a matrix dict: a JSON integer for kind int, any JSON
+    number for kind float.  A bool, a string or a fraction is refused."""
+    value = data[key]
+    if type(value) not in ((int,) if kind is int else (int, float)):
+        noun = "an integer" if kind is int else "a number"
+        raise PhaseObsError(f"matrix {key} must be {noun}, not {value!r}")
+    return value
+
+
+def _explicit_entries(data: dict) -> np.ndarray:
+    """The complex entries of an explicit matrix dict, refused when its
+    `dim`, if present, is not their number of rows."""
+    entries = _complex_pairs(data["entries"], "entries")
+    if "dim" in data and entries.shape[:1] != (_field(data, "dim", int),):
+        raise PhaseObsError(f"matrix dim {data['dim']} does not match entries {entries.shape}")
+    return entries
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseMatrix:
     """Hermitian PSD unit-diagonal matrix (c_{n,m}) plus a family label.
@@ -121,8 +140,6 @@ class PhaseMatrix:
 
     # real generator of a builtin, read-only; None for dense matrices
     _generator = None
-    # the builtin whose entries a truncated builtin's entries view
-    _parent = None
 
     def __post_init__(self):
         arr = _as_square_matrix(self.entries).copy()
@@ -132,9 +149,8 @@ class PhaseMatrix:
     @classmethod
     def _adopt(cls, label: str, q: float | None = None, **storage) -> "PhaseMatrix":
         """A phase matrix that this class built or already checked, over its
-        `entries` (a square complex array) or its `_generator` (with the
-        `_parent` of a truncation): arrays are made read-only as they are,
-        with no scan and no copy."""
+        `entries` (a square complex array) or its `_generator`: arrays are
+        made read-only as they are, with no scan and no copy."""
         matrix = cls.__new__(cls)
         for name, value in (("label", label), ("q", q), *storage.items()):
             if isinstance(value, np.ndarray):
@@ -146,11 +162,8 @@ class PhaseMatrix:
         # only the dense entries of a builtin are ever missing
         if name != "entries" or self._generator is None:
             raise AttributeError(name)
-        if self._parent is not None:
-            arr = self._parent.entries[: self.dim, : self.dim]
-        else:
-            arr = _dense(self._generator)
-            arr.setflags(write=False)
+        arr = _dense(self._generator)
+        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
         return arr
 
@@ -243,27 +256,26 @@ class PhaseMatrix:
     def from_dict(cls, data: dict) -> "PhaseMatrix":
         kind = data.get("kind")
         if kind == "canonical":
-            return cls.canonical(int(data["dim"]))
+            return cls.canonical(_field(data, "dim", int))
         if kind == "trivial":
-            return cls.trivial(int(data["dim"]))
+            return cls.trivial(_field(data, "dim", int))
         if kind == "exponential":
-            return cls.exponential(float(data["q"]), int(data["dim"]))
+            return cls.exponential(_field(data, "q", float), _field(data, "dim", int))
         if kind == "explicit":
-            return cls.explicit(_complex_pairs(data["entries"], "entries"))
+            return cls.explicit(_explicit_entries(data))
         raise PhaseObsError(f"unknown matrix kind {kind!r}")
 
     def truncated(self, dim: int) -> "PhaseMatrix":
-        """Top-left principal submatrix (still a phase matrix) whose entries
-        are a read-only view of this matrix's; a builtin's keeps the prefix
-        of the generator and builds no entries until they are read."""
+        """Top-left principal submatrix (still a phase matrix): a read-only
+        view of a dense matrix's entries, or for a builtin the same builtin
+        over its generator's prefix, with no entries until they are read."""
         if not 1 <= dim <= self.dim:
             raise PhaseObsError(f"truncation {dim} outside [1, {self.dim}]")
         if dim == self.dim:
             return self
         if self._generator is None:
             return PhaseMatrix._adopt(self.label, self.q, entries=self.entries[:dim, :dim])
-        return PhaseMatrix._adopt(self.label, self.q, _generator=self._generator[:dim],
-                                  _parent=self)
+        return PhaseMatrix._adopt(self.label, self.q, _generator=self._generator[:dim])
 
 
 @dataclass(frozen=True, eq=False)

@@ -272,12 +272,8 @@ def _top_vector(entries, blocks, spectra, win: int, bound: float) -> np.ndarray:
     return np.linalg.eigh(entries)[1][:, -1]
 
 
-def localization(
-    matrix: PhaseMatrix,
-    window: PhaseWindow,
-    dim: int | None = None,
-    maximizer: bool = True,
-) -> Localization:
+def localization(matrix: PhaseMatrix, window: PhaseWindow,
+                 maximizer: bool = True) -> Localization:
     """lambda_max, its gap and maximizer, with the path that resolved them.
 
     lambda_max comes from a dense eigvalsh and is kept wherever
@@ -292,24 +288,23 @@ def localization(
     operator.  Below the bound the canonical matrix on a single arc takes
     the prolate path; anything else raises PrecisionError.
     """
-    mat = matrix if dim is None else matrix.truncated(dim)
     full = window.is_full_circle()
     arc = None if full else window.arc
     if arc is not None:
         start, end = arc
         length = end - start + (TWO_PI if end <= start else 0.0)
-        phases = np.exp(1j * np.arange(mat.dim) * (start + length / 2))
-        c, persymmetric = _real_form(mat)
-        entries = _schur_toeplitz(c, _arc_symbol(mat.dim, length))
+        phases = np.exp(1j * np.arange(matrix.dim) * (start + length / 2))
+        c, persymmetric = _real_form(matrix)
+        entries = _schur_toeplitz(c, _arc_symbol(matrix.dim, length))
     else:
         phases = 1.0  # E(X) itself: no diagonal unitary to undo
-        entries = window_operator(mat, window).entries
-    split = arc is not None and mat.dim > 1 and persymmetric
+        entries = window_operator(matrix, window).entries
+    split = arc is not None and matrix.dim > 1 and persymmetric
     blocks = _halves(entries) if split else (entries,)
     spectra = [np.linalg.eigvalsh(b) for b in blocks]
     win = int(np.argmax([s[-1] for s in spectra]))
     lam = float(spectra[win][-1])
-    bound = _DENSE_RESOLUTION * mat.dim
+    bound = _DENSE_RESOLUTION * matrix.dim
     if 1.0 - lam > bound or full:
         top = None
         if maximizer:
@@ -317,11 +312,11 @@ def localization(
         return Localization(lam, 1.0 - lam, "dense", top)
     if arc is None or not np.all(c == 1):
         raise PrecisionError(
-            f"1 - lambda_max = {1.0 - lam:.3g} at truncation S={mat.dim} is "
+            f"1 - lambda_max = {1.0 - lam:.3g} at truncation S={matrix.dim} is "
             f"within the dense eigensolver's error bound 8*S*eps = {bound:.3g}; "
             "the exact path covers only the canonical matrix on a single arc"
         )
-    gap, vec = _prolate_gap(mat.dim, start, end)
+    gap, vec = _prolate_gap(matrix.dim, start, end)
     top = _unit(vec * phases) if maximizer else None
     return Localization(1 - gap, gap, "prolate", top)
 
@@ -338,7 +333,7 @@ def localization_max(
     neither applies.  The eigenvector phase is fixed so the first
     significant component is real positive.
     """
-    loc = localization(matrix, window, dim)
+    loc = localization(matrix if dim is None else matrix.truncated(dim), window)
     return loc.lam, loc.maximizer
 
 
@@ -353,4 +348,5 @@ def localization_sweep(
     """
     if list(dims) != sorted(dims):
         raise PhaseObsError("truncation list must be ascending")
-    return [(int(s), localization(matrix, window, s, maximizer=False).lam) for s in dims]
+    return [(int(s), localization(matrix.truncated(s), window, maximizer=False).lam)
+            for s in dims]

@@ -517,9 +517,51 @@ class TestExitContracts:
         assert not out.exists()
 
 
+EYE2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+class TestMatrixFields:
+    """A matrix file's dim is a JSON integer, equal to the rows of an
+    explicit matrix's entries where given, and its q a JSON number."""
+
+    @pytest.mark.parametrize("command", ["validate", "kraus", "localize"])
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "explicit", "dim": 5, "entries": EYE2},
+         "matrix dim 5 does not match entries (2, 2)"),
+        ({"kind": "explicit", "dim": 2.0, "entries": EYE2},
+         "matrix dim must be an integer, not 2.0"),
+        ({"kind": "canonical", "dim": 2.7}, "matrix dim must be an integer, not 2.7"),
+        ({"kind": "canonical", "dim": True}, "matrix dim must be an integer, not True"),
+        ({"kind": "trivial", "dim": "8"}, "matrix dim must be an integer, not '8'"),
+        ({"kind": "exponential", "dim": 4, "q": "0.5"}, "matrix q must be a number, not '0.5'"),
+        ({"kind": "exponential", "dim": 4, "q": False}, "matrix q must be a number, not False"),
+        ({"kind": "exponential", "dim": 4.5, "q": 0.5}, "matrix dim must be an integer, not 4.5"),
+    ])
+    def test_refused(self, command, spec, message, tmp_path, capsys):
+        argv = [command, "--matrix", write_json(tmp_path / "matrix.json", spec)]
+        if command == "localize":
+            argv += ["--window", "0:1"]
+        out = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"code": "error", "message": message, "detail": None}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "explicit", "entries": EYE2},
+        {"kind": "explicit", "dim": 2, "entries": EYE2},
+        {"kind": "exponential", "dim": 2, "q": 0},
+        {"kind": "trivial", "dim": 2},
+    ])
+    def test_accepted(self, spec, tmp_path, capsys):
+        assert main(["validate", "--matrix", write_json(tmp_path / "matrix.json", spec)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"valid": True, "dim": 2, "issues": []}
+
+
 class TestLoadJson:
-    # main pauses the cyclic collector around the whole command, so every
-    # decode and the conversions after it run without collector passes
+    # main leaves the caller's cyclic collector as it found it, whatever the
+    # exit
 
     @pytest.fixture
     def exits(self, tmp_path, plus_state):
@@ -535,23 +577,6 @@ class TestLoadJson:
             1: ["density", "--matrix", "canonical", "--dim", "2", "--state", str(bad)],
             2: ["density", "--matrix", not_psd, *state],
         }
-
-    def test_collector_paused_during_decode(self, plus_state, monkeypatch, capsys):
-        seen = []
-        handler, loads = cli.cmd_density, orjson.loads
-        monkeypatch.setattr(cli, "cmd_density",
-                            lambda args: seen.append(("handler", gc.isenabled())) or handler(args))
-        monkeypatch.setattr(cli.orjson, "loads",
-                            lambda data: seen.append(("decode", gc.isenabled())) or loads(data))
-        assert gc.isenabled()
-        assert main(["density", "--matrix", "canonical", "--dim", "2",
-                     "--state", plus_state, "--grid", "4"]) == 0
-        assert seen == [("handler", False), ("decode", False)]
-        assert gc.isenabled()
-        # _load_json itself leaves the collector as it finds it
-        seen.clear()
-        assert cli._load_json(plus_state)["coeffs"][0] == [SQ2, 0.0]
-        assert seen == [("decode", True)]
 
     def test_collector_restored_after_decode_error(self, exits, monkeypatch, capsys):
         for status, argv in exits.items():
@@ -955,7 +980,7 @@ class TestWriter:
     @example([math.nextafter(1e16, 0.0)])
     @example([-1e16, -1e-05, 0.1, 3.0, 1e15, 123456789012345.67, 1.7976931348623157e308])
     def test_lines_spell_repr(self, values):
-        assert cli._lines(cli._cells(values)) == "".join(repr(x) + "\n" for x in values).encode()
+        assert cli._cells(values) == [repr(x).encode() for x in values]
 
     def test_integer_cells(self):
         values = [0, 1, -7, 1024, 2**62]
@@ -1032,15 +1057,16 @@ class TestWriter:
 
 
 class TestColumnLines:
-    """`sample`'s one-column writer spells the lines of `_lines(_cells(...))`
-    without a bytes object per cell."""
+    """The one-column writer behind `sample` and every CSV column spells
+    each double as repr does, without a bytes object per cell."""
 
     @given(st.lists(st.floats(), max_size=50))
     @example([])
     @example([1e-05, 0.5, math.nan, 2.0, -1e16])
     @example([0.25, 5e-324, 3.0])
     def test_matches_cells(self, values):
-        assert cli._column_lines(np.array(values, dtype=float)) == cli._lines(cli._cells(values))
+        expected = "".join(repr(x) + "\n" for x in values).encode()
+        assert cli._column_lines(np.array(values, dtype=float)) == expected
 
     def test_integers(self):
         assert cli._column_lines(np.arange(3)) == b"0\n1\n2\n"
@@ -1057,7 +1083,7 @@ class TestColumnLines:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-        assert out.read_bytes() == cli._lines(cli._cells(draws))
+        assert out.read_bytes() == "".join(repr(x) + "\n" for x in draws.tolist()).encode()
 
 
 def test_cli_import_loads_no_optional_modules(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,16 +176,33 @@ class TestEntries:
                 mat.entries[0, 1] = 2.0
 
     def test_truncation_is_a_read_only_view(self):
-        full = PhaseMatrix.exponential(0.9, 16)
-        for dim in (1, 2, 7, 15):
-            cut = full.truncated(dim)
-            assert np.shares_memory(cut.entries, full.entries)
-            assert not cut.entries.flags.writeable
-            with pytest.raises(ValueError):
-                cut.entries[0, 0] = 2.0
-            np.testing.assert_array_equal(cut.entries, full.entries[:dim, :dim])
-            assert (cut.label, cut.q, cut.dim) == ("exponential", 0.9, dim)
-        assert full.truncated(16) is full
+        # an explicit matrix's truncation views its entries; a builtin's is
+        # the same builtin over its generator's prefix
+        rng = np.random.default_rng(18)
+        for full in (PhaseMatrix.exponential(0.9, 16), random_gram_matrix(rng, 16)):
+            for dim in (1, 2, 7, 15):
+                cut = full.truncated(dim)
+                if full.label == "explicit":
+                    assert np.shares_memory(cut.entries, full.entries)
+                assert not cut.entries.flags.writeable
+                with pytest.raises(ValueError):
+                    cut.entries[0, 0] = 2.0
+                np.testing.assert_array_equal(cut.entries, full.entries[:dim, :dim])
+                assert (cut.label, cut.q, cut.dim) == (full.label, full.q, dim)
+            assert full.truncated(16) is full
+
+    def test_builtin_truncation_builds_no_parent_entries(self):
+        # a view of the parent's entries built all 4096 x 4096 of them: 256 MB
+        full = PhaseMatrix.exponential(0.9, 4096)
+        tracemalloc.start()
+        try:
+            entries = full.truncated(16).entries
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert "entries" not in vars(full)
+        np.testing.assert_array_equal(entries, PhaseMatrix.exponential(0.9, 16).entries)
 
     def test_builtin_entries_built_on_first_access(self):
         mat = PhaseMatrix.exponential(0.9, 4096)

@@ -500,7 +500,8 @@ class TestSzegoBound:
         bound = 2 / math.pi * math.atan((1 + q) / (1 - q) * math.tan(length / 4))
         window = arc_window(math.fmod(centre - length / 2 + TWO_PI, TWO_PI), length)
         full = PhaseMatrix.exponential(q, 128)
-        lams = [localization(full, window, size, maximizer=False).lam for size in (8, 32, 128)]
+        lams = [localization(full.truncated(size), window, maximizer=False).lam
+                for size in (8, 32, 128)]
         for size, lam in zip((8, 32, 128), lams):
             assert lam <= bound + 8 * size * EPS
         # nested compressions of one operator: nondecreasing to rounding
@@ -519,6 +520,36 @@ def vector_solves(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
     return calls
+
+
+class TestTruncationWrappers:
+    """localization_max(m, w, s) and localization_sweep(m, w, dims) are
+    localization(m.truncated(s), w), bit for bit."""
+
+    def test_equal_localization_of_truncation(self):
+        rng = np.random.default_rng(82)
+        two_arcs = PhaseWindow(((0.0, 1.0), (2.0, 4.0)))
+        cases = [
+            (PhaseMatrix.exponential(0.9, 64), HALF, [1, 8, 33, 64]),
+            (PhaseMatrix.canonical(40), HALF, [2, 8, 32, 40]),  # dense, then prolate
+            (PhaseMatrix.explicit(np.ones((32, 32))), HALF, [4, 16, 32]),
+            (real_gram_matrix(rng, 24), random_arc(rng), [2, 9, 24]),
+            (random_gram_matrix(rng, 24), two_arcs, [3, 17, 24]),
+        ]
+        methods = set()
+        for mat, window, dims in cases:
+            rows = localization_sweep(mat, window, dims)
+            assert [dim for dim, _ in rows] == dims
+            for (_, lam), s in zip(rows, dims):
+                loc = localization(mat.truncated(s), window)
+                methods.add((mat.label, loc.method))
+                assert lam == loc.lam
+                lam_max, top = localization_max(mat, window, s)
+                assert lam_max == loc.lam
+                np.testing.assert_array_equal(top.coeffs, loc.maximizer.coeffs)
+        assert methods == {("exponential", "dense"), ("canonical", "dense"),
+                           ("canonical", "prolate"), ("explicit", "dense"),
+                           ("explicit", "prolate")}
 
 
 class TestValuesOnly:
