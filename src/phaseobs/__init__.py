@@ -45,7 +45,6 @@ _LAYERS = {
         "first_moment",
         "localization",
         "localization_max",
-        "localization_sweep",
         "moment_spectrum",
     ),
 }

@@ -203,10 +203,10 @@ def _matrix_spec(args) -> dict:
     if arg in BUILTIN_KINDS:
         if args.dim is None:
             raise PhaseObsError(f"builtin matrix {arg!r} requires --dim")
+        if arg == "exponential" and args.q is None:
+            raise PhaseObsError("exponential matrix requires --q")
         spec = {"kind": arg, "dim": args.dim}
-        if arg == "exponential":
-            if args.q is None:
-                raise PhaseObsError("exponential matrix requires --q")
+        if args.q is not None:
             spec["q"] = args.q
         return spec
     return _load_json(arg)
@@ -246,7 +246,7 @@ def _parse_float_list(text: str) -> list[float]:
 
 def cmd_validate(args) -> int:
     spec = _matrix_spec(args)
-    if spec.get("kind") == "explicit":
+    if observable._kind(spec) == "explicit":
         # validate the raw entries: building a PhaseMatrix would raise instead
         report = observable.validate(observable._explicit_entries(spec))
     else:
@@ -401,10 +401,9 @@ def cmd_sample(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_common(sub, matrix=True, state=False, window=False):
-    if matrix:
-        sub.add_argument("--matrix", required=True,
-                         help="matrix JSON file, or builtin name with --dim/--q")
+def _add_common(sub, state=False, window=False):
+    sub.add_argument("--matrix", required=True,
+                     help="matrix JSON file, or builtin name with --dim/--q")
     if state:
         sub.add_argument("--state", required=True, help="state JSON file")
     if window:

@@ -203,10 +203,6 @@ class SchurToeplitz:
         t.setflags(write=False)
         object.__setattr__(self, "symbol", t)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.dim
-
     @cached_property
     def entries(self) -> np.ndarray:
         """entries[n][m] = c_{n,m} t_{n-m}, read-only, built once."""
@@ -214,11 +210,6 @@ class SchurToeplitz:
         arr = _schur_toeplitz(self.matrix.entries if c is None else c, self.symbol)
         arr.setflags(write=False)
         return arr
-
-    def expectation(self, psi: HardyState) -> float:
-        """<psi, (C o T(t)) psi> as the pairing sum_k w_k t_k."""
-        value = _pair(_diagonal_weights(self.matrix, psi), self.symbol)
-        return float(_real(value, "expectation"))
 
 
 def window_operator(matrix: PhaseMatrix, window: PhaseWindow) -> SchurToeplitz:
@@ -265,7 +256,7 @@ def kernel_C(matrix: PhaseMatrix, s: int, x: float, y: float) -> complex:
     n = np.arange(s + 1)
     left = np.exp(-1j * n * float(x))
     right = np.exp(1j * n * float(y))
-    return complex(left @ matrix._block(s + 1) @ right)
+    return complex(left @ matrix.truncated(s + 1).entries @ right)
 
 
 def kernel_apply(
@@ -304,7 +295,7 @@ def kernel_apply(
         np.exp(modes, out=modes)  # exp(-i n x_j) on this block of the grid
         right += (modes @ head).conj() @ modes
     right = right.conj() / grid_size
-    block = matrix._block(s + 1)
+    block = matrix.truncated(s + 1).entries
     values = np.empty(np.shape(theta), dtype=complex)
     for index, t in np.ndenumerate(np.asarray(theta, dtype=float)):
         shifted = right * np.exp(-1j * n * t)

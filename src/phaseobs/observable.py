@@ -99,11 +99,6 @@ def _symmetric(generator: np.ndarray) -> np.ndarray:
     return np.concatenate((generator[:0:-1], generator))
 
 
-def _dense(generator: np.ndarray) -> np.ndarray:
-    """The complex S x S Toeplitz matrix c_{|n-m|} of a real generator."""
-    return _toeplitz(_symmetric(generator)).astype(complex, order="C")
-
-
 def _field(data: dict, key: str, kind: type):
     """data[key] of a matrix dict: a JSON integer for kind int, any JSON
     number for kind float.  A bool, a string or a fraction is refused."""
@@ -112,6 +107,20 @@ def _field(data: dict, key: str, kind: type):
         noun = "an integer" if kind is int else "a number"
         raise PhaseObsError(f"matrix {key} must be {noun}, not {value!r}")
     return value
+
+
+def _kind(data: dict) -> str:
+    """The kind of a matrix dict, refused when it is unknown or when the dict
+    has a field that only another kind reads; fields no kind reads pass."""
+    if type(data) is not dict:
+        raise PhaseObsError(f"a matrix must be a JSON object, not {type(data).__name__}")
+    kind = data.get("kind")
+    if kind not in ("canonical", "trivial", "exponential", "explicit"):
+        raise PhaseObsError(f"unknown matrix kind {kind!r}")
+    for key, owner in (("q", "exponential"), ("entries", "explicit")):
+        if key in data and kind != owner:
+            raise PhaseObsError(f"matrix kind {kind!r} takes no {key}")
+    return kind
 
 
 def _explicit_entries(data: dict) -> np.ndarray:
@@ -159,10 +168,11 @@ class PhaseMatrix:
         return matrix
 
     def __getattr__(self, name: str):
-        # only the dense entries of a builtin are ever missing
+        # only the dense entries of a builtin are ever missing: the complex
+        # S x S Toeplitz matrix c_{|n-m|} of its generator
         if name != "entries" or self._generator is None:
             raise AttributeError(name)
-        arr = _dense(self._generator)
+        arr = _toeplitz(_symmetric(self._generator)).astype(complex, order="C")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
         return arr
@@ -176,13 +186,6 @@ class PhaseMatrix:
         if self._generator is not None:
             return self._generator.size
         return self.entries.shape[0]
-
-    def _block(self, size: int) -> np.ndarray:
-        """The top-left size x size block of the entries; a builtin builds it
-        from its generator's prefix, with no S x S array."""
-        if self._generator is None:
-            return self.entries[:size, :size]
-        return _dense(self._generator[:size])
 
     @classmethod
     def canonical(cls, dim: int) -> "PhaseMatrix":
@@ -254,25 +257,20 @@ class PhaseMatrix:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PhaseMatrix":
-        kind = data.get("kind")
-        if kind == "canonical":
-            return cls.canonical(_field(data, "dim", int))
-        if kind == "trivial":
-            return cls.trivial(_field(data, "dim", int))
-        if kind == "exponential":
-            return cls.exponential(_field(data, "q", float), _field(data, "dim", int))
+        kind = _kind(data)
         if kind == "explicit":
             return cls.explicit(_explicit_entries(data))
-        raise PhaseObsError(f"unknown matrix kind {kind!r}")
+        if kind == "exponential":
+            return cls.exponential(_field(data, "q", float), _field(data, "dim", int))
+        return getattr(cls, kind)(_field(data, "dim", int))
 
     def truncated(self, dim: int) -> "PhaseMatrix":
-        """Top-left principal submatrix (still a phase matrix): a read-only
-        view of a dense matrix's entries, or for a builtin the same builtin
-        over its generator's prefix, with no entries until they are read."""
+        """Top-left principal submatrix (still a phase matrix), a new object
+        at every size: a read-only view of a dense matrix's entries, or for a
+        builtin the same builtin over its generator's prefix, with no entries
+        until they are read."""
         if not 1 <= dim <= self.dim:
             raise PhaseObsError(f"truncation {dim} outside [1, {self.dim}]")
-        if dim == self.dim:
-            return self
         if self._generator is None:
             return PhaseMatrix._adopt(self.label, self.q, entries=self.entries[:dim, :dim])
         return PhaseMatrix._adopt(self.label, self.q, _generator=self._generator[:dim])

@@ -31,8 +31,8 @@ from typing import Any, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import PhaseObsError, PrecisionError
-from .hardy import TWO_PI, HardyState, PhaseWindow
+from .errors import PrecisionError
+from .hardy import TWO_PI, HardyState, PhaseWindow, normalize
 from .observable import PhaseMatrix, _fix_vector_phase, _symmetric
 from .distribution import SchurToeplitz, _arc_symbol, _schur_toeplitz, window_operator
 
@@ -106,7 +106,11 @@ def moment_spectrum(matrix: PhaseMatrix) -> np.ndarray:
 class Localization(NamedTuple):
     """lambda_max with its gap 1 - lambda_max, both floats on the "dense"
     path and mpmath numbers at working precision on the "prolate" path;
-    the maximizer is None when only the values were asked for."""
+    the maximizer is None when only the values were asked for.
+
+    A prolate lam and gap belong to an mpmath context private to the call:
+    they are not instances of `mpmath.mpf`, and two calls give two classes.
+    Compare them by value, and tell the paths apart by `method`."""
 
     lam: Any
     gap: Any
@@ -115,8 +119,7 @@ class Localization(NamedTuple):
 
 
 def _unit(vec: np.ndarray) -> HardyState:
-    vec = _fix_vector_phase(vec)
-    return HardyState(vec / np.linalg.norm(vec))
+    return normalize(_fix_vector_phase(vec))
 
 
 def _prolate_top(ctx, size: int, length) -> list:
@@ -124,13 +127,14 @@ def _prolate_top(ctx, size: int, length) -> list:
     matrix of half-bandwidth W = length / 4pi (diagonal ((S-1)/2 - n)^2
     cos 2piW, off-diagonal n (S - n) / 2; Slepian 1978, Percival & Walden
     1993 ch. 8), by Rayleigh quotient iteration from the double eigenvector.
-    Its spectrum is simple and its top eigenvector is the prolate's."""
+    Its spectrum is simple and its top eigenvector is the prolate's, which is
+    even (Slepian 1978): the double start comes from the even block alone."""
     cos = ctx.cos(length / 2)
     diag = [(ctx.mpf(size - 1) / 2 - n) ** 2 * cos for n in range(size)]
     off = [ctx.mpf(n * (size - n)) / 2 for n in range(1, size)]
     f_off = np.array(off, dtype=float)
     dense = np.diag(np.array(diag, dtype=float)) + np.diag(f_off, 1) + np.diag(f_off, -1)
-    start = np.linalg.eigh(dense)[1][:, -1]
+    start = _lift(np.linalg.eigh(_halves(dense)[0])[1][:, -1], size, 1.0)
     v = [ctx.mpf(float(x)) for x in start * np.sign(start.sum())]
     tol = ctx.mpf(10) ** (-ctx.dps // 2)
     for _ in range(_MAX_RQI_STEPS):
@@ -324,29 +328,10 @@ def localization(matrix: PhaseMatrix, window: PhaseWindow,
 def localization_max(
     matrix: PhaseMatrix, window: PhaseWindow, dim: int | None = None
 ) -> tuple[Any, HardyState]:
-    """Largest eigenvalue of the window operator and its unit maximizer.
-
-    lambda_max is a float where a dense double eigensolve resolves
-    1 - lambda_max, and otherwise (canonical matrix, one arc) an mpmath
-    number equal to 1 - gap at working precision, so that it compares
-    exactly with 1 and with other truncations.  Raises PrecisionError where
-    neither applies.  The eigenvector phase is fixed so the first
-    significant component is real positive.
-    """
+    """lam and maximizer of `localization` at truncation `dim` (the whole
+    matrix by default): a float, or on the prolate path an mpmath number
+    1 - gap that compares exactly with 1 and across truncations.  Raises
+    PrecisionError where neither path resolves the gap.  The maximizer's
+    first significant component is real positive."""
     loc = localization(matrix if dim is None else matrix.truncated(dim), window)
     return loc.lam, loc.maximizer
-
-
-def localization_sweep(
-    matrix: PhaseMatrix, window: PhaseWindow, dims: list[int]
-) -> list[tuple[int, Any]]:
-    """Largest window-operator eigenvalue at each truncation in `dims`, as
-    `localization_max` gives it.
-
-    The values are nondecreasing (nested compressions of a fixed positive
-    operator) and stay below 1 for any window smaller than the full circle.
-    """
-    if list(dims) != sorted(dims):
-        raise PhaseObsError("truncation list must be ascending")
-    return [(int(s), localization(matrix.truncated(s), window, maximizer=False).lam)
-            for s in dims]

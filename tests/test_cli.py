@@ -498,6 +498,10 @@ class TestExitContracts:
          "not a phase matrix: psd (1)"),
         (["density", "--matrix", "{bad}", "--state", "{plus}"], 2, "validation",
          "not a phase matrix: psd (1)"),
+        (["validate", "--matrix", "canonical", "--dim", "4", "--q", "0.3"], 1, "error",
+         "matrix kind 'canonical' takes no q"),
+        (["localize", "--matrix", "trivial", "--dim", "4", "--q", "0.3", "--window", "0:1"],
+         1, "error", "matrix kind 'trivial' takes no q"),
     ])
     def test_refusal(self, argv, status, code, message, plus_state, tmp_path, capsys):
         files = {
@@ -522,7 +526,9 @@ EYE2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
 class TestMatrixFields:
     """A matrix file's dim is a JSON integer, equal to the rows of an
-    explicit matrix's entries where given, and its q a JSON number."""
+    explicit matrix's entries where given, and its q a JSON number; q is
+    read only for exponential and entries only for explicit, and either
+    field under another kind is refused."""
 
     @pytest.mark.parametrize("command", ["validate", "kraus", "localize"])
     @pytest.mark.parametrize("spec, message", [
@@ -536,6 +542,15 @@ class TestMatrixFields:
         ({"kind": "exponential", "dim": 4, "q": "0.5"}, "matrix q must be a number, not '0.5'"),
         ({"kind": "exponential", "dim": 4, "q": False}, "matrix q must be a number, not False"),
         ({"kind": "exponential", "dim": 4.5, "q": 0.5}, "matrix dim must be an integer, not 4.5"),
+        ({"kind": "canonical", "dim": 2, "entries": [[[5, 0]]], "q": "x"},
+         "matrix kind 'canonical' takes no q"),
+        ({"kind": "canonical", "dim": 2, "entries": EYE2}, "matrix kind 'canonical' takes no entries"),
+        ({"kind": "explicit", "dim": 1, "entries": [[[1, 0]]], "q": 0.5},
+         "matrix kind 'explicit' takes no q"),
+        ({"kind": "trivial", "dim": 3, "q": 0.2}, "matrix kind 'trivial' takes no q"),
+        ({"kind": "exponential", "dim": 3, "q": 0.2, "entries": [[[1, 0]]]},
+         "matrix kind 'exponential' takes no entries"),
+        ([1], "a matrix must be a JSON object, not list"),
     ])
     def test_refused(self, command, spec, message, tmp_path, capsys):
         argv = [command, "--matrix", write_json(tmp_path / "matrix.json", spec)]
@@ -1134,7 +1149,7 @@ def test_public_names_resolve():
     # there for `import *` and `dir`
     import phaseobs
 
-    assert len(phaseobs.__all__) == len(set(phaseobs.__all__)) == 34
+    assert len(phaseobs.__all__) == len(set(phaseobs.__all__)) == 33
     names = {}
     exec("from phaseobs import *", names)
     assert set(phaseobs.__all__) <= set(names)

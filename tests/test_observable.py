@@ -177,10 +177,10 @@ class TestEntries:
 
     def test_truncation_is_a_read_only_view(self):
         # an explicit matrix's truncation views its entries; a builtin's is
-        # the same builtin over its generator's prefix
+        # the same builtin over its generator's prefix, at the full size too
         rng = np.random.default_rng(18)
         for full in (PhaseMatrix.exponential(0.9, 16), random_gram_matrix(rng, 16)):
-            for dim in (1, 2, 7, 15):
+            for dim in (1, 2, 7, 15, 16):
                 cut = full.truncated(dim)
                 if full.label == "explicit":
                     assert np.shares_memory(cut.entries, full.entries)
@@ -189,7 +189,6 @@ class TestEntries:
                     cut.entries[0, 0] = 2.0
                 np.testing.assert_array_equal(cut.entries, full.entries[:dim, :dim])
                 assert (cut.label, cut.q, cut.dim) == (full.label, full.q, dim)
-            assert full.truncated(16) is full
 
     def test_builtin_truncation_builds_no_parent_entries(self):
         # a view of the parent's entries built all 4096 x 4096 of them: 256 MB

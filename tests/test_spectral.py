@@ -17,7 +17,6 @@ from phaseobs import (
     first_moment,
     localization,
     localization_max,
-    localization_sweep,
     moment_spectrum,
     window_operator,
     window_probability,
@@ -195,7 +194,8 @@ class TestGeneratorSolves:
         for mat in (PhaseMatrix.exponential(0.9, 64), PhaseMatrix.canonical(16)):
             moment_spectrum(mat)
             localization(mat, HALF)
-            localization_sweep(mat, HALF, [4, 9, 16])
+            for s in (4, 9, 16):
+                localization(mat.truncated(s), HALF, maximizer=False)
             assert "entries" not in vars(mat)
             assert "entries" not in vars(mat.truncated(9))
 
@@ -232,19 +232,18 @@ class TestLocalization:
     def test_sweep_monotone_below_one(self):
         # 1 - lambda_max decays roughly like exp(-c S) and drops below machine
         # epsilon past S ~ 20, where the exact prolate path takes over
-        rows = localization_sweep(PhaseMatrix.canonical(32), HALF, [2, 4, 8, 16, 32])
-        lams = [lam for _, lam in rows]
+        mat = PhaseMatrix.canonical(32)
+        lams = [localization(mat.truncated(s), HALF, maximizer=False).lam
+                for s in (2, 4, 8, 16, 32)]
         assert all(b >= a - 1e-12 for a, b in zip(lams, lams[1:]))
         assert all(lam < 1.0 for lam in lams)
         assert all(lam <= 1.0 + 1e-12 for lam in lams)
 
     def test_sweep_trivial_constant(self):
-        rows = localization_sweep(PhaseMatrix.trivial(16), HALF, [2, 4, 16])
-        assert all(lam == pytest.approx(0.5, abs=1e-14) for _, lam in rows)
-
-    def test_sweep_requires_ascending(self):
-        with pytest.raises(PhaseObsError):
-            localization_sweep(PhaseMatrix.canonical(8), HALF, [8, 4])
+        mat = PhaseMatrix.trivial(16)
+        for s in (2, 4, 16):
+            lam = localization(mat.truncated(s), HALF, maximizer=False).lam
+            assert lam == pytest.approx(0.5, abs=1e-14)
 
 
 def mpmath_gap(size, lo, hi, dps=80):
@@ -261,6 +260,19 @@ def mpmath_gap(size, lo, hi, dps=80):
             for m in range(size):
                 entries[n, m] = sym[n - m] if n >= m else mpmath.conj(sym[m - n])
         return 1 - max(mpmath.eighe(entries, eigvals_only=True))
+
+
+def slepian_gap(size, length):
+    """Slepian's asymptotic 1 - lambda_0 of the prolate matrix of an arc of
+    length L (Slepian 1978, with 2 pi W = L/2), an oracle independent of the
+    program's eigenvector: sqrt(pi) 2^(9/4) alpha^(1/4) (2 - alpha)^(-1/2)
+    S^(1/2) gamma^(-S), alpha = 1 - cos(L/2), gamma = (sqrt2 + sqrt alpha) /
+    (sqrt2 - sqrt alpha)."""
+    alpha = 1 - mpmath.cos(mpmath.mpf(length) / 2)
+    root2, root_alpha = mpmath.sqrt(2), mpmath.sqrt(alpha)
+    gamma = (root2 + root_alpha) / (root2 - root_alpha)
+    return (mpmath.sqrt(mpmath.pi) * mpmath.mpf(2) ** mpmath.mpf(2.25) * alpha ** 0.25
+            / mpmath.sqrt(2 - alpha) * mpmath.sqrt(size) * gamma ** -size)
 
 
 def relative(a, b):
@@ -300,6 +312,23 @@ class TestExactGap:
         for size, value in expected.items():
             gap = localization(PhaseMatrix.canonical(size), HALF).gap
             assert relative(gap, mpmath.mpf(value)) <= 1e-7
+
+    def test_matches_slepian_asymptotic(self):
+        # the formula's relative error is flat in S and grows as the arc
+        # shrinks: about 0.63/S at L = 6.1, 1.0/S at L = 2 and 6/S at L = 0.3
+        rng = np.random.default_rng(64)
+        prolate = 0
+        for size in (32, 33, 64, 97, 128):
+            for _ in range(4):
+                window = random_arc(rng)
+                loc = localization(PhaseMatrix.canonical(size), window, maximizer=False)
+                if loc.method != "prolate":
+                    continue
+                prolate += 1
+                lo, hi = window.arc
+                rel = abs(mpmath.mpf(loc.gap) / slepian_gap(size, hi - lo) - 1)
+                assert rel <= (1 + 2 / (hi - lo)) / size
+        assert prolate >= 8
 
     def test_shift_covariance(self):
         mat = PhaseMatrix.canonical(48)
@@ -346,7 +375,7 @@ class TestExactGap:
         with pytest.raises(PhaseObsError, match="S=64"):
             localization_max(PhaseMatrix.canonical(64), window)
         with pytest.raises(PrecisionError):
-            localization_sweep(PhaseMatrix.canonical(64), window, [8, 64])
+            localization(PhaseMatrix.canonical(64).truncated(64), window, maximizer=False)
 
     def test_noncanonical_unresolved_refused(self):
         nearly_full = PhaseWindow(((1e-17, TWO_PI),))
@@ -523,8 +552,8 @@ def vector_solves(monkeypatch):
 
 
 class TestTruncationWrappers:
-    """localization_max(m, w, s) and localization_sweep(m, w, dims) are
-    localization(m.truncated(s), w), bit for bit."""
+    """localization_max(m, w, s) is localization(m.truncated(s), w), and its
+    values-only form gives the same lambda_max, bit for bit."""
 
     def test_equal_localization_of_truncation(self):
         rng = np.random.default_rng(82)
@@ -538,12 +567,10 @@ class TestTruncationWrappers:
         ]
         methods = set()
         for mat, window, dims in cases:
-            rows = localization_sweep(mat, window, dims)
-            assert [dim for dim, _ in rows] == dims
-            for (_, lam), s in zip(rows, dims):
+            for s in dims:
                 loc = localization(mat.truncated(s), window)
                 methods.add((mat.label, loc.method))
-                assert lam == loc.lam
+                assert localization(mat.truncated(s), window, maximizer=False).lam == loc.lam
                 lam_max, top = localization_max(mat, window, s)
                 assert lam_max == loc.lam
                 np.testing.assert_array_equal(top.coeffs, loc.maximizer.coeffs)
@@ -586,20 +613,19 @@ class TestValuesOnly:
         rng = np.random.default_rng(81)
         for mat in (PhaseMatrix.exponential(0.9, 128), random_gram_matrix(rng, 32)):
             dims = [8, 16, mat.dim]
-            rows = localization_sweep(mat, HALF, dims)
+            lams = [localization(mat.truncated(s), HALF, maximizer=False).lam for s in dims]
             assert vector_solves == []
-            for (dim, lam), s in zip(rows, dims):
-                assert dim == s
+            for lam, s in zip(lams, dims):
                 assert abs(lam - localization_max(mat, HALF, s)[0]) <= 8 * s * EPS
             vector_solves.clear()
 
     @pytest.mark.parametrize("size", [32, 64])
     def test_prolate_rows_unchanged(self, size):
         mat = PhaseMatrix.canonical(size)
-        rows = localization_sweep(mat, HALF, [size])
+        lam = localization(mat.truncated(size), HALF, maximizer=False).lam
         full = localization(mat, HALF)
         assert full.method == "prolate"
-        assert rows == [(size, full.lam)]
+        assert lam == full.lam
 
 
 def wrapped_arc(rng):
@@ -722,7 +748,8 @@ class TestHalfSize:
             for window in (HALF, random_arc(np.random.default_rng(140)), HALF.shifted(5.0)):
                 sizes = [s for s in dims if s <= mat.dim]
                 value_solves.clear()
-                localization_sweep(mat, window, sizes)
+                for s in sizes:
+                    localization(mat.truncated(s), window, maximizer=False)
                 expected = [b for s in sizes for b in ((s - s // 2, s // 2) if s > 1 else (1,))]
                 assert value_solves == expected
 
