@@ -10,6 +10,7 @@ precision cannot resolve; diagnostics go to stderr as JSON.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -61,11 +62,92 @@ def _load_json(path: str) -> dict:
     1e400, a byte order mark or invalid UTF-8 raise orjson.JSONDecodeError,
     a ValueError.  A 3-level `entries` grid is read a row at a time (see
     `_entries_by_row`); every other file, and every file that path refuses,
-    is decoded whole."""
+    is decoded whole.  A large file is first looked up in the entry cache,
+    and a row-at-a-time decode of it is stored there (see `_cache_entry`)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    doc = _entries_by_row(data)
+    entry = _cache_entry(data)
+    doc = None if entry is None else _cached_doc(entry)
+    if doc is None:
+        doc = _entries_by_row(data)
+        if doc is not None and entry is not None:
+            _store_doc(entry, doc)
     return orjson.loads(data) if doc is None else doc
+
+
+# Files below this size skip the cache.  A hit beats the decode from 0.1 MiB,
+# but state files, which are never stored, would then be hashed on every
+# read; from 1 MiB one hit repays what a miss adds (hashing, writing the
+# entry).  See README, "Explicit-matrix cache".
+_CACHE_MIN_BYTES = 1 << 20
+# The cache keeps this many entries, the most recently used.
+_CACHE_ENTRIES = 8
+
+
+def _cache_entry(data: bytes) -> str | None:
+    """The path of the cache entry of a file's bytes, named by their
+    BLAKE2b-256 digest; None for a file below `_CACHE_MIN_BYTES`, or when the
+    interpreter was built without its own BLAKE2.  Not SHA-256: hashlib loads
+    OpenSSL's libcrypto, 3.4 MB of resident memory in every child that reads
+    a large file."""
+    if len(data) < _CACHE_MIN_BYTES:
+        return None
+    try:
+        from _blake2 import blake2b
+    except ImportError:
+        return None
+    return os.path.join(_cache_dir(), blake2b(data, digest_size=32).hexdigest())
+
+
+def _cache_dir() -> str:
+    """`$XDG_CACHE_HOME/phaseobs`, or `~/.cache/phaseobs` when that variable
+    is unset or not an absolute path."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "phaseobs")
+
+
+def _cached_doc(entry: str) -> dict | None:
+    """The document a cache entry holds, its mtime refreshed; None when the
+    entry is missing, unreadable or malformed.  An entry is one JSON line,
+    the document with `entries` replaced by the array's shape, and then
+    exactly that many little-endian float64 values."""
+    try:
+        with open(entry, "rb") as fh:
+            header = fh.readline()
+            doc = orjson.loads(header)
+            shape = doc.get("entries") if type(doc) is dict else None
+            if type(shape) is not list or not all(type(n) is int and n >= 0 for n in shape):
+                return None
+            if 8 * math.prod(shape) != os.fstat(fh.fileno()).st_size - len(header):
+                return None
+            entries = np.empty(shape, dtype="<f8")
+            if fh.readinto(entries) != entries.nbytes:
+                return None
+        os.utime(entry)
+    except (OSError, ValueError):
+        return None
+    doc["entries"] = entries
+    return doc
+
+
+def _store_doc(entry: str, doc: dict) -> None:
+    """Write the cache entry of a document that `_entries_by_row` gave, then
+    delete all but the `_CACHE_ENTRIES` most recently used entries.  Any
+    failure leaves the rest undone and is not reported."""
+    entries = doc["entries"]
+    try:
+        header = orjson.dumps({**doc, "entries": list(entries.shape)},
+                              option=orjson.OPT_APPEND_NEWLINE)
+        os.makedirs(os.path.dirname(entry), mode=0o700, exist_ok=True)
+        _atomic_write(entry, [header, entries.astype("<f8", copy=False)])
+        with os.scandir(os.path.dirname(entry)) as found:
+            by_age = sorted(found, key=lambda f: f.stat().st_mtime_ns, reverse=True)
+        for stale in by_age[_CACHE_ENTRIES:]:
+            os.unlink(stale.path)
+    except (OSError, TypeError):
+        pass
 
 
 # The comma between two rows of a 3-level grid: "] ] , [ [" with any JSON
@@ -198,7 +280,8 @@ def _csv(header: str, *columns: list[bytes]) -> bytes:
 
 
 def _matrix_spec(args) -> dict:
-    """Resolve --matrix into a matrix JSON dict (file path or builtin name)."""
+    """Resolve --matrix into a matrix JSON dict (file path or builtin name);
+    --dim and --q go with a builtin name alone."""
     arg = args.matrix
     if arg in BUILTIN_KINDS:
         if args.dim is None:
@@ -209,6 +292,9 @@ def _matrix_spec(args) -> dict:
         if args.q is not None:
             spec["q"] = args.q
         return spec
+    for option, value in (("--dim", args.dim), ("--q", args.q)):
+        if value is not None:
+            raise PhaseObsError(f"{option} is for builtin matrices; a matrix file sets its own")
     return _load_json(arg)
 
 

@@ -1,10 +1,19 @@
 import math
 
 import numpy as np
+import pytest
 
 from phaseobs import HardyState, PhaseMatrix, PhaseObsError, PhaseWindow
 
 TWO_PI = 2.0 * math.pi
+
+
+@pytest.fixture(autouse=True)
+def _cache_home(tmp_path_factory, monkeypatch):
+    """Every test, and every child process it starts, keeps its
+    explicit-matrix cache in a fresh directory of its own, never in the
+    user's."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
 
 
 def random_state(rng, dim, band_limit=None):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TWO_PI, random_gram_matrix, random_state
@@ -245,8 +246,8 @@ class TestCommands:
         path = write_json(tmp_path / "exp8.json", PhaseMatrix.exponential(0.9, 8).to_dict())
         out = tmp_path / "sweep.csv"
         messages = []
-        for matrix in ("exponential", path):
-            assert main(["sweep", "--matrix", matrix, "--q", "0.9", "--dim", "8",
+        for source in (["exponential", "--q", "0.9", "--dim", "8"], [path]):
+            assert main(["sweep", "--matrix", *source,
                          "--window", f"0:{math.pi}", "--truncations", "4,16,32",
                          "--out", str(out)]) == 1
             diag = json.loads(capsys.readouterr().err)
@@ -563,6 +564,32 @@ class TestMatrixFields:
         assert json.loads(captured.err) == {"code": "error", "message": message, "detail": None}
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "kraus", "localize", "sweep"])
+    @pytest.mark.parametrize("options, named", [
+        (["--dim", "2"], "--dim"),
+        (["--q", "0.5"], "--q"),
+        (["--q", "0.9", "--dim", "8"], "--dim"),
+    ])
+    def test_builtin_options_with_file_refused(self, command, options, named, tmp_path,
+                                               capsys):
+        # --dim and --q shape a builtin; given with a matrix file they would
+        # be ignored
+        argv = [command, "--matrix",
+                write_json(tmp_path / "matrix.json", {"kind": "explicit", "entries": EYE2}),
+                *options]
+        if command in ("localize", "sweep"):
+            argv += ["--window", "0:1"]
+        if command == "sweep":
+            argv += ["--truncations", "1,2"]
+        out = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "code": "error", "detail": None,
+            "message": f"{named} is for builtin matrices; a matrix file sets its own"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec", [
         {"kind": "explicit", "entries": EYE2},
         {"kind": "explicit", "dim": 2, "entries": EYE2},
@@ -874,6 +901,32 @@ class TestRowReader:
         assert decoded.shape == expected.shape
         assert decoded.tobytes() == expected.tobytes()
 
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=matrix_files())
+    @example(data=b'{"entries": [[[1.0, 2.0]], [[3.0, 4.0]], [[5.0, 6.0]]]}')
+    @example(data=b'{"entries": [[[]], [[]]], "dim": 18446744073709551615, "n": [-0.0, 1e-320]}')
+    def test_cache_hit_gives_the_decode(self, path, data, monkeypatch):
+        # every file the row reader accepts is stored on a miss, and a hit
+        # gives the row reader's document back: the same keys in the same
+        # order, the same values and the same entries bit for bit
+        expected = cli._entries_by_row(data)
+        if expected is None:
+            return
+        path.write_bytes(data)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_CACHE_MIN_BYTES", 0)
+            cli._load_json(path)
+            assert Path(cli._cache_entry(data)).is_file()
+            # a hit decodes nothing
+            patch.setattr(cli, "_entries_by_row", None)
+            got = cli._load_json(path)
+        assert list(got) == list(expected)
+        assert all(got[key] == expected[key] for key in expected if key != "entries")
+        assert got["entries"].dtype == expected["entries"].dtype
+        assert got["entries"].shape == expected["entries"].shape
+        assert got["entries"].tobytes() == expected["entries"].tobytes()
+        assert got["entries"].flags.writeable
+
     @pytest.mark.parametrize("dumps", [
         json.dumps, orjson.dumps, lambda doc: json.dumps(doc, indent=2),
         lambda doc: json.dumps(doc, separators=("\n,\r\n", ":\t"))])
@@ -885,6 +938,195 @@ class TestRowReader:
         assert got is not None
         assert got["entries"].tobytes() == _pair_floats(matrix.entries).tobytes()
         assert {**got, "entries": None} == {**doc, "entries": None}
+
+
+class TestMatrixCache:
+    """A matrix file of at least `_CACHE_MIN_BYTES` is decoded once and then
+    read from its cache entry; every output is the same either way, and no
+    cache failure shows."""
+
+    @pytest.fixture
+    def gram(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CACHE_MIN_BYTES", 0)
+        matrix = random_gram_matrix(np.random.default_rng(23), 24)
+        return write_json(tmp_path / "gram.json", matrix.to_dict())
+
+    @staticmethod
+    def entries():
+        return sorted(Path(cli._cache_dir()).iterdir())
+
+    @staticmethod
+    def decodes(monkeypatch):
+        """The list of documents the row reader decodes from now on."""
+        calls, decode = [], cli._entries_by_row
+        monkeypatch.setattr(cli, "_entries_by_row",
+                            lambda data: calls.append(data) or decode(data))
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["kraus"], ["localize", "--window", f"0:{math.pi}"],
+        ["sweep", "--window", "0.5:4", "--truncations", "1,5,24"],
+    ], ids=["validate", "kraus", "localize", "sweep"])
+    def test_miss_and_hit_write_the_same_bytes(self, argv, gram, tmp_path, monkeypatch, capsys):
+        decodes = self.decodes(monkeypatch)
+        outputs = []
+        for run in ("miss", "hit", "uncached"):
+            if run == "uncached":
+                monkeypatch.setattr(cli, "_CACHE_MIN_BYTES", 2**62)
+            out = tmp_path / f"{run}.out"
+            assert main([argv[0], "--matrix", gram, *argv[1:], "--out", str(out)]) == 0
+            assert capsys.readouterr() == ("", "")
+            outputs.append(out.read_bytes())
+        assert len(decodes) == 2 and len(self.entries()) == 1
+        assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("damage", [
+        lambda data: data[:-1],
+        lambda data: data[:-8],
+        lambda data: data + b"\0" * 8,
+        lambda data: data[:data.index(b"\n") - 1],
+        lambda data: b"{not json\n" + data[data.index(b"\n") + 1:],
+        lambda data: data.replace(b"[24,24,2]", b"[48,24,2]", 1),
+        lambda data: data.replace(b"[24,24,2]", b"[-24,-24,2]", 1),
+        lambda data: data.replace(b"[24,24,2]", b"[24,24,2.0]", 1),
+        lambda data: data.replace(b"[24,24,2]", b"{}", 1),
+        lambda data: data.replace(b'"entries":', b'"shape":', 1),
+        lambda data: b"[1]\n" + data[data.index(b"\n") + 1:],
+        lambda data: b"",
+    ], ids=["short-1", "short-8", "long", "cut-header", "bad-header", "more-rows", "negative",
+            "float-shape", "dict-shape", "no-shape", "list-header", "empty"])
+    def test_damaged_entry_is_a_miss_and_rewritten(self, damage, gram, monkeypatch):
+        expected = cli._load_json(gram)
+        [entry] = self.entries()
+        intact = entry.read_bytes()
+        assert intact.startswith(b'{"kind":"explicit","dim":24,"entries":[24,24,2]}\n')
+        entry.write_bytes(damage(intact))
+        decodes = self.decodes(monkeypatch)
+        got = cli._load_json(gram)
+        assert len(decodes) == 1
+        assert got.keys() == expected.keys()
+        assert got["entries"].tobytes() == expected["entries"].tobytes()
+        assert entry.read_bytes() == intact
+
+    def test_document_too_deep_to_store(self, tmp_path, monkeypatch):
+        # orjson decodes deeper nesting than it encodes: such a document is
+        # read as usual and not stored
+        monkeypatch.setattr(cli, "_CACHE_MIN_BYTES", 0)
+        deep = b"[" * 300 + b"]" * 300
+        path = tmp_path / "deep.json"
+        path.write_bytes(b'{"kind": "explicit", "note": ' + deep
+                         + b', "entries": ' + orjson.dumps(EYE2) + b"}")
+        decodes = self.decodes(monkeypatch)
+        for _ in range(2):
+            doc = cli._load_json(path)
+            assert doc["entries"].tobytes() == np.array(EYE2, dtype=float).tobytes()
+        assert len(decodes) == 2
+        assert not Path(cli._cache_dir()).exists() or not self.entries()
+
+    def test_entry_that_is_a_directory_is_a_miss(self, gram, tmp_path, capsys):
+        # neither read nor rewritten, and not reported
+        expected = cli._load_json(gram)
+        [entry] = self.entries()
+        entry.unlink()
+        entry.mkdir()
+        out = tmp_path / "kraus.json"
+        assert main(["kraus", "--matrix", gram, "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert cli._load_json(gram)["entries"].tobytes() == expected["entries"].tobytes()
+        assert entry.is_dir() and out.read_bytes()
+
+    @pytest.mark.parametrize("blocked", ["file", "read-only"])
+    def test_unwritable_cache_changes_nothing(self, blocked, gram, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "reference.json"
+        assert main(["kraus", "--matrix", gram, "--out", str(out)]) == 0
+        reference = out.read_bytes()
+        home = tmp_path / "blocked"
+        if blocked == "file":
+            # the cache directory would sit below a regular file
+            home.write_bytes(b"")
+        else:
+            home.mkdir(mode=0o500)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        try:
+            for run in range(2):
+                assert main(["kraus", "--matrix", gram, "--out", str(out)]) == 0
+                assert capsys.readouterr() == ("", "")
+                assert out.read_bytes() == reference
+        finally:
+            home.chmod(0o700)
+        if blocked == "file" or os.geteuid() != 0:
+            assert not Path(cli._cache_dir()).exists()
+
+    def test_changed_digit_is_a_miss(self, gram, monkeypatch):
+        first = cli._load_json(gram)
+        data = Path(gram).read_bytes()
+        # the first diagonal entry's 1.0 becomes 1.5
+        at = data.index(b"1.0, 0.0]") + 2
+        Path(gram).write_bytes(data[:at] + b"5" + data[at + 1:])
+        decodes = self.decodes(monkeypatch)
+        second = cli._load_json(gram)
+        assert len(decodes) == 1 and len(self.entries()) == 2
+        changed = np.flatnonzero(first["entries"] != second["entries"])
+        assert changed.size == 1 and second["entries"].flat[changed[0]] == 1.5
+
+    def test_least_recently_used_entries_evicted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CACHE_MIN_BYTES", 0)
+        paths = [write_json(tmp_path / f"m{i}.json",
+                            {"kind": "explicit", "entries": [[[float(i), 0.0]], [[1.0, 0.0]]]})
+                 for i in range(10)]
+        digests = [Path(cli._cache_entry(Path(p).read_bytes())).name for p in paths]
+        for i, path in enumerate(paths[:8]):
+            cli._load_json(path)
+            # distinct, old mtimes: a file system's clock may tick coarser
+            # than these loads
+            stamp = (1_000_000_000 + i) * 10**9
+            os.utime(Path(cli._cache_dir(), digests[i]), ns=(stamp, stamp))
+        # a hit makes the oldest entry the most recently used
+        decodes = self.decodes(monkeypatch)
+        assert cli._load_json(paths[0])["entries"][0, 0, 0] == 0.0
+        assert decodes == []
+        for path in paths[8:]:
+            cli._load_json(path)
+        assert [entry.name for entry in self.entries()] == sorted(
+            digests[i] for i in (0, 3, 4, 5, 6, 7, 8, 9))
+
+    def test_key_is_blake2b_256_of_the_bytes(self, gram):
+        data = Path(gram).read_bytes()
+        cli._load_json(gram)
+        [entry] = self.entries()
+        assert entry.name == hashlib.blake2b(data, digest_size=32).hexdigest()
+        assert str(entry) == cli._cache_entry(data)
+
+    def test_no_blake2_no_cache(self, gram, tmp_path, monkeypatch, capsys):
+        # an interpreter built without its own BLAKE2 decodes every time
+        out = tmp_path / "reference.json"
+        assert main(["kraus", "--matrix", gram, "--out", str(out)]) == 0
+        reference = out.read_bytes()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "unused"))
+        monkeypatch.setitem(sys.modules, "_blake2", None)
+        assert main(["kraus", "--matrix", gram, "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_bytes() == reference
+        assert not (tmp_path / "unused").exists()
+
+    def test_small_files_skip_the_cache(self, tmp_path):
+        path = write_json(tmp_path / "m.json", {"kind": "explicit", "entries": EYE2})
+        assert Path(path).stat().st_size < cli._CACHE_MIN_BYTES
+        cli._load_json(path)
+        assert not Path(cli._cache_dir()).exists()
+
+    def test_directory_private_and_location(self, gram, tmp_path, monkeypatch):
+        home = tmp_path / "home"
+        for xdg in (str(tmp_path / "xdg"), "relative/cache", None):
+            if xdg is None:
+                monkeypatch.delenv("XDG_CACHE_HOME")
+            else:
+                monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+            monkeypatch.setenv("HOME", str(home))
+            expected = Path(xdg) if xdg and xdg.startswith("/") else home / ".cache"
+            assert cli._cache_dir() == str(expected / "phaseobs")
+        cli._load_json(gram)
+        assert stat.S_IMODE((home / ".cache" / "phaseobs").stat().st_mode) == 0o700
 
 
 def bits(values):
@@ -1102,8 +1344,9 @@ class TestColumnLines:
 
 
 def test_cli_import_loads_no_optional_modules(tmp_path):
-    # mpmath and decimal are imported only on the exact path and scipy only by
-    # the tests; loading any of them at start-up slows every invocation.  A
+    # mpmath and decimal are imported only on the exact path, _blake2 only for
+    # a matrix file large enough for the cache, and scipy only by the tests;
+    # loading any of them at start-up slows every invocation.  A
     # command loads only its layers: validate and kraus neither distribution
     # nor spectral, the tabulations no spectral
     state = write_json(tmp_path / "state.json",
@@ -1111,6 +1354,9 @@ def test_cli_import_loads_no_optional_modules(tmp_path):
     exp = ["--matrix", "exponential", "--q", "0.9", "--dim", "8"]
     half = ["--window", f"0:{math.pi}"]
     neither = ("phaseobs.distribution", "phaseobs.spectral")
+    large = write_json(tmp_path / "gram.json",
+                       random_gram_matrix(np.random.default_rng(5), 160).to_dict())
+    assert os.path.getsize(large) >= cli._CACHE_MIN_BYTES
     runs = [
         ([], neither),
         (["validate", *exp], neither),
@@ -1123,6 +1369,9 @@ def test_cli_import_loads_no_optional_modules(tmp_path):
         (["moment", *exp], ()),
         (["localize", *exp, *half], ()),
         (["sweep", *exp, *half, "--truncations", "4,8"], ()),
+        # a matrix file large enough for the cache is keyed without hashlib,
+        # whose OpenSSL library would add 3.4 MB of resident memory
+        (["validate", "--matrix", large], neither),
     ]
     code = (
         "import sys; from phaseobs import cli; argv = sys.argv[2:]; "
@@ -1130,7 +1379,11 @@ def test_cli_import_loads_no_optional_modules(tmp_path):
         "[m for m in sys.argv[1].split(',') if m in sys.modules])"
     )
     for argv, layers in runs:
-        absent = ("mpmath", "scipy", "decimal", *layers)
+        # numpy.random, which sample loads, imports hashlib itself
+        hashing = () if argv[:1] == ["sample"] else ("hashlib", "_hashlib", "_blake2")
+        if argv[2:3] == [large]:
+            hashing = ("hashlib", "_hashlib")
+        absent = ("mpmath", "scipy", "decimal", *hashing, *layers)
         if argv:
             argv = [*argv, "--out", str(tmp_path / "out")]
         proc = subprocess.run(
@@ -1296,15 +1549,22 @@ def gram512(tmp_path_factory):
 def test_large_explicit_matrix_memory(argv, gram512, tmp_path):
     # the file is read a row at a time and Kraus rows are written a row at a
     # time: decoding it whole, and buffering the 11 MB Kraus output, took
-    # both commands to about 102 MB
-    out = tmp_path / "out.json"
+    # both commands to about 102 MB.  The first run decodes the file a row at a
+    # time; the second run reads the file's cache entry and must write the
+    # same bytes
     root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, str(root / "tests" / "peak_rss.py"), "70",
-         sys.executable, "-m", "phaseobs.cli", *argv, "--matrix", gram512, "--out", str(out)],
-        cwd=root, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert isinstance(orjson.loads(out.read_bytes()), dict)
+    outputs = []
+    for run in ("miss", "hit"):
+        out = tmp_path / f"{run}.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "tests" / "peak_rss.py"), "70",
+             sys.executable, "-m", "phaseobs.cli", *argv, "--matrix", gram512, "--out", str(out)],
+            cwd=root, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outputs.append(out.read_bytes())
+    assert isinstance(orjson.loads(outputs[0]), dict)
+    assert outputs[0] == outputs[1]
+    assert len(os.listdir(Path(os.environ["XDG_CACHE_HOME"], "phaseobs"))) == 1
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
