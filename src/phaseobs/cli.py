@@ -134,7 +134,8 @@ def _cached_doc(entry: str) -> dict | None:
 
 def _store_doc(entry: str, doc: dict) -> None:
     """Write the cache entry of a document that `_entries_by_row` gave, then
-    delete all but the `_CACHE_ENTRIES` most recently used entries.  Any
+    delete all but the `_CACHE_ENTRIES` most recently used entries, never the
+    new one (a coarse file clock may give others the same mtime).  Any
     failure leaves the rest undone and is not reported."""
     entries = doc["entries"]
     try:
@@ -143,8 +144,9 @@ def _store_doc(entry: str, doc: dict) -> None:
         os.makedirs(os.path.dirname(entry), mode=0o700, exist_ok=True)
         _atomic_write(entry, [header, entries.astype("<f8", copy=False)])
         with os.scandir(os.path.dirname(entry)) as found:
-            by_age = sorted(found, key=lambda f: f.stat().st_mtime_ns, reverse=True)
-        for stale in by_age[_CACHE_ENTRIES:]:
+            others = sorted((f for f in found if f.path != entry),
+                            key=lambda f: f.stat().st_mtime_ns, reverse=True)
+        for stale in others[_CACHE_ENTRIES - 1:]:
             os.unlink(stale.path)
     except (OSError, TypeError):
         pass

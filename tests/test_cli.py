@@ -901,7 +901,8 @@ class TestRowReader:
         assert decoded.shape == expected.shape
         assert decoded.tobytes() == expected.tobytes()
 
-    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=matrix_files())
     @example(data=b'{"entries": [[[1.0, 2.0]], [[3.0, 4.0]], [[5.0, 6.0]]]}')
     @example(data=b'{"entries": [[[]], [[]]], "dim": 18446744073709551615, "n": [-0.0, 1e-320]}')
@@ -1089,6 +1090,21 @@ class TestMatrixCache:
             cli._load_json(path)
         assert [entry.name for entry in self.entries()] == sorted(
             digests[i] for i in (0, 3, 4, 5, 6, 7, 8, 9))
+
+    def test_new_entry_kept_on_a_coarse_clock(self, tmp_path, monkeypatch):
+        # eight entries stamped in the future still leave the new one stored
+        monkeypatch.setattr(cli, "_CACHE_MIN_BYTES", 0)
+        paths = [write_json(tmp_path / f"m{i}.json",
+                            {"kind": "explicit", "entries": [[[float(i), 0.0]], [[1.0, 0.0]]]})
+                 for i in range(9)]
+        for path in paths[:8]:
+            cli._load_json(path)
+        stamp = (2**33) * 10**9
+        for entry in self.entries():
+            os.utime(entry, ns=(stamp, stamp))
+        cli._load_json(paths[8])
+        assert len(self.entries()) == 8
+        assert Path(cli._cache_entry(Path(paths[8]).read_bytes())).is_file()
 
     def test_key_is_blake2b_256_of_the_bytes(self, gram):
         data = Path(gram).read_bytes()
