@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import tempfile
+import zlib
 from itertools import chain
 
 import numpy as np
@@ -80,51 +81,68 @@ def _load_json(path: str) -> dict:
 # read; from 1 MiB one hit repays what a miss adds (hashing, writing the
 # entry).  See README, "Explicit-matrix cache".
 _CACHE_MIN_BYTES = 1 << 20
-# The cache keeps this many entries, the most recently used.
+# The cache keeps at most this many entries and this many bytes, the most
+# recently used; a larger entry is not stored.
 _CACHE_ENTRIES = 8
+_CACHE_BYTES = 128 << 20
 
 
 def _cache_entry(data: bytes) -> str | None:
     """The path of the cache entry of a file's bytes, named by their
-    BLAKE2b-256 digest; None for a file below `_CACHE_MIN_BYTES`, or when the
-    interpreter was built without its own BLAKE2.  Not SHA-256: hashlib loads
-    OpenSSL's libcrypto, 3.4 MB of resident memory in every child that reads
-    a large file."""
-    if len(data) < _CACHE_MIN_BYTES:
+    BLAKE2b-256 digest; None for a file below `_CACHE_MIN_BYTES`, without a
+    cache directory, or when the interpreter was built without its own
+    BLAKE2.  Not SHA-256: hashlib loads OpenSSL's libcrypto, 3.4 MB of
+    resident memory in every child that reads a large file."""
+    directory = _cache_dir()
+    if len(data) < _CACHE_MIN_BYTES or directory is None:
         return None
     try:
         from _blake2 import blake2b
     except ImportError:
         return None
-    return os.path.join(_cache_dir(), blake2b(data, digest_size=32).hexdigest())
+    return os.path.join(directory, blake2b(data, digest_size=32).hexdigest())
 
 
-def _cache_dir() -> str:
+def _cache_dir() -> str | None:
     """`$XDG_CACHE_HOME/phaseobs`, or `~/.cache/phaseobs` when that variable
-    is unset or not an absolute path."""
+    is unset or not an absolute path; None when the home directory is not
+    known either (`~` does not expand)."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(base, "phaseobs")
+    return os.path.join(base, "phaseobs") if os.path.isabs(base) else None
+
+
+def _entry_check(header: bytes, entries) -> bytes:
+    """The first line of a cache entry: the CRC-32 of its header line and
+    its float bytes, in 8 hex digits.  It finds an entry whose length is
+    right but whose bytes are not the ones written (a crash before the
+    pages reached the disk, a damaged disk, an edit)."""
+    return b"%08x\n" % zlib.crc32(entries, zlib.crc32(header))
 
 
 def _cached_doc(entry: str) -> dict | None:
     """The document a cache entry holds, its mtime refreshed; None when the
-    entry is missing, unreadable or malformed.  An entry is one JSON line,
-    the document with `entries` replaced by the array's shape, and then
-    exactly that many little-endian float64 values."""
+    entry is missing, unreadable, malformed or fails its check.  An entry is
+    the check line (see `_entry_check`), one JSON line, the document with
+    `entries` replaced by the array's shape, and then exactly that many
+    little-endian float64 values."""
     try:
         with open(entry, "rb") as fh:
+            check = fh.readline()
             header = fh.readline()
             doc = orjson.loads(header)
             shape = doc.get("entries") if type(doc) is dict else None
             if type(shape) is not list or not all(type(n) is int and n >= 0 for n in shape):
                 return None
-            if 8 * math.prod(shape) != os.fstat(fh.fileno()).st_size - len(header):
+            size = os.fstat(fh.fileno()).st_size - len(check) - len(header)
+            if 8 * math.prod(shape) != size:
                 return None
             entries = np.empty(shape, dtype="<f8")
             if fh.readinto(entries) != entries.nbytes:
                 return None
+        if check != _entry_check(header, entries):
+            return None
         os.utime(entry)
     except (OSError, ValueError):
         return None
@@ -134,20 +152,27 @@ def _cached_doc(entry: str) -> dict | None:
 
 def _store_doc(entry: str, doc: dict) -> None:
     """Write the cache entry of a document that `_entries_by_row` gave, then
-    delete all but the `_CACHE_ENTRIES` most recently used entries, never the
-    new one (a coarse file clock may give others the same mtime).  Any
-    failure leaves the rest undone and is not reported."""
-    entries = doc["entries"]
+    delete the least recently used entries beyond `_CACHE_ENTRIES` in all or
+    `_CACHE_BYTES` in all, never the new one (a coarse file clock may give
+    others the same mtime).  An entry above `_CACHE_BYTES` alone is not
+    written.  Any failure leaves the rest undone and is not reported."""
+    entries = doc["entries"].astype("<f8", copy=False)
     try:
         header = orjson.dumps({**doc, "entries": list(entries.shape)},
                               option=orjson.OPT_APPEND_NEWLINE)
+        check = _entry_check(header, entries)
+        total = len(check) + len(header) + entries.nbytes
+        if total > _CACHE_BYTES:
+            return
         os.makedirs(os.path.dirname(entry), mode=0o700, exist_ok=True)
-        _atomic_write(entry, [header, entries.astype("<f8", copy=False)])
+        _atomic_write(entry, [check, header, entries])
         with os.scandir(os.path.dirname(entry)) as found:
             others = sorted((f for f in found if f.path != entry),
                             key=lambda f: f.stat().st_mtime_ns, reverse=True)
-        for stale in others[_CACHE_ENTRIES - 1:]:
-            os.unlink(stale.path)
+        for rank, other in enumerate(others, 2):
+            total += other.stat().st_size
+            if rank > _CACHE_ENTRIES or total > _CACHE_BYTES:
+                os.unlink(other.path)
     except (OSError, TypeError):
         pass
 

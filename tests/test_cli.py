@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from decimal import Decimal
 from pathlib import Path
 
@@ -981,31 +982,48 @@ class TestMatrixCache:
         assert len(decodes) == 2 and len(self.entries()) == 1
         assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
 
+    @staticmethod
+    def seal(header, payload):
+        """An entry whose check line matches its header and payload."""
+        return b"%08x\n" % zlib.crc32(header + payload) + header + payload
+
     @pytest.mark.parametrize("damage", [
-        lambda data: data[:-1],
-        lambda data: data[:-8],
-        lambda data: data + b"\0" * 8,
-        lambda data: data[:data.index(b"\n") - 1],
-        lambda data: b"{not json\n" + data[data.index(b"\n") + 1:],
-        lambda data: data.replace(b"[24,24,2]", b"[48,24,2]", 1),
-        lambda data: data.replace(b"[24,24,2]", b"[-24,-24,2]", 1),
-        lambda data: data.replace(b"[24,24,2]", b"[24,24,2.0]", 1),
-        lambda data: data.replace(b"[24,24,2]", b"{}", 1),
-        lambda data: data.replace(b'"entries":', b'"shape":', 1),
-        lambda data: b"[1]\n" + data[data.index(b"\n") + 1:],
-        lambda data: b"",
+        lambda c, h, p: TestMatrixCache.seal(h, p[:-1]),
+        lambda c, h, p: TestMatrixCache.seal(h, p[:-8]),
+        lambda c, h, p: TestMatrixCache.seal(h, p + b"\0" * 8),
+        lambda c, h, p: TestMatrixCache.seal(h[:-2], b""),
+        lambda c, h, p: TestMatrixCache.seal(b"{not json\n", p),
+        lambda c, h, p: TestMatrixCache.seal(h.replace(b"[24,24,2]", b"[48,24,2]"), p),
+        lambda c, h, p: TestMatrixCache.seal(h.replace(b"[24,24,2]", b"[-24,-24,2]"), p),
+        lambda c, h, p: TestMatrixCache.seal(h.replace(b"[24,24,2]", b"[24,24,2.0]"), p),
+        lambda c, h, p: TestMatrixCache.seal(h.replace(b"[24,24,2]", b"{}"), p),
+        lambda c, h, p: TestMatrixCache.seal(h.replace(b'"entries":', b'"shape":'), p),
+        lambda c, h, p: TestMatrixCache.seal(b"[1]\n", p),
+        lambda c, h, p: b"",
+        # the length is right, the bytes are not the ones written
+        lambda c, h, p: c + h + bytes(len(p)),
+        lambda c, h, p: c + h + p[:100] + bytes([p[100] ^ 1]) + p[101:],
+        lambda c, h, p: c + h.replace(b'"dim":24', b'"dim":25') + p,
+        lambda c, h, p: b"%08x\n" % (int(c, 16) ^ 1) + h + p,
+        lambda c, h, p: c[:-1] + b" \n" + h + p,
+        lambda c, h, p: h + p,
     ], ids=["short-1", "short-8", "long", "cut-header", "bad-header", "more-rows", "negative",
-            "float-shape", "dict-shape", "no-shape", "list-header", "empty"])
+            "float-shape", "dict-shape", "no-shape", "list-header", "empty", "zeroed",
+            "flipped-bit", "edited-header", "wrong-check", "spaced-check", "no-check"])
     def test_damaged_entry_is_a_miss_and_rewritten(self, damage, gram, monkeypatch):
         expected = cli._load_json(gram)
         [entry] = self.entries()
         intact = entry.read_bytes()
-        assert intact.startswith(b'{"kind":"explicit","dim":24,"entries":[24,24,2]}\n')
-        entry.write_bytes(damage(intact))
+        check, header, payload = intact.split(b"\n", 2)
+        header += b"\n"
+        assert header == b'{"kind":"explicit","dim":24,"entries":[24,24,2]}\n'
+        assert intact == self.seal(header, payload)
+        assert payload == expected["entries"].astype("<f8").tobytes()
+        entry.write_bytes(damage(check + b"\n", header, payload))
         decodes = self.decodes(monkeypatch)
         got = cli._load_json(gram)
         assert len(decodes) == 1
-        assert got.keys() == expected.keys()
+        assert got.keys() == expected.keys() and got["dim"] == 24
         assert got["entries"].tobytes() == expected["entries"].tobytes()
         assert entry.read_bytes() == intact
 
@@ -1106,6 +1124,30 @@ class TestMatrixCache:
         assert len(self.entries()) == 8
         assert Path(cli._cache_entry(Path(paths[8]).read_bytes())).is_file()
 
+    def test_byte_bound(self, tmp_path, monkeypatch):
+        # room for three of these 2 x 2 entries: the least recently used
+        # beyond them are deleted, and an entry above the bound is not stored
+        monkeypatch.setattr(cli, "_CACHE_MIN_BYTES", 0)
+        paths = [write_json(tmp_path / f"m{i}.json",
+                            {"kind": "explicit", "entries": [[[float(i), 0.0]] * 2] * 2})
+                 for i in range(5)]
+        cli._load_json(paths[0])
+        [entry] = self.entries()
+        monkeypatch.setattr(cli, "_CACHE_BYTES", 3 * entry.stat().st_size + 1)
+        for i, path in enumerate(paths):
+            cli._load_json(path)
+            # distinct, old mtimes, as in the test above
+            stamp = (1_000_000_000 + i) * 10**9
+            os.utime(cli._cache_entry(Path(path).read_bytes()), ns=(stamp, stamp))
+        assert [entry.name for entry in self.entries()] == sorted(
+            Path(cli._cache_entry(Path(p).read_bytes())).name for p in paths[2:])
+        big = write_json(tmp_path / "big.json",
+                         {"kind": "explicit", "entries": [[[9.0, 0.0]] * 8] * 8})
+        decodes = self.decodes(monkeypatch)
+        for _ in range(2):
+            assert cli._load_json(big)["entries"].shape == (8, 8, 2)
+        assert len(decodes) == 2 and len(self.entries()) == 3
+
     def test_key_is_blake2b_256_of_the_bytes(self, gram):
         data = Path(gram).read_bytes()
         cli._load_json(gram)
@@ -1143,6 +1185,26 @@ class TestMatrixCache:
             assert cli._cache_dir() == str(expected / "phaseobs")
         cli._load_json(gram)
         assert stat.S_IMODE((home / ".cache" / "phaseobs").stat().st_mode) == 0o700
+
+    def test_no_home_no_cache(self, gram, tmp_path, monkeypatch, capsys):
+        # without HOME and without a password entry `~` does not expand: the
+        # cache is skipped rather than made below the working directory
+        import pwd
+
+        def unknown(uid):
+            raise KeyError(uid)
+
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.delenv("HOME", raising=False)
+        monkeypatch.setattr(pwd, "getpwuid", unknown)
+        monkeypatch.chdir(tmp_path)
+        assert os.path.expanduser("~") == "~"
+        assert cli._cache_dir() is None
+        out = tmp_path / "kraus.json"
+        for _ in range(2):
+            assert main(["kraus", "--matrix", gram, "--out", str(out)]) == 0
+            assert capsys.readouterr() == ("", "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gram.json", "kraus.json"]
 
 
 def bits(values):
