@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import re
+import stat
 import sys
 import tempfile
 import zlib
@@ -65,15 +66,38 @@ def _load_json(path: str) -> dict:
     `_entries_by_row`); every other file, and every file that path refuses,
     is decoded whole.  A large file is first looked up in the entry cache,
     and a row-at-a-time decode of it is stored there (see `_cache_entry`)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = _read(path)
     entry = _cache_entry(data)
     doc = None if entry is None else _cached_doc(entry)
     if doc is None:
         doc = _entries_by_row(data)
         if doc is not None and entry is not None:
             _store_doc(entry, doc)
-    return orjson.loads(data) if doc is None else doc
+    return orjson.loads(memoryview(data)) if doc is None else doc
+
+
+def _read(path: str):
+    """A file's bytes: a regular file of at least `_CACHE_MIN_BYTES` in an
+    anonymous memory mapping, anything else (or a file that changes size
+    during the read) as a bytes object.  Unlike a freed bytes object, a
+    freed mapping leaves glibc's mmap threshold as it was, so the S x S
+    arrays after the load are mapped afresh rather than carved from a heap
+    that keeps its pages: a 12 MB bytes object left `kraus` 0.9 MB higher
+    at its peak on a 512 x 512 matrix."""
+    with open(path, "rb", buffering=0) as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size >= max(_CACHE_MIN_BYTES, 1):
+            import mmap
+
+            data = mmap.mmap(-1, info.st_size)
+            with memoryview(data) as view:
+                done = 0
+                while done < len(view) and (count := fh.readinto(view[done:])):
+                    done += count
+            if done == len(data) and not fh.read(1):
+                return data
+            fh.seek(0)
+        return fh.read()
 
 
 # Files below this size skip the cache.  A hit beats the decode from 0.1 MiB,
@@ -202,7 +226,8 @@ def _entries_by_row(data: bytes) -> dict | None:
     none of its strings can equal the marker's.
     """
     seams = [m.start(1) for m in re.finditer(_ROW_SEAM, data)]
-    if not seams or b"\\" in data or _NONCE.encode() in data:
+    # find, not `in`: `in` walks an mmap a byte at a time
+    if not seams or data.find(b"\\") >= 0 or data.find(_NONCE.encode()) >= 0:
         return None
     try:
         doc = orjson.loads(data[:seams[0] + 1] + _MARKER + data[seams[-1]:])

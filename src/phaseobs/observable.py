@@ -57,6 +57,17 @@ class ValidationReport:
         }
 
 
+# elements per block of the row-block passes over an S x S matrix (256 KiB of
+# complex doubles): their temporaries take that much, not S x S
+_BLOCK = 1 << 14
+
+
+def _row_blocks(dim: int):
+    """Slices of whole rows of an S x S array, about `_BLOCK` elements each."""
+    step = max(1, _BLOCK // dim)
+    return (slice(i, i + step) for i in range(0, dim, step))
+
+
 def validate(entries) -> ValidationReport:
     """Check hermiticity, unit diagonal, and positive semidefiniteness
     within TOL_HERM, TOL_DIAG and TOL_PSD_FACTOR * S.
@@ -65,22 +76,33 @@ def validate(entries) -> ValidationReport:
     PSD is certified by a Cholesky factorization of the Hermitian part
     shifted by the tolerance: its backward error, of order S^2 * eps, is far
     inside TOL_PSD_FACTOR * S.  Only when that fails does `eigvalsh` run,
-    to decide and report the smallest eigenvalue.
+    to decide and report the smallest eigenvalue.  Besides `entries` and
+    Cholesky's factor, one S x S buffer holds the Hermitian part.
     """
     arr = _as_square_matrix(entries)
     dim = arr.shape[0]
     issues = []
-    herm_defect = float(np.max(np.abs(arr - arr.conj().T)))
+    herm_defect = max(float(np.max(np.abs(arr[rows] - arr[:, rows].conj().T)))
+                      for rows in _row_blocks(dim))
     if herm_defect > TOL_HERM:
         issues.append(ValidationIssue("hermitian", herm_defect))
     diag_defect = float(np.max(np.abs(np.diag(arr) - 1.0)))
     if diag_defect > TOL_DIAG:
         issues.append(ValidationIssue("diagonal", diag_defect))
-    sym = 0.5 * (arr + arr.conj().T)
+    # 0.5 * (arr + arr^H), built in one buffer with the same bits; C order
+    # whatever the input's, so that `diagonal` is a view of it
+    sym = np.conjugate(arr.T, out=np.empty_like(arr, order="C"))
+    sym += arr
+    sym *= 0.5
+    diagonal = sym.reshape(-1)[::dim + 1]
+    saved = diagonal.copy()
     tol = TOL_PSD_FACTOR * dim
+    diagonal += tol
     try:
-        np.linalg.cholesky(sym + tol * np.eye(dim))
+        np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
+        # (d + tol) - tol is not always d: restore the Hermitian part exactly
+        diagonal[:] = saved
         min_eig = float(np.linalg.eigvalsh(sym)[0])
         if min_eig < -tol:
             issues.append(ValidationIssue("psd", -min_eig))
@@ -235,7 +257,8 @@ class PhaseMatrix:
         """Accept an explicit matrix after validation.
 
         The diagonal (within 1e-12 of 1) is renormalized to exactly 1 and the
-        off-diagonals rescaled accordingly.
+        off-diagonals rescaled accordingly, a block of rows at a time into one
+        new array (the same bits as `arr * np.outer(scale, scale)`).
         """
         arr = _as_square_matrix(entries)
         report = validate(arr)
@@ -243,7 +266,9 @@ class PhaseMatrix:
             worst = ", ".join(f"{i.prop} ({i.magnitude:g})" for i in report.issues)
             raise ValidationError(f"not a phase matrix: {worst}")
         scale = 1.0 / np.sqrt(np.real(np.diag(arr)))
-        fixed = arr * np.outer(scale, scale)
+        fixed = np.empty_like(arr, order="C")
+        for rows in _row_blocks(arr.shape[0]):
+            np.multiply(arr[rows], np.outer(scale[rows], scale), out=fixed[rows])
         fixed[np.diag_indices(arr.shape[0])] = 1.0
         return cls._adopt("explicit", entries=fixed)
 
@@ -315,13 +340,15 @@ class KrausFamily:
         return cls(_complex_pairs(data["rows"], "rows"))
 
 
-def _fix_vector_phase(vecs: np.ndarray) -> np.ndarray:
+def _fix_vector_phase(vecs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rotate each nonzero vector (along the last axis) so that its first
-    significant component is real positive."""
+    significant component is real positive; into `out` when given, which may
+    be `vecs` itself."""
     mags = np.abs(vecs)
     first = np.argmax(mags > 1e-8 * mags.max(axis=-1, keepdims=True), axis=-1)
+    del mags
     pivot = np.take_along_axis(vecs, first[..., None], axis=-1)
-    return vecs * (pivot.conj() / np.abs(pivot))
+    return np.multiply(vecs, pivot.conj() / np.abs(pivot), out=out)
 
 
 def kraus_decompose(matrix: PhaseMatrix) -> KrausFamily:
@@ -340,14 +367,19 @@ def kraus_decompose(matrix: PhaseMatrix) -> KrausFamily:
         raise ValidationError(
             f"matrix is not PSD: min eigenvalue {evals[0]:g} below -{tol:g}"
         )
-    kept = evals > tol
-    if not kept.any():
+    kept = np.flatnonzero(evals > tol)
+    if not kept.size:
         raise ValidationError("matrix has no eigenvalue above the clipping tolerance")
     # descending eigenvalue by a stable sort, so tied rows keep eigh's order
     lams = evals[kept]
     order = np.argsort(-lams, kind="stable")
     lams = lams[order]
-    rows = np.sqrt(lams)[:, None] * _fix_vector_phase(evecs.T[kept][order])
+    # the kept eigenvectors as rows in output order, gathered once; the rest
+    # is done in place, once the eigenvectors are released
+    rows = evecs.T[kept[order]]
+    del evecs
+    _fix_vector_phase(rows, out=rows)
+    rows *= np.sqrt(lams)[:, None]
     # a run of exactly equal eigenvalues is ordered by its rows' entries as
     # interleaved (re, im) floats; np.lexsort is stable, last key first
     cuts = np.flatnonzero(lams[1:] != lams[:-1]) + 1

@@ -868,7 +868,7 @@ class TestRowReader:
     def path(self, tmp_path_factory):
         return tmp_path_factory.mktemp("rows") / "matrix.json"
 
-    @settings(max_examples=300)
+    @settings(max_examples=300, deadline=None)
     @given(data=matrix_files())
     @example(data=b'{"entries": [[[1.0, 2.0]], [[3.0, 4.0]], [[5.0, 6.0]]]}')
     @example(data=b'{"entries": [[[1.0, 2.0]], [[3.0, 4.0]]], "entries": [[[1.0, 0.0]]]}')
@@ -1212,6 +1212,7 @@ def bits(values):
 
 
 class TestCodec:
+    @settings(deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
     @example([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
               1e308, -1e308, 1.7976931348623157e308, 1e-05, 1e16, 0.1])
@@ -1300,6 +1301,7 @@ class TestCodec:
 
 
 class TestWriter:
+    @settings(deadline=None)
     @given(st.lists(st.floats(), max_size=50))
     @example([])
     @example([math.nan])
@@ -1395,6 +1397,7 @@ class TestColumnLines:
     """The one-column writer behind `sample` and every CSV column spells
     each double as repr does, without a bytes object per cell."""
 
+    @settings(deadline=None)
     @given(st.lists(st.floats(), max_size=50))
     @example([])
     @example([1e-05, 0.5, math.nan, 2.0, -1e16])
@@ -1627,15 +1630,16 @@ def gram512(tmp_path_factory):
 def test_large_explicit_matrix_memory(argv, gram512, tmp_path):
     # the file is read a row at a time and Kraus rows are written a row at a
     # time: decoding it whole, and buffering the 11 MB Kraus output, took
-    # both commands to about 102 MB.  The first run decodes the file a row at a
-    # time; the second run reads the file's cache entry and must write the
-    # same bytes
+    # both commands to about 102 MB, and whole-matrix temporaries in
+    # validation and the Kraus rows to 57.  The first run decodes the file a
+    # row at a time; the second run reads the file's cache entry and must
+    # write the same bytes
     root = Path(__file__).resolve().parent.parent
     outputs = []
     for run in ("miss", "hit"):
         out = tmp_path / f"{run}.json"
         proc = subprocess.run(
-            [sys.executable, str(root / "tests" / "peak_rss.py"), "70",
+            [sys.executable, str(root / "tests" / "peak_rss.py"), "60",
              sys.executable, "-m", "phaseobs.cli", *argv, "--matrix", gram512, "--out", str(out)],
             cwd=root, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -1643,6 +1647,20 @@ def test_large_explicit_matrix_memory(argv, gram512, tmp_path):
     assert isinstance(orjson.loads(outputs[0]), dict)
     assert outputs[0] == outputs[1]
     assert len(os.listdir(Path(os.environ["XDG_CACHE_HOME"], "phaseobs"))) == 1
+
+
+def test_cache_hit_traces_less_than_the_file(gram512):
+    # a hit reads the file into an anonymous mapping to hash it and then
+    # holds the entry's float array, never the file's bytes on the heap
+    expected = cli._load_json(gram512)
+    tracemalloc.start()
+    try:
+        got = cli._load_json(gram512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got["entries"].tobytes() == expected["entries"].tobytes()
+    assert peak < os.path.getsize(gram512)
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])

@@ -299,7 +299,7 @@ class TestPairDecoder:
     """`_complex_pairs` gives numpy's conversion of the whole tree, bit for
     bit, and raises exactly where it does."""
 
-    @settings(max_examples=400)
+    @settings(max_examples=400, deadline=None)
     @given(pair_trees())
     @example([])
     @example([[]])
