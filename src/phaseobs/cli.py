@@ -23,7 +23,7 @@ import numpy as np
 
 from . import observable
 from .errors import PhaseObsError, PrecisionError, ValidationError
-from .hardy import (TWO_PI, HardyState, PhaseWindow, _complex_pairs, _pair_floats,
+from .hardy import (BLOCK, TWO_PI, HardyState, PhaseWindow, _complex_pairs, _pair_floats,
                     normalize)
 from .observable import PhaseMatrix
 
@@ -292,16 +292,32 @@ def _json_rows(rows: np.ndarray):
 _AS_LINES = bytes.maketrans(b",]", b"\n\n")
 
 
-def _column_lines(column) -> bytes:
-    """The cells of one column, a line each, from one orjson pass: integers
-    as str spells them, doubles as repr does.  One `translate` makes orjson's
-    "[a,b,c]" lines (a flat array has brackets and commas nowhere else), with
-    no bytes object per cell, and only the cells orjson spells otherwise are
-    replaced, by repr: nonzero |x| < 1e-4 and |x| >= 1e16 ("0.00001" and
-    "1e16" against "1e-05" and "1e+16"), and nan and +-inf (null)."""
-    arr = np.ascontiguousarray(column)
-    if not arr.size:
-        return b""
+def _lines(header: str | None, *columns):
+    """The bytes of a CSV file, BLOCK rows at a time: the header line, if
+    any, and then one line per row, its cells joined by commas and spelled
+    by `_spell`."""
+    if header is not None:
+        yield header.encode() + b"\n"
+    columns = [np.ascontiguousarray(column) for column in columns]
+    for lo in range(0, len(columns[0]), BLOCK):
+        texts = [_spell(column[lo:lo + BLOCK]) for column in columns]
+        if len(texts) == 1:
+            yield texts[0]
+        else:
+            cells = (text.split(b"\n")[:-1] for text in texts)
+            yield b"\n".join(map(b",".join, zip(*cells))) + b"\n"
+
+
+def _spell(arr: np.ndarray) -> bytes:
+    """The cells of a 1-D array, a line each: strings as they are, integers
+    as str spells them, doubles as repr does.  A numeric array is one orjson
+    pass: one `translate` makes orjson's "[a,b,c]" lines (a flat array has
+    brackets and commas nowhere else), with no bytes object per cell, and
+    only the cells orjson spells otherwise are replaced, by repr: nonzero
+    |x| < 1e-4 and |x| >= 1e16 ("0.00001" and "1e16" against "1e-05" and
+    "1e+16"), and nan and +-inf (null)."""
+    if arr.dtype.kind == "U":
+        return ("\n".join(arr.tolist()) + "\n").encode()
     text = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY).translate(_AS_LINES, b"[")
     if arr.dtype.kind != "f":
         return text
@@ -319,16 +335,6 @@ def _column_lines(column) -> bytes:
         done = ends[i]
     parts.append(view[done:])
     return b"".join(parts)
-
-
-def _cells(column) -> list[bytes]:
-    """The cells of one CSV column, as `_column_lines` spells them."""
-    return _column_lines(column).split(b"\n")[:-1]
-
-
-def _csv(header: str, *columns: list[bytes]) -> bytes:
-    """A header line and one line per row of the columns' cells."""
-    return b"\n".join([header.encode(), *map(b",".join, zip(*columns)), b""])
 
 
 def _matrix_spec(args) -> dict:
@@ -396,14 +402,23 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _angles(count: int, grid: int) -> np.ndarray:
+    """TWO_PI * np.arange(count) / grid, built in place: no integer array
+    and no second float array."""
+    thetas = np.arange(count, dtype=float)
+    thetas *= TWO_PI
+    thetas /= grid
+    return thetas
+
+
 def cmd_density(args) -> int:
     from . import distribution
 
     matrix = _load_matrix(args)
     state = _load_state(args.state)
     values = distribution.density_grid(matrix, state, args.grid)
-    thetas = TWO_PI * np.arange(args.grid) / args.grid
-    _emit([_csv("theta,value", _cells(thetas), _cells(values))], args.out)
+    thetas = _angles(args.grid, args.grid)
+    _emit(_lines("theta,value", thetas, values), args.out)
     return 0
 
 
@@ -412,10 +427,10 @@ def cmd_cdf(args) -> int:
 
     matrix = _load_matrix(args)
     state = _load_state(args.state)
-    thetas = TWO_PI * np.arange(args.grid + 1) / args.grid
+    thetas = _angles(args.grid + 1, args.grid)
     thetas[-1] = TWO_PI
     values = distribution.exact_cdf(matrix, state, thetas)
-    _emit([_csv("theta,value", _cells(thetas), _cells(values))], args.out)
+    _emit(_lines("theta,value", thetas, values), args.out)
     return 0
 
 
@@ -449,8 +464,8 @@ def cmd_kernel_check(args) -> int:
     thetas = TWO_PI * np.arange(8) / 8
     sandwiches = distribution.kernel_apply(matrix, s, state, thetas, args.grid)
     directs = distribution.density(matrix, state, state, thetas).real
-    columns = (thetas, directs, sandwiches, np.abs(directs - sandwiches))
-    _emit([_csv("theta,density,kernel,abs_err", *map(_cells, columns))], args.out)
+    _emit(_lines("theta,density,kernel,abs_err", thetas, directs, sandwiches,
+                 np.abs(directs - sandwiches)), args.out)
     return 0
 
 
@@ -459,8 +474,7 @@ def cmd_moment(args) -> int:
 
     matrix = _load_matrix(args)
     spectrum = spectral.moment_spectrum(matrix)
-    _emit([_csv("index,eigenvalue", _cells(np.arange(spectrum.size)), _cells(spectrum))],
-          args.out)
+    _emit(_lines("index,eigenvalue", np.arange(spectrum.size), spectrum), args.out)
     return 0
 
 
@@ -519,10 +533,9 @@ def cmd_sweep(args) -> int:
         raise PhaseObsError("sweep requires --truncations or --q-sweep")
     lams = [_localization_fields(spectral.localization(mat, window, maximizer=False))
             ["lambda_max"] for mat in matrices]
-    # a prolate lambda_max is a decimal string already; the dense ones are doubles
-    dense = _cells([np.nan if isinstance(lam, str) else lam for lam in lams])
-    column = [lam.encode() if isinstance(lam, str) else cell for lam, cell in zip(lams, dense)]
-    _emit([_csv(f"{header},lambda_max", _cells(params), column)], args.out)
+    # a prolate lambda_max is a decimal string already; a dense one is a double
+    column = [lam if isinstance(lam, str) else repr(float(lam)) for lam in lams]
+    _emit(_lines(f"{header},lambda_max", params, column), args.out)
     return 0
 
 
@@ -532,7 +545,7 @@ def cmd_sample(args) -> int:
     matrix = _load_matrix(args)
     state = _load_state(args.state)
     draws = distribution.sample(matrix, state, args.samples, args.seed)
-    _emit([_column_lines(draws)], args.out)
+    _emit(_lines(None, draws), args.out)
     return 0
 
 

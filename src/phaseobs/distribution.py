@@ -9,9 +9,11 @@ exp(i k theta) for the density at theta, the window integral
 i/(m - n) for the first moment.  The density is a trigonometric polynomial
 in theta and the CDF, the probability of [0, theta), is w_0 theta/2pi plus
 one; `density`, `density_grid`, `exact_cdf` and `sample` evaluate them by
-one Horner loop in z = exp(i theta) (`_horner`), in O(S N) time and O(N)
-memory beyond the weights for N angles.  Closed forms are used on every
-production path; quadrature appears only in test oracles.
+one Horner loop in z = exp(i theta) (`_horner`), in O(S N) time for N
+angles taken BLOCK at a time, so that their working memory beyond the
+weights and the result does not grow with N.  A point's value does not
+depend on the blocking.  Closed forms are used on every production path;
+quadrature appears only in test oracles.
 """
 
 from __future__ import annotations
@@ -22,25 +24,24 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PhaseObsError, ValidationError
-from .hardy import TWO_PI, HardyState, PhaseWindow, phase_shift, superpose
+from .hardy import BLOCK, TWO_PI, HardyState, PhaseWindow, phase_shift, superpose
 from .observable import PhaseMatrix, _symmetric, _toeplitz
 
 # Imaginary residue / probability-bound tolerance: larger deviations signal
 # an invalid matrix and raise instead of being clamped away.
 TOL_PROB = 1e-10
 
-# `sample` solves this many draws at a time, which bounds its working memory
-# whatever the number of draws.
-_SAMPLE_CHUNK = 16384
 # Width below which `sample` closes a bracket: half the 1e-10 of its contract.
 _BRACKET = 5e-11
 # A Newton step shorter than this is lengthened by it, past the root.
 _OVERSHOOT = 1e-11
 # Rounds after which `sample` only bisects, so that every draw closes.
 _NEWTON_ROUNDS = 16
-# Entries of one block of `kernel_apply`'s table of exp(-i n x_j): its
-# working memory does not grow with the grid.
-_KERNEL_BLOCK = 1 << 14
+
+
+def _blocks(size: int):
+    """Consecutive slices of at most BLOCK indices that cover range(size)."""
+    return (slice(lo, min(lo + BLOCK, size)) for lo in range(0, size, BLOCK))
 
 
 def _aligned(matrix: PhaseMatrix, state: HardyState) -> np.ndarray:
@@ -120,21 +121,26 @@ def _schur_toeplitz(c: np.ndarray, t: np.ndarray) -> np.ndarray:
     return c * _toeplitz(full)
 
 
-def _real(value, what: str):
-    """Real part of `value` after the imaginary-residue check."""
-    residue = float(np.max(np.abs(np.imag(value)), initial=0.0))
-    if residue > TOL_PROB:
-        raise ValidationError(f"{what} has imaginary residue {residue:g}")
-    return np.real(value)
+def _check(excess: float, message: str) -> None:
+    """Raise when `excess` is beyond tolerance: an invalid matrix, not
+    rounding."""
+    if excess > TOL_PROB:
+        raise ValidationError(f"{message} {excess:g}")
+
+
+def _residue(value) -> float:
+    """The largest |imaginary part| of `value`."""
+    return float(np.max(np.abs(np.imag(value)), initial=0.0))
 
 
 def _probability(value, what: str):
-    """`_real(value)` clamped to [0, 1] only within tolerance."""
-    p = _real(value, what)
-    worst = float(np.max(np.abs(p - np.clip(p, 0.0, 1.0)), initial=0.0))
-    if worst > TOL_PROB:
-        raise ValidationError(f"{what} escapes [0, 1] by {worst:g}")
-    return np.clip(p, 0.0, 1.0)
+    """Real part of `value` after the imaginary-residue check, clamped to
+    [0, 1] only within tolerance."""
+    _check(_residue(value), f"{what} has imaginary residue")
+    p = np.real(value)
+    clipped = np.clip(p, 0.0, 1.0)
+    _check(float(np.max(np.abs(p - clipped), initial=0.0)), f"{what} escapes [0, 1] by")
+    return clipped
 
 
 def fourier_window_integral(k: int, window: PhaseWindow) -> complex:
@@ -151,24 +157,46 @@ def density(
 ):
     """f_{psi,phi}(theta) = sum_{n,m} c_{n,m} exp(i (n - m) theta) conj(a_n) b_m;
     theta may be an array, and the weights are built once for all of it.
-    f = upper + conj(lower) for the Horner rows w_0..w_{S-1} and conj(w_{-k}),
-    k >= 1; each angle is evaluated alone, so a lone theta and an array of
-    them agree bit for bit."""
-    w = _diagonal_weights(matrix, psi, phi)
-    rows = np.stack((w[matrix.dim - 1 :], w[matrix.dim - 1 :: -1].conj()))
-    rows[1, 0] = 0.0
+    Each angle is evaluated alone (`_density_at`), so a lone theta and an
+    array of them agree bit for bit."""
+    rows = _density_rows(matrix, psi, phi)
     theta_arr = np.asarray(theta, dtype=float)
-    upper, lower = _horner(rows, np.exp(1j * theta_arr.ravel()))
-    values = (upper + lower.conj()).reshape(theta_arr.shape)
+    flat = theta_arr.ravel()
+    values = np.empty(flat.size, dtype=complex)
+    for part in _blocks(flat.size):
+        values[part] = _density_at(rows, flat[part])
+    values = values.reshape(theta_arr.shape)
     return complex(values) if theta_arr.ndim == 0 else values
 
 
+def _density_rows(matrix: PhaseMatrix, psi: HardyState, phi: HardyState | None = None):
+    """The Horner rows w_0..w_{S-1} and conj(w_{-k}), k >= 1, of the density."""
+    w = _diagonal_weights(matrix, psi, phi)
+    rows = np.stack((w[matrix.dim - 1 :], w[matrix.dim - 1 :: -1].conj()))
+    rows[1, 0] = 0.0
+    return rows
+
+
+def _density_at(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """f = upper + conj(lower) at a 1-D array of theta, from `_density_rows`."""
+    upper, lower = _horner(rows, np.exp(1j * theta))
+    return upper + lower.conj()
+
+
 def density_grid(matrix: PhaseMatrix, psi: HardyState, grid_size: int) -> np.ndarray:
-    """Real density values at theta_j = 2*pi*j/G, for any G >= 1."""
+    """Real density values at theta_j = 2*pi*j/G, for any G >= 1, after the
+    imaginary-residue check."""
     if grid_size < 1:
         raise PhaseObsError("grid size must be >= 1")
-    values = density(matrix, psi, None, TWO_PI * np.arange(grid_size) / grid_size)
-    return _real(values, "density")
+    rows = _density_rows(matrix, psi)
+    out = np.empty(grid_size)
+    residue = 0.0
+    for part in _blocks(grid_size):
+        values = _density_at(rows, TWO_PI * np.arange(part.start, part.stop) / grid_size)
+        residue = max(residue, _residue(values))
+        out[part] = values.real
+    _check(residue, "density has imaginary residue")
+    return out
 
 
 def window_probability(
@@ -268,8 +296,8 @@ def kernel_apply(
 ):
     """Kernel sandwich (1/2pi)^2 double integral of
     conj(psi(x)) C_s(x - theta, y - theta) psi(y) by the periodic
-    trapezoid rule on a G x G grid (computed separably, the grid walked in
-    blocks of _KERNEL_BLOCK table entries).
+    trapezoid rule on a G x G grid, computed separably (see
+    `_trapezoid_coefficients`).
 
     Requires psi band-limited to indices <= s; then the result matches the
     density at theta once G exceeds the band limit.  theta may be an array:
@@ -286,15 +314,8 @@ def kernel_apply(
     n = np.arange(s + 1)
     head = np.zeros(s + 1, dtype=complex)
     head[: min(a.size, s + 1)] = a[: s + 1]
-    # (1/G) sum_j exp(i n x_j) psi(x_j); the left projection is its conjugate
-    right = np.zeros(s + 1, dtype=complex)
-    rows = max(1, _KERNEL_BLOCK // (s + 1))
-    for lo in range(0, grid_size, rows):
-        x = TWO_PI * np.arange(lo, min(lo + rows, grid_size)) / grid_size
-        modes = np.outer(x, -1j * n)
-        np.exp(modes, out=modes)  # exp(-i n x_j) on this block of the grid
-        right += (modes @ head).conj() @ modes
-    right = right.conj() / grid_size
+    # the left projection is the conjugate of the right one
+    right = _trapezoid_coefficients(head, grid_size)
     block = matrix.truncated(s + 1).entries
     values = np.empty(np.shape(theta), dtype=complex)
     for index, t in np.ndenumerate(np.asarray(theta, dtype=float)):
@@ -306,23 +327,52 @@ def kernel_apply(
     return float(values.real) if values.ndim == 0 else values.real
 
 
+def _trapezoid_coefficients(a: np.ndarray, grid_size: int) -> np.ndarray:
+    """(1/G) sum_j exp(i n x_j) psi(x_j) for n = 0..s at x_j = 2*pi*j/G,
+    psi(x) = sum_n a_n exp(-i n x): a itself once G > s.  The table of
+    exp(-i n x_j) is gathered from the grid's roots of unity at (j n) mod G,
+    so that no argument grows past 2*pi, and walked in blocks of about BLOCK
+    entries, so that beyond the G roots its working memory does not grow
+    with the grid."""
+    n = np.arange(a.size)
+    roots = np.exp(-1j * (TWO_PI * np.arange(grid_size) / grid_size))
+    total = np.zeros(a.size, dtype=complex)
+    rows = max(1, BLOCK // a.size)
+    for lo in range(0, grid_size, rows):
+        index = np.outer(np.arange(lo, min(lo + rows, grid_size)), n)
+        index %= grid_size
+        modes = roots[index]  # exp(-i n x_j) on this block of the grid
+        total += (modes @ a).conj() @ modes
+    return total.conj() / grid_size
+
+
 def exact_cdf(matrix: PhaseMatrix, psi: HardyState, theta):
     """Probability of [0, theta); theta may be an array.  theta = 0 gives
     exactly 0, and theta = 2*pi closes the full circle, whose probability
     is exactly 1."""
     theta_arr = np.asarray(theta, dtype=float)
-    if not np.all((0.0 <= theta_arr) & (theta_arr <= TWO_PI)):
+    flat = theta_arr.ravel()
+    # min and max build no array; a nan fails both comparisons
+    if flat.size and not (0.0 <= flat.min() and flat.max() <= TWO_PI):
         raise PhaseObsError(f"theta {theta} outside [0, 2*pi]")
-    cdf = _cdf_and_slope(_diagonal_weights(matrix, psi), theta_arr.ravel())[0]
-    p = _probability(cdf.reshape(theta_arr.shape), "cdf")
-    # Horner gives w_0 = ||psi||^2 there, a few ulps off 1 for a unit state
-    p = np.where(theta_arr == TWO_PI, 1.0, p)
+    w = _diagonal_weights(matrix, psi)
+    p = np.empty(flat.size)
+    worst = 0.0
+    for part in _blocks(flat.size):
+        cdf = _cdf_and_slope(w, flat[part])[0]
+        block = np.clip(cdf, 0.0, 1.0, out=p[part])
+        worst = max(worst, float(np.max(np.abs(cdf - block))))
+        # Horner gives w_0 = ||psi||^2 there, a few ulps off 1 for a unit state
+        block[flat[part] == TWO_PI] = 1.0
+    _check(worst, "cdf escapes [0, 1] by")
+    p = p.reshape(theta_arr.shape)
     return float(p) if theta_arr.ndim == 0 else p
 
 
 def _cdf_and_slope(w: np.ndarray, theta: np.ndarray):
     """F(theta) and F'(theta) = f(theta)/2pi at a 1-D array of theta, by
     Horner in z = exp(i theta): O(S) work per point, and no S x N array.
+    Callers pass at most BLOCK points.
 
     With g_k = w_k/(2 pi i k), F = w_0 theta/2pi + 2 Re sum_k g_k (z^k - 1)
     = w_0 theta/2pi + 2 Re (z - 1) Q(z), where Q(z) = sum_j Q_j z^j and
@@ -334,12 +384,27 @@ def _cdf_and_slope(w: np.ndarray, theta: np.ndarray):
     # row 0 sums Q_j z^j, row 1 w_{j+1} z^j/2pi = i (j+1) g_{j+1} z^j
     suffix = np.cumsum(g[::-1])[::-1]
     acc = _horner(np.stack((suffix, 1j * k * g)), z)
-    # in place: each complex temporary would add 16 bytes per point
-    acc[1] *= z
+    # never into an input: numpy multiplies a lone complex element in place
+    # by scalar code that rounds otherwise, so a block of one point would
+    # differ from the same point in a longer block
+    slope = acc[1] * z
     z -= 1.0
-    acc[0] *= z
-    return (w0 * theta / TWO_PI + 2.0 * acc[0].real,
-            w0 / TWO_PI + 2.0 * acc[1].real)
+    cdf = np.multiply(acc[0], z, out=acc[1])
+    return (w0 * theta / TWO_PI + 2.0 * cdf.real,
+            w0 / TWO_PI + 2.0 * slope.real)
+
+
+def _first_iterate(u, grid, table, nodes):
+    """The bracket [lo, hi] of each u in its grid cell and the first iterate
+    x, by linear interpolation in the table."""
+    cell = np.clip(np.searchsorted(table, u), 1, grid.size - 1)
+    # The table only locates the cell: its ends are kept where the pointwise
+    # F brackets u, and replaced by 0 or 2pi, which bracket every u.
+    lo = np.where(nodes[cell - 1] < u, grid[cell - 1], 0.0)
+    hi = np.where(nodes[cell] >= u, grid[cell], TWO_PI)
+    rise = table[cell] - table[cell - 1]
+    share = np.divide(u - table[cell - 1], rise, out=np.full(u.size, 0.5), where=rise > 0)
+    return lo, hi, np.clip(grid[cell - 1] + share * grid[1], lo, hi)
 
 
 def _invert_cdf(w, u, grid, table, nodes) -> np.ndarray:
@@ -347,40 +412,45 @@ def _invert_cdf(w, u, grid, table, nodes) -> np.ndarray:
     _BRACKET with F(lo) < u <= F(hi), F evaluated pointwise; `nodes` is F
     evaluated pointwise on `grid`, and the non-decreasing `table` locates
     the cell of each u."""
-    cell = np.clip(np.searchsorted(table, u), 1, grid.size - 1)
-    # The table only locates the cell: its ends are kept where the pointwise
-    # F brackets u, and replaced by 0 or 2pi, which bracket every u.
-    lo = np.where(nodes[cell - 1] < u, grid[cell - 1], 0.0)
-    hi = np.where(nodes[cell] >= u, grid[cell], TWO_PI)
-    # first iterate: linear interpolation in the table
-    rise = table[cell] - table[cell - 1]
-    share = np.divide(u - table[cell - 1], rise, out=np.full(u.size, 0.5), where=rise > 0)
-    x = np.clip(grid[cell - 1] + share * grid[1], lo, hi)
+    lo, hi, x = _first_iterate(u, grid, table, nodes)
     out = np.empty_like(u)
     todo = np.arange(u.size)
-    rounds = 0
-    while True:
-        cdf, slope = _cdf_and_slope(w, x)
-        below = cdf < u[todo]
-        lo = np.where(below, x, lo)
-        hi = np.where(below, hi, x)
-        done = hi - lo < _BRACKET
-        out[todo[done]] = 0.5 * (lo[done] + hi[done])
-        live = ~done
-        if not live.any():
-            return out
-        todo, lo, hi, x, cdf, slope, below = (
-            v[live] for v in (todo, lo, hi, x, cdf, slope, below))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = (u[todo] - cdf) / slope
-        # a step too short to close the bracket is carried past the root, so
-        # that the next evaluation lands on its far side
-        short = np.abs(step) < _OVERSHOOT
-        step[short] += np.where(below[short], _OVERSHOOT, -_OVERSHOOT)
-        newton = x + step
-        keep = (slope > 0) & (lo < newton) & (newton < hi) & (rounds < _NEWTON_ROUNDS)
-        x = np.where(keep, newton, 0.5 * (lo + hi))
+    count, rounds = u.size, 0
+    while count:
+        count = _newton_round(w, u, out, todo[:count], lo[:count], hi[:count], x[:count],
+                              rounds < _NEWTON_ROUNDS)
         rounds += 1
+    return out
+
+
+def _newton_round(w, u, out, todo, lo, hi, x, newton: bool) -> int:
+    """One round of `_invert_cdf` over the live draws `todo`, their brackets
+    and iterates: a draw whose bracket closes is written to `out`, and the
+    others move to the front of each array, in place, with their next
+    iterate (a bisection unless `newton`).  Returns how many stay live; the
+    round's temporaries are freed before the next one evaluates F."""
+    cdf, slope = _cdf_and_slope(w, x)
+    below = cdf < u[todo]
+    np.copyto(lo, x, where=below)
+    np.copyto(hi, x, where=~below)
+    done = hi - lo < _BRACKET
+    out[todo[done]] = 0.5 * (lo[done] + hi[done])
+    live = ~done
+    count = int(np.count_nonzero(live))
+    arrays = (todo, lo, hi, x, cdf, slope, below)
+    for v in arrays:
+        v[:count] = v[live]
+    todo, lo, hi, x, cdf, slope, below = (v[:count] for v in arrays)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = (u[todo] - cdf) / slope
+    # a step too short to close the bracket is carried past the root, so
+    # that the next evaluation lands on its far side
+    short = np.abs(step) < _OVERSHOOT
+    step[short] += np.where(below[short], _OVERSHOOT, -_OVERSHOOT)
+    step += x  # the Newton iterate
+    keep = (slope > 0) & (lo < step) & (step < hi) & newton
+    x[:] = np.where(keep, step, 0.5 * (lo + hi))
+    return count
 
 
 def sample(
@@ -397,8 +467,9 @@ def sample(
     the nodes and at each iterate; a step that leaves the bracket or meets
     a zero density is a bisection, and after _NEWTON_ROUNDS rounds every
     step is.  Each draw is the midpoint of a bracket narrower than 5e-11,
-    half the 1e-10 of the sampling contract.  Draws are solved in chunks of
-    _SAMPLE_CHUNK, so working memory does not grow with `count`; the
+    half the 1e-10 of the sampling contract.  Nodes and draws are solved
+    BLOCK at a time, so working memory beyond the returned array does not
+    grow with `count`, and a draw does not depend on the blocking; the
     generator is private to the call, so a fixed seed is fully
     deterministic.
     """
@@ -408,9 +479,10 @@ def sample(
     w = _diagonal_weights(matrix, psi)
     size = 1 << (4 * matrix.dim - 1).bit_length()
     grid = TWO_PI * np.arange(size + 1) / size
-    nodes = _cdf_and_slope(w, grid)[0]
+    nodes = np.empty(size + 1)
+    for part in _blocks(size + 1):
+        nodes[part] = _cdf_and_slope(w, grid[part])[0]
     table = np.maximum.accumulate(nodes)
-    for start in range(0, count, _SAMPLE_CHUNK):
-        chunk = draws[start : start + _SAMPLE_CHUNK]
-        chunk[:] = _invert_cdf(w, chunk, grid, table, nodes)
+    for part in _blocks(count):
+        draws[part] = _invert_cdf(w, draws[part], grid, table, nodes)
     return draws

@@ -20,6 +20,11 @@ TWO_PI = 2.0 * math.pi
 # Unit-norm tolerance; double precision leaves ample headroom up to S = 4096.
 TOL_NORM = 1e-12
 
+# Points that a pointwise evaluation (density, CDF, draws) and the CSV writer
+# take at a time, so that their working memory does not grow with the number
+# of points.
+BLOCK = 8192
+
 
 def canonical_angle(alpha: float) -> float:
     """Reduce an angle to [0, 2*pi) by exact floating-point remainder."""

@@ -1317,12 +1317,14 @@ class TestWriter:
     @example([math.nextafter(1e16, 0.0)])
     @example([-1e16, -1e-05, 0.1, 3.0, 1e15, 123456789012345.67, 1.7976931348623157e308])
     def test_lines_spell_repr(self, values):
-        assert cli._cells(values) == [repr(x).encode() for x in values]
+        lines = b"".join(cli._lines("x,y", values, values[::-1]))
+        assert lines == "".join(["x,y\n", *(f"{x!r},{y!r}\n" for x, y in
+                                             zip(values, values[::-1]))]).encode()
 
     def test_integer_cells(self):
         values = [0, 1, -7, 1024, 2**62]
-        assert cli._cells(values) == [str(x).encode() for x in values]
-        assert cli._cells(np.arange(3)) == [b"0", b"1", b"2"]
+        assert b"".join(cli._lines(None, values)) == "".join(f"{x}\n" for x in values).encode()
+        assert b"".join(cli._lines("i", np.arange(3))) == b"i\n0\n1\n2\n"
 
     @pytest.mark.parametrize("command", ["density", "cdf", "kernel-check", "moment", "sweep",
                                          "sweep-canonical", "q-sweep", "sample", "sample-0"])
@@ -1394,8 +1396,8 @@ class TestWriter:
 
 
 class TestColumnLines:
-    """The one-column writer behind `sample` and every CSV column spells
-    each double as repr does, without a bytes object per cell."""
+    """The writer spells each double of a column as repr does, without a
+    bytes object per cell."""
 
     @settings(deadline=None)
     @given(st.lists(st.floats(), max_size=50))
@@ -1404,10 +1406,10 @@ class TestColumnLines:
     @example([0.25, 5e-324, 3.0])
     def test_matches_cells(self, values):
         expected = "".join(repr(x) + "\n" for x in values).encode()
-        assert cli._column_lines(np.array(values, dtype=float)) == expected
+        assert b"".join(cli._lines(None, np.array(values, dtype=float))) == expected
 
     def test_integers(self):
-        assert cli._column_lines(np.arange(3)) == b"0\n1\n2\n"
+        assert b"".join(cli._lines(None, np.arange(3))) == b"0\n1\n2\n"
 
     def test_memory(self, tmp_path):
         # a bytes object per cell took 100 000 draws to 16.6 MB
@@ -1416,12 +1418,70 @@ class TestColumnLines:
         out = tmp_path / "draws.txt"
         tracemalloc.start()
         try:
-            cli._emit([cli._column_lines(draws)], str(out))
+            cli._emit(cli._lines(None, draws), str(out))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
         assert out.read_bytes() == "".join(repr(x) + "\n" for x in draws.tolist()).encode()
+
+
+class TestBlocks:
+    """The pointwise commands evaluate and write BLOCK rows at a time: the
+    writer's memory does not grow with the number of rows, and no output
+    byte depends on the blocking."""
+
+    def test_csv_memory(self, tmp_path):
+        # a bytes object per cell and one buffer of all lines took 10^6 rows
+        # of two columns to 306 MB
+        rows = 10**6
+        a = np.random.default_rng(18).random(rows) * TWO_PI
+        b = a * 1e-3
+        # spelled in exponent form, at the ends of blocks
+        a[[0, cli.BLOCK - 1, cli.BLOCK, rows - 1]] = [3e-05, 1e-09, 2e-06, 1e20]
+        out = tmp_path / "rows.csv"
+        tracemalloc.start()
+        try:
+            cli._emit(cli._lines("theta,value", a, b), str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 8 * cli.BLOCK
+        expected = "".join(["theta,value\n", *(f"{x!r},{y!r}\n" for x, y in
+                                                zip(a.tolist(), b.tolist()))])
+        assert out.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_output_does_not_depend_on_the_block(self, block, canonical2, tmp_path,
+                                                 monkeypatch):
+        minus = write_json(tmp_path / "minus.json", {"coeffs": [[SQ2, 0.0], [-SQ2, 0.0]]})
+        state = write_json(tmp_path / "state.json",
+                           random_state(np.random.default_rng(19), 64).to_dict())
+        exp = ["--matrix", "exponential", "--q", "0.9", "--dim", "64"]
+        # 3150 = 7 * 450 rows before theta = 2*pi, which opens a block of its own
+        runs = {
+            "density": ["density", "--matrix", canonical2, "--state", minus, "--grid", "3150"],
+            "cdf": ["cdf", "--matrix", canonical2, "--state", minus, "--grid", "3150"],
+            "sample": ["sample", *exp, "--state", state, "--samples", "60", "--seed", "4"],
+            "moment": ["moment", *exp],
+        }
+
+        def outputs():
+            found = {}
+            for name, argv in runs.items():
+                out = tmp_path / f"{name}.txt"
+                assert main([*argv, "--out", str(out)]) == 0
+                found[name] = out.read_bytes()
+            return found
+
+        expected = outputs()
+        lines = expected["density"].split(b"\n")
+        # rows 6 and 7 (after the header) end and open a block of 7, in exponent form
+        assert b"e-" in lines[7].split(b",")[1] and b"e-" in lines[8].split(b",")[1]
+        assert expected["cdf"].endswith(b"\n6.283185307179586,1.0\n")
+        monkeypatch.setattr(cli, "BLOCK", block)
+        monkeypatch.setattr(distribution, "BLOCK", block)
+        assert outputs() == expected
 
 
 def test_cli_import_loads_no_optional_modules(tmp_path):
@@ -1706,3 +1766,93 @@ def test_outputs_fixed_per_blas_thread_count(argv, size, tmp_path):
         spectra = [np.loadtxt(io.BytesIO(out), delimiter=",", skiprows=1)[:, 1]
                    for out in (one, two)]
         assert np.max(np.abs(spectra[0] - spectra[1])) <= bound
+
+
+def _fuzz_float():
+    return st.one_of(st.floats(), st.floats(-1.0, 8.0), st.sampled_from([0.0, 1.0, TWO_PI]))
+
+
+def _inline_window(ends):
+    return ",".join(f"{lo!r}:{hi!r}" for lo, hi in zip(ends[::2], ends[1::2]))
+
+
+# the options each command takes besides --matrix, --dim, --q and --out
+FUZZ_OPTIONS = {
+    "validate": (), "kraus": (), "moment": (),
+    "density": ("state", "grid"), "cdf": ("state", "grid"), "kernel-check": ("state", "grid"),
+    "window-prob": ("state", "window"), "localize": ("window",),
+    "sweep": ("window", "truncations", "q-sweep"), "sample": ("state", "samples"),
+}
+
+
+@st.composite
+def fuzz_argv(draw, files):
+    """A command line: each option a command takes is given four times in
+    five (--q with the exponential matrix), and any other one time in
+    twenty; inline windows, grids, draws, truncations and q values are in
+    range and not, each as --option=value, so that a value that starts
+    with "-" is not taken for an option.  --dim stays at most 64, --grid at
+    most 4096 and --samples at most 1000, so that no example allocates
+    much memory."""
+    command = draw(st.sampled_from([*FUZZ_OPTIONS, "nope"]))
+    matrix = draw(st.sampled_from(["canonical", "trivial", "exponential", files["matrix"]]))
+    taken = ("dim", *FUZZ_OPTIONS.get(command, ()), *(("q",) if matrix == "exponential" else ()))
+
+    def given_(option):
+        return draw(st.integers(0, 19)) < (16 if option in taken else 1)
+
+    argv = [command, "--matrix", matrix]
+    if given_("dim"):
+        argv += ["--dim=" + str(draw(st.integers(-1, 64)))]
+    if given_("q"):
+        argv += ["--q=" + repr(draw(_fuzz_float()))]
+    if given_("state"):
+        argv += ["--state=" + draw(st.sampled_from(files["states"]))]
+    if given_("window"):
+        sorted_ends = st.lists(st.floats(0.0, TWO_PI), min_size=2, max_size=6).map(sorted)
+        argv += ["--window=" + draw(st.one_of(
+            sorted_ends.map(_inline_window),
+            st.lists(_fuzz_float(), max_size=6).map(_inline_window),
+            st.text(":,.-e0123456789naif", max_size=12)))]
+    if given_("grid"):
+        argv += ["--grid=" + str(draw(st.integers(-1, 4096)))]
+    if given_("samples"):
+        argv += ["--samples=" + str(draw(st.integers(-1, 1000))),
+                 "--seed=" + str(draw(st.integers(-1, 2**64)))]
+    if given_("truncations"):
+        sizes = draw(st.lists(st.integers(-1, 64), max_size=4))
+        argv += ["--truncations=" + draw(st.one_of(st.just(",".join(map(str, sizes))),
+                                                 st.text(",0123456789x", max_size=8)))]
+    if given_("q-sweep"):
+        argv += ["--q-sweep=" + ",".join(map(repr, draw(st.lists(_fuzz_float(), max_size=3))))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(20)
+    return {
+        "matrix": write_json(folder / "gram.json", random_gram_matrix(rng, 6).to_dict()),
+        "states": [write_json(folder / "plus.json", {"coeffs": [[SQ2, 0.0], [SQ2, 0.0]]}),
+                   write_json(folder / "state8.json",
+                              random_state(rng, 8, band_limit=5).to_dict()),
+                   write_json(folder / "bad.json", {"coeffs": [[1.0]]}),
+                   str(folder / "missing.json")],
+    }
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_keeps_the_exit_contract(data, fuzz_files, tmp_path, capsys):
+    """Whatever the command line, `main` returns 0, 1 or 2 and raises
+    nothing; a nonzero exit writes exactly one JSON line to stderr."""
+    argv = data.draw(fuzz_argv(fuzz_files))
+    capsys.readouterr()
+    status = main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert status in (0, 1, 2)
+    if status:
+        lines = err.splitlines()
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), err

@@ -909,3 +909,79 @@ class TestBuiltinMemory:
             psi = random_state(rng, s + 1)
             np.testing.assert_allclose(kernel_apply(mat, s, psi, thetas, max(grid, 2 * s + 2)),
                                        density(mat, psi, psi, thetas).real, atol=1e-12)
+
+
+# density 1 - cos theta: below 1e-4 for theta < 0.0141, and the CDF
+# (theta - sin theta)/2pi below 1e-4 for theta < 0.155
+MINUS = normalize([1, -1])
+
+
+class TestBlocks:
+    """Density, CDF and draws are evaluated BLOCK points at a time: beyond
+    the result, their memory does not grow with the number of points, and
+    no value depends on the blocking."""
+
+    def test_memory_is_result_plus_blocks(self):
+        mat = PhaseMatrix.exponential(0.9, 256)
+        psi = random_state(np.random.default_rng(940), 256)
+        size = 1 << 20
+        thetas = TWO_PI * np.arange(size) / size
+        # beyond the 8 MiB result, whole-array evaluation held 768 (density)
+        # and 1024 (CDF) blocks of doubles, and draws in chunks of 16 384 held 44
+        allowed = 8 * size + 32 * 8 * distribution.BLOCK
+        for run in (lambda: density_grid(mat, psi, size),
+                    lambda: exact_cdf(mat, psi, thetas),
+                    lambda: sample(mat, psi, size, 3)):
+            assert traced_peak(run) <= allowed
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_values_do_not_depend_on_the_block(self, block, monkeypatch):
+        rng = np.random.default_rng(941)
+        mat64, psi64 = PhaseMatrix.exponential(0.9, 64), random_state(rng, 64)
+        canonical = PhaseMatrix.canonical(2)
+        # 3150 = 7 * 450: theta = 2*pi opens a block of its own, and values
+        # spelled in exponent form (the density at indices 1-7, the CDF at
+        # more) end and open blocks of 7
+        grid = TWO_PI * np.arange(3151) / 3150
+        grid[-1] = TWO_PI
+        odd = rng.random(101) * TWO_PI
+
+        def values():
+            return [density_grid(canonical, MINUS, 3150),
+                    exact_cdf(canonical, MINUS, grid),
+                    density(mat64, psi64, None, odd),
+                    density(mat64, psi64, None, 1.5),
+                    exact_cdf(mat64, psi64, odd),
+                    exact_cdf(mat64, psi64, 1.5),
+                    # 257 nodes: 8192 * k + 1 points leave a lone last one
+                    sample(mat64, psi64, 60, 4),
+                    sample(canonical, MINUS, 60, 5)]
+
+        expected = values()
+        assert 0 < expected[0][7] < 1e-4 and 0 < expected[1][7] < 1e-4
+        monkeypatch.setattr(distribution, "BLOCK", block)
+        for got, want in zip(values(), expected):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_lone_point_matches_its_array(self):
+        """numpy multiplies a lone complex element in place by scalar code
+        that rounds otherwise: a block of one point must not take it."""
+        rng = np.random.default_rng(942)
+        mat, psi = PhaseMatrix.exponential(0.9, 64), random_state(rng, 64)
+        w = _diagonal_weights(mat, psi)
+        thetas = rng.random(200) * TWO_PI
+        together = distribution._cdf_and_slope(w, thetas)
+        alone = [distribution._cdf_and_slope(w, thetas[i:i + 1]) for i in range(200)]
+        for row, part in enumerate(together):
+            assert part.tobytes() == np.concatenate([a[row] for a in alone]).tobytes()
+
+    def test_kernel_projection_recovers_coefficients(self):
+        """The trapezoid rule on G > s points projects a state band-limited
+        to s back onto its coefficients; a table of exp(-i n x_j) with
+        arguments up to s * 2pi lost about 6 eps of them."""
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(943)
+        for s, grid in ((127, 4096), (255, 4096), (40, 41), (0, 2)):
+            a = random_state(rng, s + 1).coeffs
+            got = distribution._trapezoid_coefficients(a, grid)
+            assert np.max(np.abs(got - a)) <= 2 * eps * np.linalg.norm(a)
