@@ -27,7 +27,6 @@ _LAYERS = {
         "validate",
     ),
     "distribution": (
-        "SchurToeplitz",
         "check_covariance",
         "check_interference",
         "density",

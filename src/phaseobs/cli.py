@@ -19,17 +19,17 @@ import tempfile
 import zlib
 from itertools import chain
 
+# The import order is heap layout.  observable is compiled before numpy loads
+# (its parser's 1.2 MB then does not sit on top of numpy's heap) and orjson
+# loads after observable and hardy: the other way round, `validate` and
+# `kraus`, which load no other layer, peaked 0.1 to 0.35 MB higher
+from . import observable
 import numpy as np
 
-from . import observable
 from .errors import PhaseObsError, PrecisionError, ValidationError
 from .hardy import (BLOCK, TWO_PI, HardyState, PhaseWindow, _complex_pairs, _pair_floats,
                     normalize)
 from .observable import PhaseMatrix
-
-# orjson is imported after observable and hardy: loaded before them, it left
-# the peak RSS of `validate` and `kraus`, which load no other layer, 0.2 to
-# 0.35 MB higher (heap layout)
 import orjson
 
 BUILTIN_KINDS = ("canonical", "trivial", "exponential")
@@ -42,6 +42,20 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a long option that takes a value (in full or a unique prefix) takes
+        # the next token, which argparse would read as an option if it were
+        # "-inf" or "-1:2": `--q -inf` goes on as `--q=-inf`
+        options = self._option_string_actions
+        tokens, joined = iter(args), []
+        for token in tokens:
+            names = [token] if token in options else [n for n in options if n.startswith(token)]
+            if len(names) == 1 and options[names[0]].nargs is None:
+                value = next(tokens, None)
+                token = token if value is None else f"{names[0]}={value}"
+            joined.append(token)
+        return super().parse_known_args(joined, namespace)
 
 
 def _dumps(obj, pretty: bool = False) -> bytes:

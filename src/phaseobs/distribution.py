@@ -3,7 +3,8 @@
 Every quantity pairs the phase matrix (c_{n,m}) with a Hermitian Toeplitz
 symbol t, t_{-k} = conj(t_k): either as the sum sum_k w_k t_k over the
 diagonal weights w_k = sum_{n-m=k} c_{n,m} conj(a_n) b_m of two states, or
-as the Schur product C o T(t) with T(t)_{n,m} = t_{n-m}.  The symbols are
+as the Schur product C o T(t) with T(t)_{n,m} = t_{n-m}
+(`observable.schur_toeplitz`).  The symbols are
 exp(i k theta) for the density at theta, the window integral
 (1/2pi) int_X exp(i k theta) dtheta for the probability of a window X, and
 i/(m - n) for the first moment.  The density is a trigonometric polynomial
@@ -18,14 +19,11 @@ quadrature appears only in test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .errors import PhaseObsError, ValidationError
 from .hardy import BLOCK, TWO_PI, HardyState, PhaseWindow, phase_shift, superpose
-from .observable import PhaseMatrix, _symmetric, _toeplitz
+from .observable import PhaseMatrix, _symmetric, _window_symbol, schur_toeplitz
 
 # Imaginary residue / probability-bound tolerance: larger deviations signal
 # an invalid matrix and raise instead of being clamped away.
@@ -71,26 +69,6 @@ def _diagonal_weights(
     return np.bincount(bins, prod.real, size) + 1j * np.bincount(bins, prod.imag, size)
 
 
-def _arc_symbol(size: int, length: float) -> np.ndarray:
-    """Real symbol P_0 = L/2pi, P_k = sin(k L/2)/(pi k) for k = 0..size-1:
-    (1/2pi) int exp(i k theta) dtheta over the arc of length L centred at 0
-    (Slepian 1978).  A whole turn is exactly the delta symbol."""
-    k = np.arange(1, size)
-    t = np.empty(size)
-    t[0] = length / TWO_PI
-    # sin(k pi) rounds to O(k eps), so zero the k > 0 terms by hand
-    t[1:] = np.sin(k * (length / 2)) / (np.pi * k) * (length != TWO_PI)
-    return t
-
-
-def _window_symbol(window: PhaseWindow, size: int) -> np.ndarray:
-    """Window integrals t_k for k = 0..size-1: per arc, the centred symbol
-    turned to the arc's centre c by exp(i k c) (phase-shift covariance)."""
-    k = np.arange(size)
-    return sum((np.exp(1j * k * ((lo + hi) / 2)) * _arc_symbol(size, hi - lo)
-                for lo, hi in window.arcs), np.zeros(size, complex))
-
-
 def _pair(w: np.ndarray, t: np.ndarray) -> complex:
     """sum_k w_k t_k over k = -(S-1)..(S-1) for a Hermitian symbol t_0..t_{S-1}
     (t_{-k} = conj(t_k)); the halves are summed apart, so weights that are
@@ -110,17 +88,6 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _schur_toeplitz(c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """C o T(t), entry (n, m) c_{n,m} t_{n-m} for the Hermitian symbol
-    t_0..t_{S-1}, as a new array.  A dense C is multiplied by a strided view
-    of T(t); the real generator c_0..c_{S-1} of a Toeplitz C gives T(c t),
-    one copy of a strided view, with no S x S C."""
-    full = np.concatenate((t[:0:-1].conj(), t))  # t_{-(S-1)} .. t_{S-1}
-    if c.ndim == 1:
-        return _toeplitz(_symmetric(c) * full).copy()
-    return c * _toeplitz(full)
-
-
 def _check(excess: float, message: str) -> None:
     """Raise when `excess` is beyond tolerance: an invalid matrix, not
     rounding."""
@@ -131,16 +98,6 @@ def _check(excess: float, message: str) -> None:
 def _residue(value) -> float:
     """The largest |imaginary part| of `value`."""
     return float(np.max(np.abs(np.imag(value)), initial=0.0))
-
-
-def _probability(value, what: str):
-    """Real part of `value` after the imaginary-residue check, clamped to
-    [0, 1] only within tolerance."""
-    _check(_residue(value), f"{what} has imaginary residue")
-    p = np.real(value)
-    clipped = np.clip(p, 0.0, 1.0)
-    _check(float(np.max(np.abs(p - clipped), initial=0.0)), f"{what} escapes [0, 1] by")
-    return clipped
 
 
 def fourier_window_integral(k: int, window: PhaseWindow) -> complex:
@@ -206,44 +163,18 @@ def window_probability(
     discarded and values are clamped to [0, 1] only within tolerance.  The
     full circle has probability exactly 1."""
     value = _pair(_diagonal_weights(matrix, psi), _window_symbol(window, matrix.dim))
-    p = float(_probability(value, "window probability"))
+    _check(abs(value.imag), "window probability has imaginary residue")
+    p = float(min(max(value.real, 0.0), 1.0))
+    _check(abs(value.real - p), "window probability escapes [0, 1] by")
     # the pairing gives w_0 = ||psi||^2 there, a few ulps off 1 for a unit state
     return 1.0 if window.is_full_circle() else p
 
 
-@dataclass(frozen=True, eq=False)
-class SchurToeplitz:
-    """The truncated operator C o T(t) of a phase matrix C and a Hermitian
-    Toeplitz symbol t_0..t_{S-1}: the POM effect E(X) of a window
-    (`window_operator`) or the first moment (`spectral.first_moment`).
-    The symbol is held as a read-only copy; the dense entries are built on
-    first use."""
-
-    matrix: PhaseMatrix
-    symbol: np.ndarray
-
-    def __post_init__(self):
-        t = np.array(self.symbol, dtype=complex)
-        if t.shape != (self.matrix.dim,):
-            raise PhaseObsError(
-                f"symbol of shape {t.shape} for a matrix of dimension {self.matrix.dim}"
-            )
-        t.setflags(write=False)
-        object.__setattr__(self, "symbol", t)
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        """entries[n][m] = c_{n,m} t_{n-m}, read-only, built once."""
-        c = self.matrix._generator
-        arr = _schur_toeplitz(self.matrix.entries if c is None else c, self.symbol)
-        arr.setflags(write=False)
-        return arr
-
-
-def window_operator(matrix: PhaseMatrix, window: PhaseWindow) -> SchurToeplitz:
-    """E(X) with entries[n][m] = c_{n,m} * (1/2pi) int_X exp(i (n-m) theta)
-    dtheta.  The full circle yields the identity exactly."""
-    return SchurToeplitz(matrix, _window_symbol(window, matrix.dim))
+def window_operator(matrix: PhaseMatrix, window: PhaseWindow) -> np.ndarray:
+    """E(X), read-only, with entry (n, m) c_{n,m} * (1/2pi) int_X
+    exp(i (n-m) theta) dtheta.  The full circle yields the identity
+    exactly."""
+    return schur_toeplitz(matrix, _window_symbol(window, matrix.dim))
 
 
 def check_interference(
@@ -302,7 +233,8 @@ def kernel_apply(
     Requires psi band-limited to indices <= s; then the result matches the
     density at theta once G exceeds the band limit.  theta may be an array:
     psi is sampled and projected onto the modes exp(-i n x) once, and each
-    theta enters as the exact phase factors exp(+-i n theta).
+    theta enters as the exact phase factors exp(+-i n theta).  The block
+    C_s is applied by `PhaseMatrix.bilinear`, in O(S) for a builtin.
     """
     if not 0 <= s < matrix.dim:
         raise PhaseObsError(f"kernel order {s} outside [0, {matrix.dim})")
@@ -316,11 +248,11 @@ def kernel_apply(
     head[: min(a.size, s + 1)] = a[: s + 1]
     # the left projection is the conjugate of the right one
     right = _trapezoid_coefficients(head, grid_size)
-    block = matrix.truncated(s + 1).entries
+    block = matrix.truncated(s + 1)
     values = np.empty(np.shape(theta), dtype=complex)
     for index, t in np.ndenumerate(np.asarray(theta, dtype=float)):
         shifted = right * np.exp(-1j * n * t)
-        values[index] = shifted.conj() @ block @ shifted
+        values[index] = block.bilinear(shifted.conj(), shifted)
     residue = float(np.max(np.abs(values.imag), initial=0.0))
     if residue > 1e-8:
         raise ValidationError(f"kernel sandwich has imaginary residue {residue:g}")

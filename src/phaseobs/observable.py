@@ -1,4 +1,5 @@
-"""Phase matrices and their contraction (Kraus) decompositions.
+"""Phase matrices, their Schur-Toeplitz operators C o T(t)
+(`schur_toeplitz`), and their contraction (Kraus) decompositions.
 
 A phase matrix is a Hermitian, positive semidefinite complex matrix with
 unit diagonal; it parameterizes a covariant phase observable.  The Kraus
@@ -15,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PhaseObsError, ValidationError
-from .hardy import _complex_pairs, _pairs
+from .hardy import TWO_PI, PhaseWindow, _complex_pairs, _pairs
 
 TOL_HERM = 1e-12
 TOL_DIAG = 1e-12
@@ -119,6 +120,50 @@ def _symmetric(generator: np.ndarray) -> np.ndarray:
     """c_{S-1} .. c_1 c_0 c_1 .. c_{S-1}: the full symbol of the real
     symmetric Toeplitz matrix with generator c_0 .. c_{S-1}."""
     return np.concatenate((generator[:0:-1], generator))
+
+
+def _schur_toeplitz(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """C o T(t), entry (n, m) c_{n,m} t_{n-m} for the Hermitian symbol
+    t_0..t_{S-1}, as a new array.  A dense C is multiplied by a strided view
+    of T(t); the real generator c_0..c_{S-1} of a Toeplitz C gives T(c t),
+    one copy of a strided view, with no S x S C."""
+    full = np.concatenate((t[:0:-1].conj(), t))  # t_{-(S-1)} .. t_{S-1}
+    if c.ndim == 1:
+        return _toeplitz(_symmetric(c) * full).copy()
+    return c * _toeplitz(full)
+
+
+def schur_toeplitz(matrix: PhaseMatrix, symbol) -> np.ndarray:
+    """C o T(t) of a phase matrix and a Hermitian symbol t_0..t_{S-1},
+    read-only: the POM effect of a window (`distribution.window_operator`)
+    or the first moment (`spectral.first_moment`)."""
+    t = np.asarray(symbol, dtype=complex)
+    if t.shape != (matrix.dim,):
+        raise PhaseObsError(f"symbol of shape {t.shape} for a matrix of dimension {matrix.dim}")
+    c = matrix._generator
+    arr = _schur_toeplitz(matrix.entries if c is None else c, t)
+    arr.setflags(write=False)
+    return arr
+
+
+def _arc_symbol(size: int, length: float) -> np.ndarray:
+    """Real symbol P_0 = L/2pi, P_k = sin(k L/2)/(pi k) for k = 0..size-1:
+    (1/2pi) int exp(i k theta) dtheta over the arc of length L centred at 0
+    (Slepian 1978).  A whole turn is exactly the delta symbol."""
+    k = np.arange(1, size)
+    t = np.empty(size)
+    t[0] = length / TWO_PI
+    # sin(k pi) rounds to O(k eps), so zero the k > 0 terms by hand
+    t[1:] = np.sin(k * (length / 2)) / (np.pi * k) * (length != TWO_PI)
+    return t
+
+
+def _window_symbol(window: PhaseWindow, size: int) -> np.ndarray:
+    """Window integrals t_k for k = 0..size-1: per arc, the centred symbol
+    turned to the arc's centre c by exp(i k c) (phase-shift covariance)."""
+    k = np.arange(size)
+    return sum((np.exp(1j * k * ((lo + hi) / 2)) * _arc_symbol(size, hi - lo)
+                for lo, hi in window.arcs), np.zeros(size, complex))
 
 
 def _field(data: dict, key: str, kind: type):
@@ -299,6 +344,14 @@ class PhaseMatrix:
         if self._generator is None:
             return PhaseMatrix._adopt(self.label, self.q, entries=self.entries[:dim, :dim])
         return PhaseMatrix._adopt(self.label, self.q, _generator=self._generator[:dim])
+
+    def bilinear(self, left: np.ndarray, right: np.ndarray) -> complex:
+        """left @ C @ right for two vectors of length S.  A builtin applies C
+        to `right` as one convolution of its symmetric generator, in O(S)
+        memory and with no S x S C."""
+        if self._generator is None:
+            return left @ self.entries @ right
+        return left @ np.convolve(_symmetric(self._generator), right, "valid")
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,8 +33,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PrecisionError
 from .hardy import TWO_PI, HardyState, PhaseWindow, normalize
-from .observable import PhaseMatrix, _fix_vector_phase, _symmetric
-from .distribution import SchurToeplitz, _arc_symbol, _schur_toeplitz, window_operator
+from .observable import (PhaseMatrix, _arc_symbol, _fix_vector_phase, _schur_toeplitz,
+                         _symmetric, _window_symbol, schur_toeplitz)
 
 # A dense symmetric eigensolve is backward stable: lambda_max carries an
 # absolute error of order S * eps * ||E||, and ||E|| <= 1.  1 - lambda_max
@@ -51,13 +51,14 @@ _MAX_RQI_STEPS = 30
 _INVERSE_SOLVES = 3
 
 
-def first_moment(matrix: PhaseMatrix) -> SchurToeplitz:
-    """entries[n][m] = c_{n,m} t_{n-m} with t_0 = pi, t_k = -i/k: pi on the
-    diagonal and c_{n,m} * i / (m - n) off it; spectrum in [0, 2*pi]."""
+def first_moment(matrix: PhaseMatrix) -> np.ndarray:
+    """The read-only operator with entry (n, m) c_{n,m} t_{n-m}, t_0 = pi,
+    t_k = -i/k: pi on the diagonal and c_{n,m} * i / (m - n) off it;
+    spectrum in [0, 2*pi]."""
     t = np.empty(matrix.dim, dtype=complex)
     t[0] = math.pi
     t[1:] = -1j / np.arange(1, matrix.dim)
-    return SchurToeplitz(matrix, t)
+    return schur_toeplitz(matrix, t)
 
 
 def _real_form(matrix: PhaseMatrix) -> tuple[np.ndarray, bool]:
@@ -87,7 +88,7 @@ def moment_spectrum(matrix: PhaseMatrix) -> np.ndarray:
     """
     c, persymmetric = _real_form(matrix)
     if not persymmetric:
-        return np.linalg.eigvalsh(first_moment(matrix).entries)
+        return np.linalg.eigvalsh(first_moment(matrix))
     size, half = matrix.dim, matrix.dim // 2
     # R_{nm} = (J B)_{nm} = c_{S-1-n,m} h_{n+m}: h_j = 1/(j - (S-1)), h_{S-1} = 0
     offsets = np.arange(2 * size - 1, dtype=float) - (size - 1)
@@ -302,7 +303,7 @@ def localization(matrix: PhaseMatrix, window: PhaseWindow,
         entries = _schur_toeplitz(c, _arc_symbol(matrix.dim, length))
     else:
         phases = 1.0  # E(X) itself: no diagonal unitary to undo
-        entries = window_operator(matrix, window).entries
+        entries = schur_toeplitz(matrix, _window_symbol(window, matrix.dim))
     split = arc is not None and matrix.dim > 1 and persymmetric
     blocks = _halves(entries) if split else (entries,)
     spectra = [np.linalg.eigvalsh(b) for b in blocks]

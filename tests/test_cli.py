@@ -477,6 +477,31 @@ class TestOptionRanges:
         assert main([argv[0], "--matrix", canonical2, "--state", plus_state,
                      *argv[1:], "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--matrix", "exponential", "--dim", "4", "--q", "-inf"],
+        ["validate", "--matrix", "exponential", "--dim", "4", "--q", "-1e-3"],
+        ["window-prob", "--matrix", "canonical", "--dim", "2", "--state", "{plus}",
+         "--window", "-1:2"],
+        ["sweep", "--matrix", "exponential", "--dim", "4", "--window", "0:1",
+         "--q-s", "-1e-3"],
+    ])
+    def test_value_may_start_with_a_dash(self, argv, plus_state, tmp_path, capsys):
+        # a value that argparse would read as an option is taken as the value,
+        # by its full option name or a unique prefix, as in --option=value
+        argv = [arg.format(plus=plus_state) for arg in argv]
+        joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+        results = []
+        for form in (argv, joined):
+            results.append((main([*form, "--out", str(tmp_path / "out")]),
+                            capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == 1 and json.loads(results[0][1])["code"] != "usage"
+
+    def test_help_is_not_a_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--matrix", "canonical", "-h"])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage:")
+
 
 class TestExitContracts:
     """Each refusal exits with its code and message and leaves no output."""
@@ -1489,7 +1514,8 @@ def test_cli_import_loads_no_optional_modules(tmp_path):
     # a matrix file large enough for the cache, and scipy only by the tests;
     # loading any of them at start-up slows every invocation.  A
     # command loads only its layers: validate and kraus neither distribution
-    # nor spectral, the tabulations no spectral
+    # nor spectral, the tabulations no spectral, the spectral commands no
+    # distribution
     state = write_json(tmp_path / "state.json",
                        random_state(np.random.default_rng(3), 8).to_dict())
     exp = ["--matrix", "exponential", "--q", "0.9", "--dim", "8"]
@@ -1507,9 +1533,9 @@ def test_cli_import_loads_no_optional_modules(tmp_path):
         (["window-prob", *exp, "--state", state, *half], ("phaseobs.spectral",)),
         (["kernel-check", *exp, "--state", state], ("phaseobs.spectral",)),
         (["sample", *exp, "--state", state, "--samples", "10"], ("phaseobs.spectral",)),
-        (["moment", *exp], ()),
-        (["localize", *exp, *half], ()),
-        (["sweep", *exp, *half, "--truncations", "4,8"], ()),
+        (["moment", *exp], ("phaseobs.distribution",)),
+        (["localize", *exp, *half], ("phaseobs.distribution",)),
+        (["sweep", *exp, *half, "--truncations", "4,8"], ("phaseobs.distribution",)),
         # a matrix file large enough for the cache is keyed without hashlib,
         # whose OpenSSL library would add 3.4 MB of resident memory
         (["validate", "--matrix", large], neither),
@@ -1543,7 +1569,7 @@ def test_public_names_resolve():
     # there for `import *` and `dir`
     import phaseobs
 
-    assert len(phaseobs.__all__) == len(set(phaseobs.__all__)) == 33
+    assert len(phaseobs.__all__) == len(set(phaseobs.__all__)) == 32
     names = {}
     exec("from phaseobs import *", names)
     assert set(phaseobs.__all__) <= set(names)
@@ -1790,10 +1816,10 @@ def fuzz_argv(draw, files):
     """A command line: each option a command takes is given four times in
     five (--q with the exponential matrix), and any other one time in
     twenty; inline windows, grids, draws, truncations and q values are in
-    range and not, each as --option=value, so that a value that starts
-    with "-" is not taken for an option.  --dim stays at most 64, --grid at
-    most 4096 and --samples at most 1000, so that no example allocates
-    much memory."""
+    range and not, each as --option=value or as two tokens, so that a value
+    that starts with "-" reaches the parser both ways.  --dim stays at most
+    64, --grid at most 4096 and --samples at most 1000, so that no example
+    allocates much memory."""
     command = draw(st.sampled_from([*FUZZ_OPTIONS, "nope"]))
     matrix = draw(st.sampled_from(["canonical", "trivial", "exponential", files["matrix"]]))
     taken = ("dim", *FUZZ_OPTIONS.get(command, ()), *(("q",) if matrix == "exponential" else ()))
@@ -1801,30 +1827,33 @@ def fuzz_argv(draw, files):
     def given_(option):
         return draw(st.integers(0, 19)) < (16 if option in taken else 1)
 
+    def pair(option, value):
+        return [f"--{option}={value}"] if draw(st.booleans()) else [f"--{option}", str(value)]
+
     argv = [command, "--matrix", matrix]
     if given_("dim"):
-        argv += ["--dim=" + str(draw(st.integers(-1, 64)))]
+        argv += pair("dim", draw(st.integers(-1, 64)))
     if given_("q"):
-        argv += ["--q=" + repr(draw(_fuzz_float()))]
+        argv += pair("q", repr(draw(_fuzz_float())))
     if given_("state"):
-        argv += ["--state=" + draw(st.sampled_from(files["states"]))]
+        argv += pair("state", draw(st.sampled_from(files["states"])))
     if given_("window"):
         sorted_ends = st.lists(st.floats(0.0, TWO_PI), min_size=2, max_size=6).map(sorted)
-        argv += ["--window=" + draw(st.one_of(
+        argv += pair("window", draw(st.one_of(
             sorted_ends.map(_inline_window),
             st.lists(_fuzz_float(), max_size=6).map(_inline_window),
-            st.text(":,.-e0123456789naif", max_size=12)))]
+            st.text(":,.-e0123456789naif", max_size=12))))
     if given_("grid"):
-        argv += ["--grid=" + str(draw(st.integers(-1, 4096)))]
+        argv += pair("grid", draw(st.integers(-1, 4096)))
     if given_("samples"):
-        argv += ["--samples=" + str(draw(st.integers(-1, 1000))),
-                 "--seed=" + str(draw(st.integers(-1, 2**64)))]
+        argv += pair("samples", draw(st.integers(-1, 1000)))
+        argv += pair("seed", draw(st.integers(-1, 2**64)))
     if given_("truncations"):
         sizes = draw(st.lists(st.integers(-1, 64), max_size=4))
-        argv += ["--truncations=" + draw(st.one_of(st.just(",".join(map(str, sizes))),
-                                                 st.text(",0123456789x", max_size=8)))]
+        argv += pair("truncations", draw(st.one_of(st.just(",".join(map(str, sizes))),
+                                                   st.text(",0123456789x", max_size=8))))
     if given_("q-sweep"):
-        argv += ["--q-sweep=" + ",".join(map(repr, draw(st.lists(_fuzz_float(), max_size=3))))]
+        argv += pair("q-sweep", ",".join(map(repr, draw(st.lists(_fuzz_float(), max_size=3)))))
     return argv
 
 
@@ -1853,6 +1882,105 @@ def test_any_argv_keeps_the_exit_contract(data, fuzz_files, tmp_path, capsys):
     status = main([*argv, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert status in (0, 1, 2)
+    if status:
+        lines = err.splitlines()
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), err
+
+
+# stand-ins that `_fuzz_doc_bytes` replaces by literals json.dumps cannot
+# write: strict JSON refuses each of them
+_LITERALS = {"@nan@": "NaN", "@big@": "1e400", "@inf@": "-Infinity"}
+
+
+def _fuzz_json():
+    """Any JSON value of a few levels, with the keys the three files use."""
+    leaves = st.one_of(st.none(), st.booleans(), st.integers(-2, 16),
+                       st.floats(-10.0, 10.0), st.sampled_from([*_LITERALS, "", "explicit"]))
+    keys = st.sampled_from(["kind", "dim", "q", "entries", "coeffs", "arcs", "extra"])
+    return st.recursive(leaves, lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(keys, inner, max_size=4), max_leaves=16)
+
+
+def _pair_grid(dims):
+    """A nested list of [re, im] pairs over `dims`, any of its rows ragged."""
+    if not dims:
+        return st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)
+    rows = st.lists(_pair_grid(dims[1:]), min_size=dims[0], max_size=dims[0])
+    return st.one_of(rows, st.lists(_pair_grid(dims[1:]), max_size=dims[0]))
+
+
+@st.composite
+def _fuzz_doc(draw, role):
+    """A document for --state, --window or --matrix: the shape that file
+    takes, with keys dropped or added and values of any type, or any JSON
+    value at all.  Every dimension is at most 16."""
+    dim = draw(st.integers(0, 16))
+    shaped = {
+        "state": st.fixed_dictionaries({"coeffs": _pair_grid([dim])}),
+        "window": st.fixed_dictionaries({"arcs": st.lists(
+            st.lists(st.floats(-1.0, 7.0), min_size=2, max_size=2), max_size=3)}),
+        "matrix": st.one_of(
+            st.fixed_dictionaries({"kind": st.sampled_from(["canonical", "trivial"]),
+                                   "dim": st.just(dim)}),
+            st.fixed_dictionaries({"kind": st.just("exponential"), "dim": st.just(dim),
+                                   "q": st.floats(-0.5, 1.5)}),
+            st.fixed_dictionaries({"kind": st.just("explicit"),
+                                   "entries": _pair_grid([dim, dim])},
+                                  optional={"dim": st.integers(0, 16)})),
+    }[role]
+    doc = draw(st.one_of(shaped, _fuzz_json()))
+    if isinstance(doc, dict) and doc and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(doc)))
+        doc = {k: v for k, v in doc.items() if k != key}
+    if isinstance(doc, dict) and draw(st.booleans()):
+        doc[draw(st.sampled_from(["kind", "dim", "q", "entries", "extra"]))] = draw(_fuzz_json())
+    return doc
+
+
+def _fuzz_doc_bytes(doc, bom: bool) -> bytes:
+    text = json.dumps(doc)
+    for stand_in, literal in _LITERALS.items():
+        text = text.replace(f'"{stand_in}"', literal)
+    return ("\ufeff" if bom else "").encode() + text.encode()
+
+
+# the commands that read each kind of file, with the rest of their argv
+_FILE_COMMANDS = {
+    "state": [["density"], ["cdf"], ["window-prob", "--window", "0:1"], ["kernel-check"],
+              ["sample", "--samples", "10"]],
+    "window": [["window-prob"], ["localize"], ["sweep", "--truncations", "4,8"]],
+    "matrix": [["validate"], ["kraus"], ["moment"], ["localize", "--window", "0:1"],
+               ["density"], ["sweep", "--truncations", "2"]],
+}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_json_file_keeps_the_exit_contract(data, fuzz_files, tmp_path, capsys):
+    """Whatever a --state, --window or --matrix file holds (wrong types or
+    depths, empty arrays, NaN or 1e400, missing or extra keys, a byte order
+    mark, a ragged grid), `main` returns 0, 1 or 2 and raises nothing; a
+    nonzero exit writes exactly one JSON line to stderr."""
+    role = data.draw(st.sampled_from(sorted(_FILE_COMMANDS)))
+    path = tmp_path / f"{role}.json"
+    bom = data.draw(st.integers(0, 7)) == 0
+    path.write_bytes(_fuzz_doc_bytes(data.draw(_fuzz_doc(role)), bom))
+    command, *rest = data.draw(st.sampled_from(_FILE_COMMANDS[role]))
+    given_files = {"state": fuzz_files["states"][1], "window": "0:1",
+                   "matrix": "canonical", role: str(path)}
+    argv = [command, "--matrix", given_files["matrix"], *rest]
+    if given_files["matrix"] == "canonical":
+        argv += ["--dim", "16"]
+    if command in ("density", "cdf", "window-prob", "kernel-check", "sample"):
+        argv += ["--state", given_files["state"]]
+    if command in ("window-prob", "localize", "sweep") and "--window" not in rest:
+        argv += ["--window", given_files["window"]]
+    capsys.readouterr()
+    status = main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err
     if status:
         lines = err.splitlines()
         assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), err

@@ -27,7 +27,6 @@ from phaseobs import (
     PhaseObsError,
     PhaseWindow,
     TWO_PI,
-    SchurToeplitz,
     check_covariance,
     check_interference,
     density,
@@ -45,6 +44,7 @@ from phaseobs import (
 )
 from phaseobs import distribution
 from phaseobs.distribution import _diagonal_weights, _invert_cdf
+from phaseobs.observable import _window_symbol, schur_toeplitz
 
 HALF = PhaseWindow(((0.0, math.pi),))
 PLUS = normalize([1, 1])  # (eta_0 + eta_1)/sqrt(2)
@@ -89,7 +89,7 @@ class TestWindowSymbol:
             window = random_window(rng)
             expected = [loop_window_integral(k, window) for k in range(size)]
             np.testing.assert_allclose(
-                distribution._window_symbol(window, size), expected, rtol=0, atol=1e-15
+                _window_symbol(window, size), expected, rtol=0, atol=1e-15
             )
 
     @pytest.mark.parametrize("lo, length", [
@@ -98,7 +98,7 @@ class TestWindowSymbol:
     def test_short_arcs_match_mpmath(self, lo, length):
         size = 64
         hi = lo + length
-        given = distribution._window_symbol(PhaseWindow(((lo, hi),)), size)
+        given = _window_symbol(PhaseWindow(((lo, hi),)), size)
         with mpmath.workdps(40):
             a, b = mpmath.mpf(lo), mpmath.mpf(hi)
             for k in range(size):
@@ -247,23 +247,23 @@ class TestWindowProbability:
 class TestWindowOperator:
     def test_trivial_scaled_identity(self):
         op = window_operator(PhaseMatrix.trivial(4), HALF)
-        np.testing.assert_allclose(op.entries, 0.5 * np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(op, 0.5 * np.eye(4), atol=1e-15)
 
     def test_full_circle_identity_exact(self):
         op = window_operator(PhaseMatrix.canonical(5), PhaseWindow.full_circle())
-        np.testing.assert_array_equal(op.entries, np.eye(5))
+        np.testing.assert_array_equal(op, np.eye(5))
 
     def test_canonical_half_circle_entries(self):
         # entry (n, m) carries the k = n - m window integral; with the
         # paper's operator display this puts -i/pi at (0, 1)
         op = window_operator(PhaseMatrix.canonical(2), HALF)
         np.testing.assert_allclose(
-            op.entries,
+            op,
             [[0.5, -1j / math.pi], [1j / math.pi, 0.5]],
             atol=1e-15,
         )
         np.testing.assert_allclose(
-            np.linalg.eigvalsh(op.entries),
+            np.linalg.eigvalsh(op),
             sorted(eig2(0.5, 1 / math.pi)),
             atol=1e-14,
         )
@@ -276,25 +276,24 @@ class TestWindowOperator:
             window = random_window(rng)
             op = window_operator(mat, window)
             a = psi.coeffs
-            dense = a.conj() @ op.entries @ a
+            dense = a.conj() @ op @ a
             assert abs(dense.imag) <= 1e-12
             assert dense.real == pytest.approx(window_probability(mat, psi, window), abs=1e-12)
 
     def test_caller_array_copied_not_frozen(self):
-        mat = PhaseMatrix.canonical(4)
-        given = distribution._window_symbol(HALF, 4)
-        op = SchurToeplitz(mat, given)
-        assert given.flags.writeable
-        assert not np.shares_memory(op.symbol, given)
-        assert not op.symbol.flags.writeable
-        given[0] = 2.0
-        assert op.symbol[0] == 0.5
-        np.testing.assert_array_equal(op.entries, window_operator(mat, HALF).entries)
+        # the operator neither freezes nor aliases the caller's symbol
+        for mat in (PhaseMatrix.canonical(4), dense_copy(PhaseMatrix.canonical(4))):
+            given = _window_symbol(HALF, 4)
+            op = schur_toeplitz(mat, given)
+            assert given.flags.writeable
+            assert not np.shares_memory(op, given)
+            given[0] = 2.0
+            np.testing.assert_array_equal(op, window_operator(mat, HALF))
 
     def test_factory_array_not_copied(self):
         mat = PhaseMatrix.exponential(0.9, 256)
         tracemalloc.start()
-        entries = window_operator(mat, HALF).entries
+        entries = window_operator(mat, HALF)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert not entries.flags.writeable
@@ -306,13 +305,14 @@ class TestWindowOperator:
         for _ in range(10):
             mat = random_gram_matrix(rng, 8)
             op = window_operator(mat, random_window(rng))
-            assert np.max(np.abs(op.entries - op.entries.conj().T)) <= 1e-12
-            evals = np.linalg.eigvalsh(op.entries)
+            assert np.max(np.abs(op - op.conj().T)) <= 1e-12
+            evals = np.linalg.eigvalsh(op)
             assert evals[0] >= -1e-10 and evals[-1] <= 1 + 1e-10
 
 
 class TestSchurToeplitz:
-    """The one operator form: a phase matrix, a symbol, entries on demand."""
+    """The one operator form: a phase matrix and a symbol give a read-only
+    array."""
 
     @pytest.mark.parametrize("dim", [1, 2, 7, 16])
     def test_first_moment_expectation_is_mean_phase(self, dim):
@@ -323,33 +323,27 @@ class TestSchurToeplitz:
             mean, _ = quad(lambda t: t * density(mat, psi, None, t).real,
                            0.0, TWO_PI, limit=200, epsabs=1e-13, epsrel=1e-13)
             a = psi.coeffs
-            dense = a.conj() @ first_moment(mat).entries @ a
+            dense = a.conj() @ first_moment(mat) @ a
             assert abs(dense.imag) <= 1e-12
             assert dense.real == pytest.approx(mean / TWO_PI, abs=1e-10)
 
-    def test_entries_built_once_read_only(self):
+    def test_entries_read_only(self):
         rng = np.random.default_rng(125)
         mat = random_gram_matrix(rng, 9)
         window = random_window(rng)
-        op = window_operator(mat, window)
-        entries = op.entries
-        assert not entries.flags.writeable
-        assert op.entries is entries
+        entries = window_operator(mat, window)
+        for op in (entries, window_operator(mat.truncated(9), window),
+                   first_moment(PhaseMatrix.exponential(0.6, 5))):
+            assert not op.flags.writeable
         np.testing.assert_allclose(
             entries, loop_window_operator(mat, window), rtol=0, atol=1e-13
         )
 
-    def test_caller_symbol_mutation_does_not_reach_entries(self):
-        mat = PhaseMatrix.exponential(0.6, 5)
-        given = distribution._window_symbol(HALF, 5)
-        op = SchurToeplitz(mat, given)
-        given[:] = 7.0
-        np.testing.assert_array_equal(op.entries, window_operator(mat, HALF).entries)
-
     @pytest.mark.parametrize("shape", [(0,), (3,), (5,), (4, 1)])
     def test_wrong_symbol_length_raises(self, shape):
-        with pytest.raises(PhaseObsError):
-            SchurToeplitz(PhaseMatrix.canonical(4), np.ones(shape, dtype=complex))
+        for mat in (PhaseMatrix.canonical(4), dense_copy(PhaseMatrix.canonical(4))):
+            with pytest.raises(PhaseObsError):
+                schur_toeplitz(mat, np.ones(shape, dtype=complex))
 
 
 class TestLoopOracles:
@@ -362,7 +356,7 @@ class TestLoopOracles:
             mat = random_gram_matrix(rng, dim)
             psi = random_state(rng, dim)
             window = PhaseWindow.full_circle() if trial == 0 else random_window(rng)
-            entries = window_operator(mat, window).entries
+            entries = window_operator(mat, window)
             np.testing.assert_allclose(
                 entries, loop_window_operator(mat, window), rtol=0, atol=1e-13
             )
@@ -850,7 +844,7 @@ class TestGeneratorWeights:
         for mat in builtins(dim):
             copy = dense_copy(mat)
             for make in (lambda m: window_operator(m, window), first_moment):
-                np.testing.assert_array_equal(make(mat).entries, make(copy).entries)
+                np.testing.assert_array_equal(make(mat), make(copy))
             for s in range(dim):
                 np.testing.assert_array_equal(mat.truncated(s + 1).entries,
                                               copy.entries[: s + 1, : s + 1])
@@ -866,7 +860,7 @@ class TestGeneratorWeights:
             kernel_apply(mat, 20, psi, 1.0, 256)
             kernel_C(mat, 20, 0.0, 1.0)
             sample(mat, psi, 10, 1)
-            window_operator(mat, HALF).entries
+            window_operator(mat, HALF)
             assert "entries" not in vars(mat)
 
 
@@ -900,6 +894,13 @@ class TestBuiltinMemory:
         thetas = TWO_PI * np.arange(8) / 8
         # a G x (s+1) table of exponentials alone would be 16.8 MB
         assert traced_peak(lambda: kernel_apply(mat, 255, psi, thetas, 4096)) < 2e6
+
+    def test_kernel_full_band_at_2048(self):
+        # a full-band state's block is the whole C: one dense copy is 67 MB
+        mat = PhaseMatrix.exponential(0.9, 2048)
+        psi = random_state(np.random.default_rng(933), 2048)
+        thetas = TWO_PI * np.arange(8) / 8
+        assert traced_peak(lambda: kernel_apply(mat, 2047, psi, thetas, 4096)) < 2e6
 
     def test_blocked_kernel_matches_density(self):
         rng = np.random.default_rng(932)

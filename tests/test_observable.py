@@ -217,6 +217,21 @@ class TestEntries:
         np.testing.assert_array_equal(small.entries, 0.5 ** np.abs(np.subtract.outer(
             np.arange(5), np.arange(5))))
 
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64])
+    def test_bilinear_matches_entries(self, dim):
+        # a builtin applies its generator and builds no entries; a dense
+        # matrix takes left @ C @ right itself
+        rng = np.random.default_rng(19)
+        left, right = (rng.standard_normal((dim, 2)) @ [1, 1j] for _ in range(2))
+        for make in (lambda: PhaseMatrix.exponential(0.9, dim),
+                     lambda: PhaseMatrix.canonical(dim), lambda: PhaseMatrix.trivial(dim)):
+            mat = make()
+            got = mat.bilinear(left, right)
+            assert "entries" not in vars(mat)
+            assert abs(got - left @ make().entries @ right) <= 1e-12 * dim
+        gram = random_gram_matrix(rng, dim)
+        assert gram.bilinear(left, right) == left @ gram.entries @ right
+
     def test_public_constructor_copies(self):
         given = np.eye(3, dtype=complex)
         mat = PhaseMatrix(given)
