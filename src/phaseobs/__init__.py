@@ -43,7 +43,6 @@ _LAYERS = {
         "Localization",
         "first_moment",
         "localization",
-        "localization_max",
         "moment_spectrum",
     ),
 }

@@ -27,8 +27,8 @@ from . import observable
 import numpy as np
 
 from .errors import PhaseObsError, PrecisionError, ValidationError
-from .hardy import (BLOCK, TWO_PI, HardyState, PhaseWindow, _complex_pairs, _pair_floats,
-                    normalize)
+from .hardy import (BLOCK, TWO_PI, HardyState, PhaseWindow, _blocks, _complex_pairs, _member,
+                    _pair_floats, normalize)
 from .observable import PhaseMatrix
 import orjson
 
@@ -313,8 +313,8 @@ def _lines(header: str | None, *columns):
     if header is not None:
         yield header.encode() + b"\n"
     columns = [np.ascontiguousarray(column) for column in columns]
-    for lo in range(0, len(columns[0]), BLOCK):
-        texts = [_spell(column[lo:lo + BLOCK]) for column in columns]
+    for part in _blocks(len(columns[0]), BLOCK):
+        texts = [_spell(column[part]) for column in columns]
         if len(texts) == 1:
             yield texts[0]
         else:
@@ -375,7 +375,7 @@ def _load_matrix(args) -> PhaseMatrix:
 
 
 def _load_state(path: str) -> HardyState:
-    return normalize(_complex_pairs(_load_json(path)["coeffs"], "coeffs"))
+    return normalize(_complex_pairs(_member(_load_json(path), "coeffs", "state"), "coeffs"))
 
 
 def _load_window(arg: str) -> PhaseWindow:

@@ -13,8 +13,10 @@ one; `density`, `density_grid`, `exact_cdf` and `sample` evaluate them by
 one Horner loop in z = exp(i theta) (`_horner`), in O(S N) time for N
 angles taken BLOCK at a time, so that their working memory beyond the
 weights and the result does not grow with N.  A point's value does not
-depend on the blocking.  Closed forms are used on every production path;
-quadrature appears only in test oracles.
+depend on the blocking.  The kernel sandwich `kernel_apply` takes its
+trapezoid rule in closed form, as the state's coefficients folded mod G.
+Closed forms are used on every production path; quadrature appears only in
+test oracles.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PhaseObsError, ValidationError
-from .hardy import BLOCK, TWO_PI, HardyState, PhaseWindow, phase_shift, superpose
+from .hardy import BLOCK, TWO_PI, HardyState, PhaseWindow, _blocks, phase_shift, superpose
 from .observable import PhaseMatrix, _symmetric, _window_symbol, schur_toeplitz
 
 # Imaginary residue / probability-bound tolerance: larger deviations signal
@@ -35,11 +37,6 @@ _BRACKET = 5e-11
 _OVERSHOOT = 1e-11
 # Rounds after which `sample` only bisects, so that every draw closes.
 _NEWTON_ROUNDS = 16
-
-
-def _blocks(size: int):
-    """Consecutive slices of at most BLOCK indices that cover range(size)."""
-    return (slice(lo, min(lo + BLOCK, size)) for lo in range(0, size, BLOCK))
 
 
 def _aligned(matrix: PhaseMatrix, state: HardyState) -> np.ndarray:
@@ -120,7 +117,7 @@ def density(
     theta_arr = np.asarray(theta, dtype=float)
     flat = theta_arr.ravel()
     values = np.empty(flat.size, dtype=complex)
-    for part in _blocks(flat.size):
+    for part in _blocks(flat.size, BLOCK):
         values[part] = _density_at(rows, flat[part])
     values = values.reshape(theta_arr.shape)
     return complex(values) if theta_arr.ndim == 0 else values
@@ -148,7 +145,7 @@ def density_grid(matrix: PhaseMatrix, psi: HardyState, grid_size: int) -> np.nda
     rows = _density_rows(matrix, psi)
     out = np.empty(grid_size)
     residue = 0.0
-    for part in _blocks(grid_size):
+    for part in _blocks(grid_size, BLOCK):
         values = _density_at(rows, TWO_PI * np.arange(part.start, part.stop) / grid_size)
         residue = max(residue, _residue(values))
         out[part] = values.real
@@ -209,13 +206,14 @@ def check_covariance(
 
 
 def kernel_C(matrix: PhaseMatrix, s: int, x: float, y: float) -> complex:
-    """Partial-sum kernel sum_{n,m<=s} exp(-i n x) c_{n,m} exp(i m y)."""
+    """Partial-sum kernel sum_{n,m<=s} exp(-i n x) c_{n,m} exp(i m y), by
+    `PhaseMatrix.bilinear`: one convolution for a builtin."""
     if not 0 <= s < matrix.dim:
         raise PhaseObsError(f"kernel order {s} outside [0, {matrix.dim})")
     n = np.arange(s + 1)
     left = np.exp(-1j * n * float(x))
     right = np.exp(1j * n * float(y))
-    return complex(left @ matrix.truncated(s + 1).entries @ right)
+    return complex(matrix.truncated(s + 1).bilinear(left, right))
 
 
 def kernel_apply(
@@ -227,14 +225,16 @@ def kernel_apply(
 ):
     """Kernel sandwich (1/2pi)^2 double integral of
     conj(psi(x)) C_s(x - theta, y - theta) psi(y) by the periodic
-    trapezoid rule on a G x G grid, computed separably (see
-    `_trapezoid_coefficients`).
+    trapezoid rule on a G x G grid, in closed form.
 
-    Requires psi band-limited to indices <= s; then the result matches the
-    density at theta once G exceeds the band limit.  theta may be an array:
-    psi is sampled and projected onto the modes exp(-i n x) once, and each
-    theta enters as the exact phase factors exp(+-i n theta).  The block
-    C_s is applied by `PhaseMatrix.bilinear`, in O(S) for a builtin.
+    The rule projects psi onto the modes exp(-i n x) exactly, up to
+    aliasing: coefficient r_n is the sum of the a_m with m = n (mod G)
+    (Trefethen & Weideman 2014), so for G > s it is a_n itself and the
+    result does not depend on G.  Requires psi band-limited to indices
+    <= s; then the result matches the density at theta once G exceeds the
+    band limit.  theta may be an array: each theta enters as the exact
+    phase factors exp(+-i n theta).  The block C_s is applied by
+    `PhaseMatrix.bilinear`, in O(S) for a builtin.
     """
     if not 0 <= s < matrix.dim:
         raise PhaseObsError(f"kernel order {s} outside [0, {matrix.dim})")
@@ -244,10 +244,10 @@ def kernel_apply(
     if grid_size < 2:
         raise PhaseObsError("grid size must be >= 2")
     n = np.arange(s + 1)
-    head = np.zeros(s + 1, dtype=complex)
-    head[: min(a.size, s + 1)] = a[: s + 1]
     # the left projection is the conjugate of the right one
-    right = _trapezoid_coefficients(head, grid_size)
+    folded = np.zeros(min(grid_size, s + 1), dtype=complex)
+    np.add.at(folded, n[: a.size] % grid_size, a[: s + 1])
+    right = folded[n % grid_size]
     block = matrix.truncated(s + 1)
     values = np.empty(np.shape(theta), dtype=complex)
     for index, t in np.ndenumerate(np.asarray(theta, dtype=float)):
@@ -257,25 +257,6 @@ def kernel_apply(
     if residue > 1e-8:
         raise ValidationError(f"kernel sandwich has imaginary residue {residue:g}")
     return float(values.real) if values.ndim == 0 else values.real
-
-
-def _trapezoid_coefficients(a: np.ndarray, grid_size: int) -> np.ndarray:
-    """(1/G) sum_j exp(i n x_j) psi(x_j) for n = 0..s at x_j = 2*pi*j/G,
-    psi(x) = sum_n a_n exp(-i n x): a itself once G > s.  The table of
-    exp(-i n x_j) is gathered from the grid's roots of unity at (j n) mod G,
-    so that no argument grows past 2*pi, and walked in blocks of about BLOCK
-    entries, so that beyond the G roots its working memory does not grow
-    with the grid."""
-    n = np.arange(a.size)
-    roots = np.exp(-1j * (TWO_PI * np.arange(grid_size) / grid_size))
-    total = np.zeros(a.size, dtype=complex)
-    rows = max(1, BLOCK // a.size)
-    for lo in range(0, grid_size, rows):
-        index = np.outer(np.arange(lo, min(lo + rows, grid_size)), n)
-        index %= grid_size
-        modes = roots[index]  # exp(-i n x_j) on this block of the grid
-        total += (modes @ a).conj() @ modes
-    return total.conj() / grid_size
 
 
 def exact_cdf(matrix: PhaseMatrix, psi: HardyState, theta):
@@ -290,7 +271,7 @@ def exact_cdf(matrix: PhaseMatrix, psi: HardyState, theta):
     w = _diagonal_weights(matrix, psi)
     p = np.empty(flat.size)
     worst = 0.0
-    for part in _blocks(flat.size):
+    for part in _blocks(flat.size, BLOCK):
         cdf = _cdf_and_slope(w, flat[part])[0]
         block = np.clip(cdf, 0.0, 1.0, out=p[part])
         worst = max(worst, float(np.max(np.abs(cdf - block))))
@@ -412,9 +393,9 @@ def sample(
     size = 1 << (4 * matrix.dim - 1).bit_length()
     grid = TWO_PI * np.arange(size + 1) / size
     nodes = np.empty(size + 1)
-    for part in _blocks(size + 1):
+    for part in _blocks(size + 1, BLOCK):
         nodes[part] = _cdf_and_slope(w, grid[part])[0]
     table = np.maximum.accumulate(nodes)
-    for part in _blocks(count):
+    for part in _blocks(count, BLOCK):
         draws[part] = _invert_cdf(w, draws[part], grid, table, nodes)
     return draws

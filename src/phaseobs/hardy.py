@@ -26,6 +26,22 @@ TOL_NORM = 1e-12
 BLOCK = 8192
 
 
+def _blocks(size: int, step: int):
+    """Consecutive slices of at most `step` indices that cover range(size)."""
+    return (slice(lo, min(lo + step, size)) for lo in range(0, size, step))
+
+
+def _member(data, key: str, what: str):
+    """data[key] of a JSON object read as a `what` (a state, a window, a
+    matrix, ...), refused with a message naming the field when data is not
+    an object or has no `key`."""
+    if type(data) is not dict:
+        raise PhaseObsError(f"a {what} must be a JSON object, not {type(data).__name__}")
+    if key not in data:
+        raise PhaseObsError(f"{what} has no {key!r} field")
+    return data[key]
+
+
 def canonical_angle(alpha: float) -> float:
     """Reduce an angle to [0, 2*pi) by exact floating-point remainder."""
     alpha = math.fmod(alpha, TWO_PI)
@@ -44,12 +60,13 @@ def _as_complex_vector(values) -> np.ndarray:
 
 
 def _pair_list(values, what: str) -> list[tuple[float, float]]:
-    pairs = []
-    for item in values:
-        pair = tuple(float(x) for x in item)
-        if len(pair) != 2 or not all(math.isfinite(x) for x in pair):
-            raise PhaseObsError(f"{what} entries must be finite [lo, hi] pairs")
-        pairs.append(pair)
+    message = f"{what} must be a list of finite [lo, hi] pairs"
+    try:
+        pairs = [tuple(float(x) for x in item) for item in values]
+    except (TypeError, ValueError) as exc:
+        raise PhaseObsError(message) from exc
+    if not all(len(pair) == 2 and all(map(math.isfinite, pair)) for pair in pairs):
+        raise PhaseObsError(message)
     return pairs
 
 
@@ -122,7 +139,7 @@ class HardyState:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HardyState":
-        return cls(_complex_pairs(data["coeffs"], "coeffs"))
+        return cls(_complex_pairs(_member(data, "coeffs", "state"), "coeffs"))
 
 
 def normalize(raw) -> HardyState:
@@ -269,5 +286,5 @@ class PhaseWindow:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PhaseWindow":
-        return cls(data["arcs"])
+        return cls(_member(data, "arcs", "window"))
 

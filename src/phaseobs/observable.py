@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PhaseObsError, ValidationError
-from .hardy import TWO_PI, PhaseWindow, _complex_pairs, _pairs
+from .hardy import BLOCK, TWO_PI, PhaseWindow, _blocks, _complex_pairs, _member, _pairs
 
 TOL_HERM = 1e-12
 TOL_DIAG = 1e-12
@@ -58,17 +58,6 @@ class ValidationReport:
         }
 
 
-# elements per block of the row-block passes over an S x S matrix (256 KiB of
-# complex doubles): their temporaries take that much, not S x S
-_BLOCK = 1 << 14
-
-
-def _row_blocks(dim: int):
-    """Slices of whole rows of an S x S array, about `_BLOCK` elements each."""
-    step = max(1, _BLOCK // dim)
-    return (slice(i, i + step) for i in range(0, dim, step))
-
-
 def validate(entries) -> ValidationReport:
     """Check hermiticity, unit diagonal, and positive semidefiniteness
     within TOL_HERM, TOL_DIAG and TOL_PSD_FACTOR * S.
@@ -84,7 +73,7 @@ def validate(entries) -> ValidationReport:
     dim = arr.shape[0]
     issues = []
     herm_defect = max(float(np.max(np.abs(arr[rows] - arr[:, rows].conj().T)))
-                      for rows in _row_blocks(dim))
+                      for rows in _blocks(dim, max(1, BLOCK // dim)))
     if herm_defect > TOL_HERM:
         issues.append(ValidationIssue("hermitian", herm_defect))
     diag_defect = float(np.max(np.abs(np.diag(arr) - 1.0)))
@@ -169,7 +158,7 @@ def _window_symbol(window: PhaseWindow, size: int) -> np.ndarray:
 def _field(data: dict, key: str, kind: type):
     """data[key] of a matrix dict: a JSON integer for kind int, any JSON
     number for kind float.  A bool, a string or a fraction is refused."""
-    value = data[key]
+    value = _member(data, key, "matrix")
     if type(value) not in ((int,) if kind is int else (int, float)):
         noun = "an integer" if kind is int else "a number"
         raise PhaseObsError(f"matrix {key} must be {noun}, not {value!r}")
@@ -193,7 +182,7 @@ def _kind(data: dict) -> str:
 def _explicit_entries(data: dict) -> np.ndarray:
     """The complex entries of an explicit matrix dict, refused when its
     `dim`, if present, is not their number of rows."""
-    entries = _complex_pairs(data["entries"], "entries")
+    entries = _complex_pairs(_member(data, "entries", "matrix"), "entries")
     if "dim" in data and entries.shape[:1] != (_field(data, "dim", int),):
         raise PhaseObsError(f"matrix dim {data['dim']} does not match entries {entries.shape}")
     return entries
@@ -312,7 +301,7 @@ class PhaseMatrix:
             raise ValidationError(f"not a phase matrix: {worst}")
         scale = 1.0 / np.sqrt(np.real(np.diag(arr)))
         fixed = np.empty_like(arr, order="C")
-        for rows in _row_blocks(arr.shape[0]):
+        for rows in _blocks(arr.shape[0], max(1, BLOCK // arr.shape[0])):
             np.multiply(arr[rows], np.outer(scale[rows], scale), out=fixed[rows])
         fixed[np.diag_indices(arr.shape[0])] = 1.0
         return cls._adopt("explicit", entries=fixed)
@@ -390,7 +379,7 @@ class KrausFamily:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KrausFamily":
-        return cls(_complex_pairs(data["rows"], "rows"))
+        return cls(_complex_pairs(_member(data, "rows", "Kraus family"), "rows"))
 
 
 def _fix_vector_phase(vecs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -325,14 +325,3 @@ def localization(matrix: PhaseMatrix, window: PhaseWindow,
     top = _unit(vec * phases) if maximizer else None
     return Localization(1 - gap, gap, "prolate", top)
 
-
-def localization_max(
-    matrix: PhaseMatrix, window: PhaseWindow, dim: int | None = None
-) -> tuple[Any, HardyState]:
-    """lam and maximizer of `localization` at truncation `dim` (the whole
-    matrix by default): a float, or on the prolate path an mpmath number
-    1 - gap that compares exactly with 1 and across truncations.  Raises
-    PrecisionError where neither path resolves the gap.  The maximizer's
-    first significant component is real positive."""
-    loc = localization(matrix if dim is None else matrix.truncated(dim), window)
-    return loc.lam, loc.maximizer

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phaseobs import HardyState, PhaseMatrix, PhaseObsError, PhaseWindow
+from phaseobs.hardy import BLOCK
 
 TWO_PI = 2.0 * math.pi
 
@@ -143,6 +144,26 @@ def loop_density(matrix, psi, phi, theta):
             phase = np.exp(1j * (n - m) * theta)
             total += matrix.entries[n, m] * phase * a[n].conjugate() * b[m]
     return total
+
+
+def trapezoid_coefficients(a: np.ndarray, grid_size: int) -> np.ndarray:
+    """(1/G) sum_j exp(i n x_j) psi(x_j) for n = 0..s at x_j = 2*pi*j/G,
+    psi(x) = sum_n a_n exp(-i n x): a itself once G > s.  The table of
+    exp(-i n x_j) is gathered from the grid's roots of unity at (j n) mod G,
+    so that no argument grows past 2*pi, and walked in blocks of about BLOCK
+    entries, so that beyond the G roots its working memory does not grow
+    with the grid.  The quadrature oracle of `distribution.kernel_apply`'s
+    projection, which sums it in closed form."""
+    n = np.arange(a.size)
+    roots = np.exp(-1j * (TWO_PI * np.arange(grid_size) / grid_size))
+    total = np.zeros(a.size, dtype=complex)
+    rows = max(1, BLOCK // a.size)
+    for lo in range(0, grid_size, rows):
+        index = np.outer(np.arange(lo, min(lo + rows, grid_size)), n)
+        index %= grid_size
+        modes = roots[index]  # exp(-i n x_j) on this block of the grid
+        total += (modes @ a).conj() @ modes
+    return total.conj() / grid_size
 
 
 def bincount_weights(matrix, psi, phi=None):

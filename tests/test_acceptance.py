@@ -25,7 +25,7 @@ from phaseobs import (
     kernel_apply,
     kraus_decompose,
     kraus_reconstruct,
-    localization_max,
+    localization,
     moment_spectrum,
     normalize,
     sample,
@@ -166,11 +166,11 @@ def test_kernel():
 def test_localization():
     dims = [2, 4, 8, 16, 32, 64, 512]
     big = PhaseMatrix.canonical(512)
-    lams = [localization_max(big, HALF, s)[0] for s in dims]
+    lams = [localization(big.truncated(s), HALF).lam for s in dims]
     assert lams[0] == pytest.approx(0.5 + 1 / math.pi, abs=1e-10)
     assert all(b > a for a, b in zip(lams, lams[1:])), "not strictly increasing"
     # NOTE: 1 - lambda_max decays like exp(-c S); beyond S ~ 20 it is below
-    # the dense eigensolver's error, and localization_max computes it on the
+    # the dense eigensolver's error, and localization computes it on the
     # exact prolate path, returning an mpmath number that compares exactly.
     below_one = [lam < 1.0 for lam in lams]
     assert all(below_one), (
@@ -179,13 +179,13 @@ def test_localization():
         f"values={[repr(l) for l, ok in zip(lams, below_one) if not ok]}"
     )
     for dim in (2, 8, 32):
-        lam, _ = localization_max(PhaseMatrix.trivial(dim), HALF)
+        lam = localization(PhaseMatrix.trivial(dim), HALF).lam
         assert lam == pytest.approx(0.5, abs=1e-14)
     full = PhaseWindow.full_circle()
     rng = np.random.default_rng(106)
     for mat in (PhaseMatrix.canonical(8), PhaseMatrix.exponential(0.4, 8),
                 random_gram_matrix(rng, 8)):
-        lam, _ = localization_max(mat, full)
+        lam = localization(mat, full).lam
         assert lam == pytest.approx(1.0, abs=1e-12)
 
 

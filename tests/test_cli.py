@@ -626,6 +626,29 @@ class TestMatrixFields:
         assert main(["validate", "--matrix", write_json(tmp_path / "matrix.json", spec)]) == 0
         assert json.loads(capsys.readouterr().out) == {"valid": True, "dim": 2, "issues": []}
 
+    @pytest.mark.parametrize("role, doc, message", [
+        ("state", {"note": 1}, "state has no 'coeffs' field"),
+        ("window", [[0.0, 1.0]], "a window must be a JSON object, not list"),
+        ("window", {"arcs": None}, "arcs must be a list of finite [lo, hi] pairs"),
+        ("matrix", {"kind": "canonical"}, "matrix has no 'dim' field"),
+        ("matrix", {"kind": "explicit"}, "matrix has no 'entries' field"),
+    ], ids=["state-without-coeffs", "window-list", "null-arcs", "canonical-without-dim",
+            "explicit-without-entries"])
+    def test_missing_or_ill_typed_field_named(self, role, doc, message, plus_state, tmp_path,
+                                              capsys):
+        # a missing key or a wrong container once left a bare KeyError or
+        # TypeError text, such as 'coeffs'
+        files = {"matrix": write_json(tmp_path / "m.json", {"kind": "canonical", "dim": 2}),
+                 "state": plus_state, "window": "0:1"}
+        files[role] = write_json(tmp_path / "doc.json", doc)
+        out = tmp_path / "out.txt"
+        argv = ["window-prob", "--matrix", files["matrix"], "--state", files["state"],
+                "--window", files["window"], "--out", str(out)]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {"code": "error", "message": message,
+                                                       "detail": None}
+        assert not out.exists()
+
 
 class TestLoadJson:
     # main leaves the caller's cyclic collector as it found it, whatever the
@@ -1569,7 +1592,7 @@ def test_public_names_resolve():
     # there for `import *` and `dir`
     import phaseobs
 
-    assert len(phaseobs.__all__) == len(set(phaseobs.__all__)) == 32
+    assert len(phaseobs.__all__) == len(set(phaseobs.__all__)) == 31
     names = {}
     exec("from phaseobs import *", names)
     assert set(phaseobs.__all__) <= set(names)

@@ -20,6 +20,7 @@ from conftest import (
     random_gram_matrix,
     random_state,
     random_window,
+    trapezoid_coefficients,
 )
 from phaseobs import (
     HardyState,
@@ -509,6 +510,40 @@ class TestKernel:
         with pytest.raises(PhaseObsError):
             kernel_apply(PhaseMatrix.canonical(3), 1, psi, 0.0, 64)
 
+    @pytest.mark.parametrize("s, grid", [(0, 2), (10, 4), (40, 41), (64, 64), (100, 7),
+                                         (127, 4096), (200, 3)])
+    def test_apply_matches_quadrature(self, s, grid):
+        """The closed-form projection is the G-point trapezoid rule, aliasing
+        included (G <= s): the sandwich equals the dense double sum
+        sum_{n,m} conj(u_n) c_{n,m} u_m, u_n = r_n exp(-i n theta), over the
+        rule's coefficients r of the quadrature oracle."""
+        rng = np.random.default_rng(945 + s)
+        psi = random_state(rng, s + 1)
+        thetas = np.array([0.0, 1.3, 4.0])
+        n = np.arange(s + 1)
+        r = trapezoid_coefficients(psi.coeffs, grid)
+        for mat in (PhaseMatrix.exponential(0.9, s + 1), random_gram_matrix(rng, s + 1)):
+            want = []
+            for theta in thetas:
+                u = r * np.exp(-1j * n * theta)
+                want.append((u.conj()[:, None] * mat.entries * u[None, :]).sum().real)
+            scale = np.sum(np.abs(r)) ** 2
+            np.testing.assert_allclose(kernel_apply(mat, s, psi, thetas, grid), want,
+                                       rtol=0, atol=64 * scale * EPS)
+
+    def test_apply_does_not_depend_on_grid_past_band(self):
+        """For G > s the projection is the coefficients themselves: the
+        smallest such grid (s + 1, and 2 at least) and G = 10^6 give the
+        same bits."""
+        rng = np.random.default_rng(946)
+        thetas = TWO_PI * np.arange(8) / 8
+        for s in (0, 7, 127):
+            psi = random_state(rng, s + 1)
+            for mat in (PhaseMatrix.exponential(0.9, s + 1), random_gram_matrix(rng, s + 1)):
+                near = kernel_apply(mat, s, psi, thetas, max(s + 1, 2))
+                far = kernel_apply(mat, s, psi, thetas, 10**6)
+                assert near.tobytes() == far.tobytes()
+
 
 class TestCdfAndSampling:
     def test_trivial_cdf_linear(self):
@@ -848,7 +883,10 @@ class TestGeneratorWeights:
             for s in range(dim):
                 np.testing.assert_array_equal(mat.truncated(s + 1).entries,
                                               copy.entries[: s + 1, : s + 1])
-                assert kernel_C(mat, s, 0.3, 1.9) == kernel_C(copy, s, 0.3, 1.9)
+                # a convolution against a matrix product: (s+1)^2 terms of
+                # modulus <= 1, summed in two orders
+                assert abs(kernel_C(mat, s, 0.3, 1.9) - kernel_C(copy, s, 0.3, 1.9)) <= (
+                    (s + 1) ** 2 * EPS)
 
     def test_tabulations_build_no_entries(self):
         rng = np.random.default_rng(920)
@@ -888,7 +926,7 @@ class TestBuiltinMemory:
                     lambda: sample(mat, psi, 1000, 5)):
             assert traced_peak(run) < 4e6
 
-    def test_kernel_grid_walked_in_blocks(self):
+    def test_kernel_projection_builds_no_grid_table(self):
         mat = PhaseMatrix.exponential(0.9, 4096)
         psi = random_state(np.random.default_rng(931), 256)
         thetas = TWO_PI * np.arange(8) / 8
@@ -901,6 +939,11 @@ class TestBuiltinMemory:
         psi = random_state(np.random.default_rng(933), 2048)
         thetas = TWO_PI * np.arange(8) / 8
         assert traced_peak(lambda: kernel_apply(mat, 2047, psi, thetas, 4096)) < 2e6
+
+    def test_kernel_C_full_band_at_2048(self):
+        # the block read as dense entries was 67 MB
+        mat = PhaseMatrix.exponential(0.9, 2048)
+        assert traced_peak(lambda: kernel_C(mat, 2047, 0.3, 1.9)) < 2e6
 
     def test_blocked_kernel_matches_density(self):
         rng = np.random.default_rng(932)
@@ -978,11 +1021,12 @@ class TestBlocks:
 
     def test_kernel_projection_recovers_coefficients(self):
         """The trapezoid rule on G > s points projects a state band-limited
-        to s back onto its coefficients; a table of exp(-i n x_j) with
-        arguments up to s * 2pi lost about 6 eps of them."""
-        eps = np.finfo(float).eps
+        to s back onto its coefficients exactly: for a dense C the sandwich
+        is the one of the coefficients themselves, bit for bit."""
         rng = np.random.default_rng(943)
         for s, grid in ((127, 4096), (255, 4096), (40, 41), (0, 2)):
-            a = random_state(rng, s + 1).coeffs
-            got = distribution._trapezoid_coefficients(a, grid)
-            assert np.max(np.abs(got - a)) <= 2 * eps * np.linalg.norm(a)
+            mat = random_gram_matrix(rng, s + 1)
+            psi = random_state(rng, s + 1)
+            theta = float(rng.random() * TWO_PI)
+            u = psi.coeffs * np.exp(-1j * np.arange(s + 1) * theta)
+            assert kernel_apply(mat, s, psi, theta, grid) == (u.conj() @ mat.entries @ u).real

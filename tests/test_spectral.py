@@ -15,7 +15,6 @@ from phaseobs import (
     TWO_PI,
     first_moment,
     localization,
-    localization_max,
     moment_spectrum,
     window_operator,
     window_probability,
@@ -195,15 +194,16 @@ class TestLocalization:
     def test_full_circle_identity(self):
         rng = np.random.default_rng(52)
         for mat in (PhaseMatrix.canonical(6), random_gram_matrix(rng, 6)):
-            lam, _ = localization_max(mat, PhaseWindow.full_circle())
+            lam = localization(mat, PhaseWindow.full_circle()).lam
             assert lam == pytest.approx(1.0, abs=1e-12)
 
     def test_trivial_half_circle(self):
-        lam, _ = localization_max(PhaseMatrix.trivial(8), HALF)
+        lam = localization(PhaseMatrix.trivial(8), HALF).lam
         assert lam == pytest.approx(0.5, abs=1e-14)
 
     def test_canonical_two_level(self):
-        lam, maximizer = localization_max(PhaseMatrix.canonical(2), HALF)
+        loc = localization(PhaseMatrix.canonical(2), HALF)
+        lam, maximizer = loc.lam, loc.maximizer
         assert lam == pytest.approx(0.5 + 1 / math.pi, abs=1e-12)
         assert window_probability(
             PhaseMatrix.canonical(2), maximizer, HALF
@@ -215,7 +215,8 @@ class TestLocalization:
         from conftest import random_window
 
         window = random_window(rng)
-        lam, maximizer = localization_max(mat, window)
+        loc = localization(mat, window)
+        lam, maximizer = loc.lam, loc.maximizer
         assert window_probability(mat, maximizer, window) == pytest.approx(
             lam, abs=1e-10
         )
@@ -348,7 +349,8 @@ class TestExactGap:
     @pytest.mark.parametrize("window", [HALF, HALF.shifted(5.0)], ids=["half", "wrapped"])
     def test_maximizer_residual(self, size, window):
         mat = PhaseMatrix.canonical(size)
-        lam, maximizer = localization_max(mat, window)
+        loc = localization(mat, window)
+        lam, maximizer = loc.lam, loc.maximizer
         assert 0 < 1 - lam < 1e-20
         entries = window_operator(mat, window)
         v = maximizer.coeffs
@@ -364,14 +366,14 @@ class TestExactGap:
     def test_two_arcs_refused(self):
         window = PhaseWindow(((0.0, 1.0), (2.0, 4.0)))
         with pytest.raises(PhaseObsError, match="S=64"):
-            localization_max(PhaseMatrix.canonical(64), window)
+            localization(PhaseMatrix.canonical(64), window)
         with pytest.raises(PrecisionError):
             localization(PhaseMatrix.canonical(64).truncated(64), window, maximizer=False)
 
     def test_noncanonical_unresolved_refused(self):
         nearly_full = PhaseWindow(((1e-17, TWO_PI),))
         with pytest.raises(PrecisionError):
-            localization_max(PhaseMatrix.exponential(0.5, 8), nearly_full)
+            localization(PhaseMatrix.exponential(0.5, 8), nearly_full)
 
 
 def real_gram_matrix(rng, dim):
@@ -543,8 +545,9 @@ def vector_solves(monkeypatch):
 
 
 class TestTruncationWrappers:
-    """localization_max(m, w, s) is localization(m.truncated(s), w), and its
-    values-only form gives the same lambda_max, bit for bit."""
+    """localization of a truncation m.truncated(s), on the dense and the
+    prolate path: its values-only form gives the same lambda_max, bit for
+    bit."""
 
     def test_equal_localization_of_truncation(self):
         rng = np.random.default_rng(82)
@@ -562,9 +565,6 @@ class TestTruncationWrappers:
                 loc = localization(mat.truncated(s), window)
                 methods.add((mat.label, loc.method))
                 assert localization(mat.truncated(s), window, maximizer=False).lam == loc.lam
-                lam_max, top = localization_max(mat, window, s)
-                assert lam_max == loc.lam
-                np.testing.assert_array_equal(top.coeffs, loc.maximizer.coeffs)
         assert methods == {("exponential", "dense"), ("canonical", "dense"),
                            ("canonical", "prolate"), ("explicit", "dense"),
                            ("explicit", "prolate")}
@@ -607,7 +607,7 @@ class TestValuesOnly:
             lams = [localization(mat.truncated(s), HALF, maximizer=False).lam for s in dims]
             assert vector_solves == []
             for lam, s in zip(lams, dims):
-                assert abs(lam - localization_max(mat, HALF, s)[0]) <= 8 * s * EPS
+                assert abs(lam - localization(mat.truncated(s), HALF).lam) <= 8 * s * EPS
             vector_solves.clear()
 
     @pytest.mark.parametrize("size", [32, 64])
