@@ -19,6 +19,12 @@ import tempfile
 import zlib
 from itertools import chain
 
+# One BLAS thread unless the caller sets a count: LAPACK's last bits (kraus,
+# localize, sweep) move with the thread count, and outputs must not.  Set
+# before observable loads numpy, which reads them once.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 # The import order is heap layout.  observable is compiled before numpy loads
 # (its parser's 1.2 MB then does not sit on top of numpy's heap) and orjson
 # loads after observable and hardy: the other way round, `validate` and
@@ -476,7 +482,7 @@ def cmd_kernel_check(args) -> int:
     if s >= matrix.dim:
         raise PhaseObsError("state band limit exceeds matrix dimension")
     thetas = TWO_PI * np.arange(8) / 8
-    sandwiches = distribution.kernel_apply(matrix, s, state, thetas, args.grid)
+    sandwiches = distribution.kernel_apply(matrix, s, state, thetas)
     directs = distribution.density(matrix, state, state, thetas).real
     _emit(_lines("theta,density,kernel,abs_err", thetas, directs, sandwiches,
                  np.abs(directs - sandwiches)), args.out)
@@ -604,9 +610,8 @@ def _build_parser(argv: list[str]) -> _Parser:
     for name, (handler, kinds) in handlers.items():
         sub = commands.add_parser(name)
         _add_common(sub, **kinds)
-        if name in ("density", "cdf", "kernel-check"):
-            sub.add_argument("--grid", type=int,
-                             default=4096 if name == "kernel-check" else 256)
+        if name in ("density", "cdf"):
+            sub.add_argument("--grid", type=int, default=256)
         if name == "sweep":
             sub.add_argument("--truncations", default="")
             sub.add_argument("--q-sweep", dest="q_sweep", default="")

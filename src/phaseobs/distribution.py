@@ -13,10 +13,11 @@ one; `density`, `density_grid`, `exact_cdf` and `sample` evaluate them by
 one Horner loop in z = exp(i theta) (`_horner`), in O(S N) time for N
 angles taken BLOCK at a time, so that their working memory beyond the
 weights and the result does not grow with N.  A point's value does not
-depend on the blocking.  The kernel sandwich `kernel_apply` takes its
-trapezoid rule in closed form, as the state's coefficients folded mod G.
-Closed forms are used on every production path; quadrature appears only in
-test oracles.
+depend on the blocking.  The kernel sandwich `kernel_apply` of a state
+band-limited to s is a finite sum over its coefficients a_0..a_s: the
+trapezoid rule on any grid of more than s points gives it exactly, so it
+takes no grid.  Closed forms are used on every production path; quadrature
+appears only in test oracles.
 """
 
 from __future__ import annotations
@@ -216,38 +217,27 @@ def kernel_C(matrix: PhaseMatrix, s: int, x: float, y: float) -> complex:
     return complex(matrix.truncated(s + 1).bilinear(left, right))
 
 
-def kernel_apply(
-    matrix: PhaseMatrix,
-    s: int,
-    psi: HardyState,
-    theta,
-    grid_size: int = 4096,
-):
+def kernel_apply(matrix: PhaseMatrix, s: int, psi: HardyState, theta):
     """Kernel sandwich (1/2pi)^2 double integral of
-    conj(psi(x)) C_s(x - theta, y - theta) psi(y) by the periodic
-    trapezoid rule on a G x G grid, in closed form.
+    conj(psi(x)) C_s(x - theta, y - theta) psi(y), in closed form.
 
-    The rule projects psi onto the modes exp(-i n x) exactly, up to
-    aliasing: coefficient r_n is the sum of the a_m with m = n (mod G)
-    (Trefethen & Weideman 2014), so for G > s it is a_n itself and the
-    result does not depend on G.  Requires psi band-limited to indices
-    <= s; then the result matches the density at theta once G exceeds the
-    band limit.  theta may be an array: each theta enters as the exact
-    phase factors exp(+-i n theta).  The block C_s is applied by
-    `PhaseMatrix.bilinear`, in O(S) for a builtin.
+    psi must be band-limited to indices <= s.  The integrand is then a
+    trigonometric polynomial of degree s in each variable, so the periodic
+    trapezoid rule on any G > s points is exact (Trefethen & Weideman 2014)
+    and projects psi onto its own coefficients a_0..a_s: the sandwich is the
+    finite sum sum_{n,m<=s} conj(u_n) c_{n,m} u_m, u_n = a_n exp(-i n theta),
+    which is the density at theta.  theta may be an array: each theta
+    enters as the exact phase factors exp(+-i n theta).  The block C_s is
+    applied by `PhaseMatrix.bilinear`, in O(S) for a builtin.
     """
     if not 0 <= s < matrix.dim:
         raise PhaseObsError(f"kernel order {s} outside [0, {matrix.dim})")
     a = psi.coeffs
     if a.size > s + 1 and np.any(a[s + 1 :] != 0):
         raise PhaseObsError(f"state is not band-limited to index {s}")
-    if grid_size < 2:
-        raise PhaseObsError("grid size must be >= 2")
     n = np.arange(s + 1)
-    # the left projection is the conjugate of the right one
-    folded = np.zeros(min(grid_size, s + 1), dtype=complex)
-    np.add.at(folded, n[: a.size] % grid_size, a[: s + 1])
-    right = folded[n % grid_size]
+    right = np.zeros(s + 1, dtype=complex)
+    right[: a.size] = a[: s + 1]
     block = matrix.truncated(s + 1)
     values = np.empty(np.shape(theta), dtype=complex)
     for index, t in np.ndenumerate(np.asarray(theta, dtype=float)):

@@ -192,24 +192,36 @@ def _explicit_entries(data: dict) -> np.ndarray:
 class PhaseMatrix:
     """Hermitian PSD unit-diagonal matrix (c_{n,m}) plus a family label.
 
-    The builtins (`canonical`, `trivial`, `exponential`) are real symmetric
-    Toeplitz, c_{n,m} = c_{|n-m|}, and keep only their generator
-    c_0 .. c_{S-1}; their dense `entries` are built once, read-only, on first
-    access.  The public constructor and `explicit` hold dense entries: a
-    label alone does not vouch for Toeplitz structure.
+    `PhaseMatrix(entries)` validates dense entries and renormalizes their
+    diagonal (within 1e-12 of 1) to exactly 1, a block of rows at a time
+    into one new array (the bits of `arr * np.outer(scale, scale)`); its
+    label is "explicit".  The builtins (`canonical`, `trivial`,
+    `exponential`) are real symmetric Toeplitz, c_{n,m} = c_{|n-m|}, and
+    keep only their generator c_0 .. c_{S-1}; their dense `entries` are
+    built once, read-only, on first access.
     """
 
     entries: np.ndarray
-    label: str = "explicit"
-    q: float | None = None
 
+    # the family and its parameter, set only by the builtins through `_adopt`
+    label = "explicit"
+    q = None
     # real generator of a builtin, read-only; None for dense matrices
     _generator = None
 
     def __post_init__(self):
-        arr = _as_square_matrix(self.entries).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        arr = _as_square_matrix(self.entries)
+        report = validate(arr)
+        if not report.valid:
+            worst = ", ".join(f"{i.prop} ({i.magnitude:g})" for i in report.issues)
+            raise ValidationError(f"not a phase matrix: {worst}")
+        scale = 1.0 / np.sqrt(np.real(np.diag(arr)))
+        fixed = np.empty_like(arr, order="C")
+        for rows in _blocks(arr.shape[0], max(1, BLOCK // arr.shape[0])):
+            np.multiply(arr[rows], np.outer(scale[rows], scale), out=fixed[rows])
+        fixed[np.diag_indices(arr.shape[0])] = 1.0
+        fixed.setflags(write=False)
+        object.__setattr__(self, "entries", fixed)
 
     @classmethod
     def _adopt(cls, label: str, q: float | None = None, **storage) -> "PhaseMatrix":
@@ -275,7 +287,7 @@ class PhaseMatrix:
     @classmethod
     def from_gram(cls, vectors) -> "PhaseMatrix":
         """Gram matrix of unit vectors: c_{n,m} = <u_n, u_m> (conjugate-linear
-        in the first slot).  Valid by construction."""
+        in the first slot), valid by construction up to rounding."""
         mat = np.asarray(vectors, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] < 1:
             raise PhaseObsError("expected a non-empty list of equal-length vectors")
@@ -284,27 +296,7 @@ class PhaseMatrix:
             raise PhaseObsError("Gram construction requires unit vectors")
         entries = mat.conj() @ mat.T
         entries[np.diag_indices(mat.shape[0])] = 1.0
-        return cls(entries, label="explicit")
-
-    @classmethod
-    def explicit(cls, entries) -> "PhaseMatrix":
-        """Accept an explicit matrix after validation.
-
-        The diagonal (within 1e-12 of 1) is renormalized to exactly 1 and the
-        off-diagonals rescaled accordingly, a block of rows at a time into one
-        new array (the same bits as `arr * np.outer(scale, scale)`).
-        """
-        arr = _as_square_matrix(entries)
-        report = validate(arr)
-        if not report.valid:
-            worst = ", ".join(f"{i.prop} ({i.magnitude:g})" for i in report.issues)
-            raise ValidationError(f"not a phase matrix: {worst}")
-        scale = 1.0 / np.sqrt(np.real(np.diag(arr)))
-        fixed = np.empty_like(arr, order="C")
-        for rows in _blocks(arr.shape[0], max(1, BLOCK // arr.shape[0])):
-            np.multiply(arr[rows], np.outer(scale[rows], scale), out=fixed[rows])
-        fixed[np.diag_indices(arr.shape[0])] = 1.0
-        return cls._adopt("explicit", entries=fixed)
+        return cls(entries)
 
     def to_dict(self) -> dict:
         data: dict = {"kind": self.label, "dim": self.dim}
@@ -318,7 +310,7 @@ class PhaseMatrix:
     def from_dict(cls, data: dict) -> "PhaseMatrix":
         kind = _kind(data)
         if kind == "explicit":
-            return cls.explicit(_explicit_entries(data))
+            return cls(_explicit_entries(data))
         if kind == "exponential":
             return cls.exponential(_field(data, "q", float), _field(data, "dim", int))
         return getattr(cls, kind)(_field(data, "dim", int))
@@ -435,4 +427,4 @@ def kraus_decompose(matrix: PhaseMatrix) -> KrausFamily:
 def kraus_reconstruct(family: KrausFamily) -> PhaseMatrix:
     """Rebuild the phase matrix: c_{k,l} = sum_n z_{n,k} * conj(z_{n,l})."""
     entries = family.z.T @ family.z.conj()
-    return PhaseMatrix.explicit(entries)
+    return PhaseMatrix(entries)

@@ -152,8 +152,8 @@ def trapezoid_coefficients(a: np.ndarray, grid_size: int) -> np.ndarray:
     exp(-i n x_j) is gathered from the grid's roots of unity at (j n) mod G,
     so that no argument grows past 2*pi, and walked in blocks of about BLOCK
     entries, so that beyond the G roots its working memory does not grow
-    with the grid.  The quadrature oracle of `distribution.kernel_apply`'s
-    projection, which sums it in closed form."""
+    with the grid.  The quadrature oracle of `distribution.kernel_apply`,
+    which takes the coefficients themselves: the rule is exact for G > s."""
     n = np.arange(a.size)
     roots = np.exp(-1j * (TWO_PI * np.arange(grid_size) / grid_size))
     total = np.zeros(a.size, dtype=complex)

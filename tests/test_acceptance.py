@@ -157,7 +157,7 @@ def test_kernel():
         mat = random_gram_matrix(rng, dim)
         psi = random_state(rng, dim, band_limit=s)
         theta = float(rng.random() * TWO_PI)
-        assert kernel_apply(mat, s, psi, theta, 4096) == pytest.approx(
+        assert kernel_apply(mat, s, psi, theta) == pytest.approx(
             density(mat, psi, psi, theta).real, abs=1e-6
         )
 
@@ -262,7 +262,7 @@ def test_cli_determinism(tmp_path, capsys):
                         "--state", str(state), "--window", window],
         "kraus": ["kraus", "--matrix", str(matrix)],
         "kernel-check": ["kernel-check", "--matrix", str(matrix),
-                         "--state", str(state), "--grid", "256"],
+                         "--state", str(state)],
         "moment": ["moment", "--matrix", str(matrix)],
         "localize": ["localize", "--matrix", str(matrix), "--window", window],
         "sweep": ["sweep", "--matrix", str(matrix), "--window", window,

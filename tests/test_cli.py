@@ -178,8 +178,6 @@ class TestCommands:
                 canonical2,
                 "--state",
                 plus_state,
-                "--grid",
-                "512",
                 "--out",
                 str(out),
             ]
@@ -187,6 +185,15 @@ class TestCommands:
         rows = out.read_text().splitlines()[1:]
         for row in rows:
             assert float(row.split(",")[3]) < 1e-6
+
+    def test_kernel_check_takes_no_grid(self, canonical2, plus_state, tmp_path, capsys):
+        # the sandwich of a band-limited state is exact on any grid past its
+        # band, so the command has no grid to choose
+        out = tmp_path / "kernel.csv"
+        assert main(["kernel-check", "--matrix", canonical2, "--state", plus_state,
+                     "--grid", "4096", "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["code"] == "usage"
+        assert not out.exists()
 
     def test_moment_spectrum(self, canonical2, tmp_path):
         out = tmp_path / "moment.csv"
@@ -289,13 +296,13 @@ class TestCommands:
                          ",".join(map(str, dims)), "--out", str(out)]) == 0
             rows = []
             for dim in dims:
-                copy = PhaseMatrix(full.entries[:dim, :dim], label=full.label, q=full.q)
+                copy = PhaseMatrix(full.entries[:dim, :dim])
                 assert copy.entries.flags.c_contiguous
                 loc = spectral.localization(copy, window, maximizer=False)
                 rows.append((dim, cli._localization_fields(loc)["lambda_max"]))
             assert out.read_text() == reference_csv("S,lambda_max", rows)
             assert main(["moment", *argv, "--out", str(out)]) == 0
-            copy = PhaseMatrix(full.entries, label=full.label, q=full.q)
+            copy = PhaseMatrix(full.entries)
             assert out.read_text() == reference_csv(
                 "index,eigenvalue", enumerate(spectral.moment_spectrum(copy)))
 
@@ -1401,9 +1408,9 @@ class TestWriter:
             values = distribution.exact_cdf(matrix, state, thetas)
             expected = reference_csv("theta,value", zip(thetas, values))
         elif command == "kernel-check":
-            argv = ["kernel-check", *exp, *argv_state, "--grid", "512"]
+            argv = ["kernel-check", *exp, *argv_state]
             thetas = TWO_PI * np.arange(8) / 8
-            sandwiches = distribution.kernel_apply(matrix, 5, state, thetas, 512)
+            sandwiches = distribution.kernel_apply(matrix, 5, state, thetas)
             directs = distribution.density(matrix, state, state, thetas).real
             expected = reference_csv("theta,density,kernel,abs_err", [
                 (theta, direct, sandwich, abs(direct - sandwich))
@@ -1817,6 +1824,28 @@ def test_outputs_fixed_per_blas_thread_count(argv, size, tmp_path):
         assert np.max(np.abs(spectra[0] - spectra[1])) <= bound
 
 
+def test_cli_runs_one_blas_thread_by_default(tmp_path):
+    # LAPACK's last bits move with the BLAS thread count, so the CLI sets one
+    # thread unless the caller sets a count: a child with neither variable
+    # writes the bytes of a child told to use one thread.  Importing `cli`
+    # set both variables in this process too, so the children's environment
+    # is built without them
+    gram = random_gram_matrix(np.random.default_rng(512), 512)
+    path = write_json(tmp_path / "gram512.json", gram.to_dict())
+    unset = {key: value for key, value in os.environ.items()
+             if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    out = tmp_path / "out.json"
+    for argv in (["kraus", "--matrix", path],
+                 ["localize", "--matrix", path, "--window", f"0:{math.pi}"]):
+        outputs = []
+        for env in (unset, dict(unset, OPENBLAS_NUM_THREADS="1")):
+            subprocess.run([sys.executable, "-m", "phaseobs.cli", *argv, "--out", str(out)],
+                           cwd=Path(__file__).resolve().parent.parent,
+                           env=dict(env, PYTHONPATH="src"), check=True)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 def _fuzz_float():
     return st.one_of(st.floats(), st.floats(-1.0, 8.0), st.sampled_from([0.0, 1.0, TWO_PI]))
 
@@ -1828,7 +1857,7 @@ def _inline_window(ends):
 # the options each command takes besides --matrix, --dim, --q and --out
 FUZZ_OPTIONS = {
     "validate": (), "kraus": (), "moment": (),
-    "density": ("state", "grid"), "cdf": ("state", "grid"), "kernel-check": ("state", "grid"),
+    "density": ("state", "grid"), "cdf": ("state", "grid"), "kernel-check": ("state",),
     "window-prob": ("state", "window"), "localize": ("window",),
     "sweep": ("window", "truncations", "q-sweep"), "sample": ("state", "samples"),
 }

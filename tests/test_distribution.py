@@ -43,7 +43,7 @@ from phaseobs import (
     window_operator,
     window_probability,
 )
-from phaseobs import distribution
+from phaseobs import ValidationError, distribution
 from phaseobs.distribution import _diagonal_weights, _invert_cdf
 from phaseobs.observable import _window_symbol, schur_toeplitz
 
@@ -470,13 +470,13 @@ class TestKernel:
         mat = PhaseMatrix.trivial(4)
         eta0 = HardyState.basis(0, 4)
         for theta in (0.0, 2.0):
-            assert kernel_apply(mat, 0, eta0, theta, 256) == pytest.approx(
+            assert kernel_apply(mat, 0, eta0, theta) == pytest.approx(
                 1.0, abs=1e-10
             )
 
     def test_apply_canonical_fringe(self):
         assert kernel_apply(
-            PhaseMatrix.canonical(2), 1, PLUS, 0.0, 4096
+            PhaseMatrix.canonical(2), 1, PLUS, 0.0
         ) == pytest.approx(2.0, abs=1e-6)
 
     def test_apply_matches_density(self):
@@ -487,7 +487,7 @@ class TestKernel:
             mat = random_gram_matrix(rng, dim)
             psi = random_state(rng, dim, band_limit=s)
             theta = float(rng.random() * TWO_PI)
-            assert kernel_apply(mat, s, psi, theta, 1024) == pytest.approx(
+            assert kernel_apply(mat, s, psi, theta) == pytest.approx(
                 density(mat, psi, psi, theta).real, abs=1e-6
             )
 
@@ -496,10 +496,10 @@ class TestKernel:
         mat = random_gram_matrix(rng, 12)
         psi = random_state(rng, 12, band_limit=9)
         thetas = np.concatenate([[0.0], rng.random(6) * TWO_PI])
-        values = kernel_apply(mat, 9, psi, thetas, 512)
+        values = kernel_apply(mat, 9, psi, thetas)
         assert values.shape == thetas.shape
         np.testing.assert_array_equal(
-            values, [kernel_apply(mat, 9, psi, float(t), 512) for t in thetas]
+            values, [kernel_apply(mat, 9, psi, float(t)) for t in thetas]
         )
         np.testing.assert_allclose(
             values, [density(mat, psi, psi, t).real for t in thetas], atol=1e-12
@@ -508,13 +508,13 @@ class TestKernel:
     def test_apply_rejects_wide_band(self):
         psi = normalize([1, 1, 1])
         with pytest.raises(PhaseObsError):
-            kernel_apply(PhaseMatrix.canonical(3), 1, psi, 0.0, 64)
+            kernel_apply(PhaseMatrix.canonical(3), 1, psi, 0.0)
 
-    @pytest.mark.parametrize("s, grid", [(0, 2), (10, 4), (40, 41), (64, 64), (100, 7),
-                                         (127, 4096), (200, 3)])
+    @pytest.mark.parametrize("s, grid", [(0, 2), (10, 11), (40, 41), (64, 1000),
+                                         (100, 257), (127, 4096), (200, 4096)])
     def test_apply_matches_quadrature(self, s, grid):
-        """The closed-form projection is the G-point trapezoid rule, aliasing
-        included (G <= s): the sandwich equals the dense double sum
+        """The G-point trapezoid rule is exact for G > s, which is why the
+        sandwich takes no grid: it equals the dense double sum
         sum_{n,m} conj(u_n) c_{n,m} u_m, u_n = r_n exp(-i n theta), over the
         rule's coefficients r of the quadrature oracle."""
         rng = np.random.default_rng(945 + s)
@@ -528,21 +528,8 @@ class TestKernel:
                 u = r * np.exp(-1j * n * theta)
                 want.append((u.conj()[:, None] * mat.entries * u[None, :]).sum().real)
             scale = np.sum(np.abs(r)) ** 2
-            np.testing.assert_allclose(kernel_apply(mat, s, psi, thetas, grid), want,
+            np.testing.assert_allclose(kernel_apply(mat, s, psi, thetas), want,
                                        rtol=0, atol=64 * scale * EPS)
-
-    def test_apply_does_not_depend_on_grid_past_band(self):
-        """For G > s the projection is the coefficients themselves: the
-        smallest such grid (s + 1, and 2 at least) and G = 10^6 give the
-        same bits."""
-        rng = np.random.default_rng(946)
-        thetas = TWO_PI * np.arange(8) / 8
-        for s in (0, 7, 127):
-            psi = random_state(rng, s + 1)
-            for mat in (PhaseMatrix.exponential(0.9, s + 1), random_gram_matrix(rng, s + 1)):
-                near = kernel_apply(mat, s, psi, thetas, max(s + 1, 2))
-                far = kernel_apply(mat, s, psi, thetas, 10**6)
-                assert near.tobytes() == far.tobytes()
 
 
 class TestCdfAndSampling:
@@ -834,15 +821,113 @@ class TestWindowProbabilityProperties:
 EPS = np.finfo(float).eps
 
 
+@st.composite
+def phase_matrices(draw):
+    """A builtin or a Gram matrix of dimension 1..32."""
+    dim = draw(st.integers(1, 32))
+    kind = draw(st.sampled_from(["canonical", "trivial", "exponential", "gram"]))
+    if kind == "exponential":
+        return PhaseMatrix.exponential(draw(st.floats(0.0, 1.0)), dim)
+    if kind == "gram":
+        return random_gram_matrix(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), dim)
+    return getattr(PhaseMatrix, kind)(dim)
+
+
+@st.composite
+def phase_windows(draw):
+    """Empty, full, or arcs between distinct sorted ends inside (0, 2*pi);
+    a wrapped window adds ends at 0 and 2*pi, so that its first and last
+    arcs meet across 0 = 2*pi."""
+    kind = draw(st.sampled_from(["empty", "full", "arcs", "wrapped"]))
+    if kind in ("empty", "full"):
+        return PhaseWindow(()) if kind == "empty" else PhaseWindow.full_circle()
+    inner = st.floats(0.0, TWO_PI, exclude_min=True, exclude_max=True)
+    ends = sorted(draw(st.lists(inner, min_size=2, max_size=8, unique=True)))
+    if kind == "wrapped":
+        ends = [0.0, *ends[: len(ends) // 2 * 2], TWO_PI]
+    return PhaseWindow(tuple(zip(ends[0::2], ends[1::2])))
+
+
+class TestWindowOperatorProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(phase_matrices(), phase_windows())
+    def test_window_and_complement_sum_to_identity(self, mat, window):
+        """E(X) + E(X^c) = I.  Entry (n, m) is c_{n,m} times the sum over
+        the arcs of X and X^c of their window integrals at k = n - m, which
+        add to the delta symbol.  Each arc's integral carries the rounding
+        of its centre and length (one step each in [0, 2*pi]) and of its
+        sin and exp, and |c_{n,m}| <= 1: an entry is off by about one eps
+        per arc (0.65 arcs * eps at most over 3000 random cases at S <= 64),
+        so 4 eps per arc bounds it."""
+        rest = window.complement()
+        total = window_operator(mat, window) + window_operator(mat, rest)
+        arcs = len(window.arcs) + len(rest.arcs)
+        assert np.max(np.abs(total - np.eye(mat.dim))) <= 4 * arcs * EPS
+
+
+# An unchecked matrix that is not Hermitian, and one that is Hermitian but
+# not PSD: the constructor refuses both, so they are adopted as they are.
+NOT_HERMITIAN = PhaseMatrix._adopt("explicit", entries=np.array([[1.0, 0.5], [0.0, 1.0]],
+                                                                dtype=complex))
+NOT_PSD = PhaseMatrix._adopt("explicit", entries=np.array([[1.0, 2.0], [2.0, 1.0]],
+                                                          dtype=complex))
+
+
+def raised_excess(run, message: str) -> float:
+    """The excess that `run()`'s ValidationError reports after `message`."""
+    with pytest.raises(ValidationError) as info:
+        run()
+    text = str(info.value)
+    assert text.startswith(message + " ")
+    return float(text[len(message) + 1:])
+
+
+class TestToleranceGuards:
+    """A matrix that is not a phase matrix trips each tolerance check
+    instead of being clamped or truncated away.  For PLUS the density of
+    NOT_HERMITIAN is 1 + exp(-i theta)/4, and for MINUS the density of
+    NOT_PSD is 1 - 2 cos(theta)."""
+
+    def test_density_grid_residue(self):
+        excess = raised_excess(lambda: density_grid(NOT_HERMITIAN, PLUS, 8),
+                               "density has imaginary residue")
+        # sin(theta)/4 peaks at theta = pi/2, a grid point
+        assert excess == pytest.approx(0.25, rel=1e-5)
+
+    def test_window_probability_residue(self):
+        # (1/2pi) int_0^pi exp(-i theta)/4 = -i/(4 pi)
+        excess = raised_excess(lambda: window_probability(NOT_HERMITIAN, PLUS, HALF),
+                               "window probability has imaginary residue")
+        assert excess == pytest.approx(1 / (4 * math.pi), rel=1e-5)
+
+    def test_window_probability_clamp(self):
+        # (1/2pi) int_0^1 (1 - 2 cos theta) = (1 - 2 sin 1)/2pi < 0
+        window = PhaseWindow(((0.0, 1.0),))
+        excess = raised_excess(lambda: window_probability(NOT_PSD, MINUS, window),
+                               "window probability escapes [0, 1] by")
+        assert excess == pytest.approx((2 * math.sin(1.0) - 1) / TWO_PI, rel=1e-5)
+
+    def test_cdf_clamp(self):
+        excess = raised_excess(lambda: exact_cdf(NOT_PSD, MINUS, np.array([0.5, 1.0])),
+                               "cdf escapes [0, 1] by")
+        assert excess == pytest.approx((2 * math.sin(1.0) - 1) / TWO_PI, rel=1e-5)
+
+    def test_kernel_residue(self):
+        # conj(u) C u = 1 + exp(-i theta)/4 for u = PLUS shifted by theta
+        excess = raised_excess(lambda: kernel_apply(NOT_HERMITIAN, 1, PLUS, math.pi / 2),
+                               "kernel sandwich has imaginary residue")
+        assert excess == pytest.approx(0.25, rel=1e-5)
+
+
 def builtins(dim):
     return (PhaseMatrix.canonical(dim), PhaseMatrix.trivial(dim),
             PhaseMatrix.exponential(0.9, dim), PhaseMatrix.exponential(0.3, dim))
 
 
 def dense_copy(mat):
-    """The same matrix through the public constructor, label and q included:
-    dense entries, because a label cannot vouch for Toeplitz structure."""
-    return PhaseMatrix(mat.entries, label=mat.label, q=mat.q)
+    """The same matrix through the public constructor: dense entries, whose
+    structure the code does not assume."""
+    return PhaseMatrix(mat.entries)
 
 
 class TestGeneratorWeights:
@@ -864,12 +949,13 @@ class TestGeneratorWeights:
     def test_public_constructor_takes_dense_path(self):
         rng = np.random.default_rng(910)
         psi = random_state(rng, 64)
-        mat = PhaseMatrix(PhaseMatrix.exponential(0.9, 64).entries, label="exponential", q=0.9)
-        assert mat._generator is None
+        mat = PhaseMatrix(PhaseMatrix.exponential(0.9, 64).entries)
+        assert (mat._generator, mat.label, mat.q) == (None, "explicit", None)
         np.testing.assert_array_equal(_diagonal_weights(mat, psi), bincount_weights(mat, psi))
-        # a matrix that is not Toeplitz keeps its own weights whatever its label
+        # the weights follow the generator, not the label: a dense matrix
+        # that is not Toeplitz keeps its own under a builtin's label
         gram = random_gram_matrix(rng, 8)
-        fake = PhaseMatrix(gram.entries, label="exponential", q=0.9)
+        fake = PhaseMatrix._adopt("exponential", 0.9, entries=gram.entries)
         psi8 = random_state(rng, 8)
         np.testing.assert_array_equal(_diagonal_weights(fake, psi8), bincount_weights(gram, psi8))
 
@@ -895,7 +981,7 @@ class TestGeneratorWeights:
             density_grid(mat, psi, 64)
             exact_cdf(mat, psi, np.linspace(0.0, TWO_PI, 9))
             window_probability(mat, psi, HALF)
-            kernel_apply(mat, 20, psi, 1.0, 256)
+            kernel_apply(mat, 20, psi, 1.0)
             kernel_C(mat, 20, 0.0, 1.0)
             sample(mat, psi, 10, 1)
             window_operator(mat, HALF)
@@ -931,27 +1017,27 @@ class TestBuiltinMemory:
         psi = random_state(np.random.default_rng(931), 256)
         thetas = TWO_PI * np.arange(8) / 8
         # a G x (s+1) table of exponentials alone would be 16.8 MB
-        assert traced_peak(lambda: kernel_apply(mat, 255, psi, thetas, 4096)) < 2e6
+        assert traced_peak(lambda: kernel_apply(mat, 255, psi, thetas)) < 2e6
 
     def test_kernel_full_band_at_2048(self):
         # a full-band state's block is the whole C: one dense copy is 67 MB
         mat = PhaseMatrix.exponential(0.9, 2048)
         psi = random_state(np.random.default_rng(933), 2048)
         thetas = TWO_PI * np.arange(8) / 8
-        assert traced_peak(lambda: kernel_apply(mat, 2047, psi, thetas, 4096)) < 2e6
+        assert traced_peak(lambda: kernel_apply(mat, 2047, psi, thetas)) < 2e6
 
     def test_kernel_C_full_band_at_2048(self):
         # the block read as dense entries was 67 MB
         mat = PhaseMatrix.exponential(0.9, 2048)
         assert traced_peak(lambda: kernel_C(mat, 2047, 0.3, 1.9)) < 2e6
 
-    def test_blocked_kernel_matches_density(self):
+    def test_full_band_kernel_matches_density(self):
         rng = np.random.default_rng(932)
         thetas = TWO_PI * np.arange(8) / 8
-        for s, grid in ((0, 2), (3, 4097), (200, 1000), (255, 4096)):
+        for s in (0, 3, 200, 255):
             mat = PhaseMatrix.exponential(0.9, s + 1)
             psi = random_state(rng, s + 1)
-            np.testing.assert_allclose(kernel_apply(mat, s, psi, thetas, max(grid, 2 * s + 2)),
+            np.testing.assert_allclose(kernel_apply(mat, s, psi, thetas),
                                        density(mat, psi, psi, thetas).real, atol=1e-12)
 
 
@@ -1020,13 +1106,13 @@ class TestBlocks:
             assert part.tobytes() == np.concatenate([a[row] for a in alone]).tobytes()
 
     def test_kernel_projection_recovers_coefficients(self):
-        """The trapezoid rule on G > s points projects a state band-limited
-        to s back onto its coefficients exactly: for a dense C the sandwich
-        is the one of the coefficients themselves, bit for bit."""
+        """The sandwich of a state band-limited to s projects it onto its own
+        coefficients: for a dense C it is the one of the coefficients
+        themselves, bit for bit."""
         rng = np.random.default_rng(943)
-        for s, grid in ((127, 4096), (255, 4096), (40, 41), (0, 2)):
+        for s in (127, 255, 40, 0):
             mat = random_gram_matrix(rng, s + 1)
             psi = random_state(rng, s + 1)
             theta = float(rng.random() * TWO_PI)
             u = psi.coeffs * np.exp(-1j * np.arange(s + 1) * theta)
-            assert kernel_apply(mat, s, psi, theta, grid) == (u.conj() @ mat.entries @ u).real
+            assert kernel_apply(mat, s, psi, theta) == (u.conj() @ mat.entries @ u).real

@@ -173,7 +173,7 @@ class TestEntries:
         rng = np.random.default_rng(17)
         for mat in (PhaseMatrix.canonical(4), PhaseMatrix.trivial(4),
                     PhaseMatrix.exponential(0.5, 4),
-                    PhaseMatrix.explicit(random_gram_matrix(rng, 4).entries)):
+                    PhaseMatrix(random_gram_matrix(rng, 4).entries)):
             assert not mat.entries.flags.writeable
             with pytest.raises(ValueError):
                 mat.entries[0, 1] = 2.0
@@ -232,6 +232,18 @@ class TestEntries:
         gram = random_gram_matrix(rng, dim)
         assert gram.bilinear(left, right) == left @ gram.entries @ right
 
+    def test_constructor_takes_entries_alone(self):
+        # a dense matrix is "explicit": the family and its parameter are not
+        # the caller's to claim
+        entries = random_gram_matrix(np.random.default_rng(20), 3).entries
+        for extra in ({"label": "exponential"}, {"q": 0.9}, {"label": "explicit"}):
+            with pytest.raises(TypeError):
+                PhaseMatrix(entries, **extra)
+        with pytest.raises(TypeError):
+            PhaseMatrix(entries, "canonical")
+        mat = PhaseMatrix(entries)
+        assert (mat.label, mat.q, mat._generator) == ("explicit", None, None)
+
     def test_public_constructor_copies(self):
         given = np.eye(3, dtype=complex)
         mat = PhaseMatrix(given)
@@ -272,12 +284,12 @@ class TestExplicit:
     def test_diagonal_renormalization(self):
         eps = 1e-13
         entries = np.array([[1.0 + eps, 0.5], [0.5, 1.0 - eps]])
-        mat = PhaseMatrix.explicit(entries)
+        mat = PhaseMatrix(entries)
         assert mat.entries[0, 0] == 1.0 and mat.entries[1, 1] == 1.0
 
     def test_rejects_invalid(self):
         with pytest.raises(ValidationError):
-            PhaseMatrix.explicit(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            PhaseMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestKraus:
@@ -374,9 +386,20 @@ class TestKraus:
             assert _fix_vector_phase(vecs).tobytes() == expected.tobytes()
 
     def test_decompose_rejects_non_psd(self):
-        bad = PhaseMatrix(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex))
-        with pytest.raises(ValidationError):
+        # the constructor refuses a matrix that is not PSD; adopted
+        # unchecked, it is refused by the decomposition's own guard
+        entries = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
+        with pytest.raises(ValidationError, match=r"^not a phase matrix: psd \(1\)$"):
+            PhaseMatrix(entries)
+        bad = PhaseMatrix._adopt("explicit", entries=entries)
+        with pytest.raises(ValidationError, match=r"^matrix is not PSD: min eigenvalue -1 "):
             kraus_decompose(bad)
+
+    def test_decompose_needs_an_eigenvalue_above_the_clip(self):
+        zero = PhaseMatrix._adopt("explicit", entries=np.zeros((3, 3), dtype=complex))
+        with pytest.raises(ValidationError,
+                           match="^matrix has no eigenvalue above the clipping tolerance$"):
+            kraus_decompose(zero)
 
     def test_family_rejects_bad_columns(self):
         with pytest.raises(ValidationError):
@@ -392,6 +415,27 @@ class TestJson:
         ):
             again = PhaseMatrix.from_dict(json.loads(json.dumps(mat.to_dict())))
             np.testing.assert_array_equal(again.entries, mat.entries)
+
+    def test_round_trip_is_bit_identical(self):
+        # a dense matrix is validated and renormalized as it is built, so
+        # reading its dict back repeats nothing: the same kind, q and bits
+        rng = np.random.default_rng(21)
+        nudged = random_gram_matrix(rng, 5).entries.copy()
+        nudged[np.diag_indices(5)] += [1e-13, -1e-13, 5e-13, 0.0, -8e-13]
+        for mat in (
+            PhaseMatrix.canonical(3),
+            PhaseMatrix.trivial(4),
+            PhaseMatrix.exponential(0.25, 5),
+            PhaseMatrix.exponential(0.9, 3).truncated(2),
+            random_gram_matrix(rng, 6),
+            PhaseMatrix(nudged),
+            PhaseMatrix(np.eye(3)),
+            kraus_reconstruct(kraus_decompose(random_gram_matrix(rng, 4))),
+        ):
+            again = PhaseMatrix.from_dict(json.loads(json.dumps(mat.to_dict())))
+            assert (again.label, again.q, again.dim) == (mat.label, mat.q, mat.dim)
+            assert again.entries.tobytes() == mat.entries.tobytes()
+            assert again.to_dict() == mat.to_dict()
 
     def test_explicit_round_trip(self):
         rng = np.random.default_rng(11)
@@ -434,7 +478,7 @@ def test_explicit_steps_hold_about_two_matrices(step, order):
     matrix = random_gram_matrix(np.random.default_rng(40), dim)
     raw = np.array(matrix.entries, order=order)
     run = {"validate": lambda: validate(raw),
-           "explicit": lambda: PhaseMatrix.explicit(raw),
+           "explicit": lambda: PhaseMatrix(raw),
            "kraus": lambda: kraus_decompose(matrix)}[step]
     run()
     tracemalloc.start()

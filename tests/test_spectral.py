@@ -154,10 +154,10 @@ class TestMomentRealForm:
 
 
     def test_label_does_not_vouch(self, moment_builds):
-        # a real matrix that is not persymmetric, labelled as a builtin by the
-        # public constructor, still takes the checked path
+        # a real matrix that is not persymmetric, with a builtin's label but
+        # no generator, still takes the checked path
         real = real_gram_matrix(np.random.default_rng(55), 16)
-        fake = PhaseMatrix(real.entries, label="exponential", q=0.9)
+        fake = PhaseMatrix._adopt("exponential", 0.9, entries=real.entries)
         reference = np.linalg.eigvalsh(first_moment(real))
         np.testing.assert_array_equal(moment_spectrum(fake), reference)
         assert moment_builds == [16]
@@ -173,7 +173,7 @@ class TestGeneratorSolves:
                    PhaseWindow(((0.5, 2.0), (3.0, 5.5))), PhaseWindow.full_circle())
         for mat in (PhaseMatrix.exponential(0.9, size), PhaseMatrix.exponential(0.2, size),
                     PhaseMatrix.trivial(size), PhaseMatrix.canonical(min(size, 7))):
-            copy = PhaseMatrix(mat.entries, label=mat.label, q=mat.q)
+            copy = PhaseMatrix(mat.entries)
             np.testing.assert_array_equal(moment_spectrum(mat), moment_spectrum(copy))
             for window in windows:
                 ours, theirs = localization(mat, window), localization(copy, window)
@@ -358,7 +358,7 @@ class TestExactGap:
         assert np.linalg.norm(entries @ v - float(lam) * v) <= 1e-9
 
     def test_explicit_all_ones_takes_exact_path(self):
-        mat = PhaseMatrix.explicit(np.ones((40, 40)))
+        mat = PhaseMatrix(np.ones((40, 40)))
         loc = localization(mat, HALF)
         assert loc.method == "prolate"
         assert loc.gap == localization(PhaseMatrix.canonical(40), HALF).gap
@@ -555,7 +555,7 @@ class TestTruncationWrappers:
         cases = [
             (PhaseMatrix.exponential(0.9, 64), HALF, [1, 8, 33, 64]),
             (PhaseMatrix.canonical(40), HALF, [2, 8, 32, 40]),  # dense, then prolate
-            (PhaseMatrix.explicit(np.ones((32, 32))), HALF, [4, 16, 32]),
+            (PhaseMatrix(np.ones((32, 32))), HALF, [4, 16, 32]),
             (real_gram_matrix(rng, 24), random_arc(rng), [2, 9, 24]),
             (random_gram_matrix(rng, 24), two_arcs, [3, 17, 24]),
         ]
@@ -684,7 +684,7 @@ class TestHalfSize:
         matrices = [
             PhaseMatrix.exponential(q, size),
             # (-q)^|n-m|: real persymmetric, with an odd top eigenvector at even S
-            PhaseMatrix.explicit((-q) ** steps),
+            PhaseMatrix((-q) ** steps),
             PhaseMatrix.canonical(size),
             PhaseMatrix.trivial(size),
             random_gram_matrix(rng, size),
@@ -716,7 +716,7 @@ class TestHalfSize:
         """A top eigenvalue within 8*S*eps of the next is left to eigh."""
         entries = np.eye(8)
         entries[0, 1] = entries[1, 0] = 1e-14
-        loc = localization(PhaseMatrix.explicit(entries), HALF)
+        loc = localization(PhaseMatrix(entries), HALF)
         assert vector_solves == [8]
         assert loc.maximizer is not None
 
