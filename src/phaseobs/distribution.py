@@ -243,7 +243,7 @@ def kernel_apply(matrix: PhaseMatrix, s: int, psi: HardyState, theta):
     for index, t in np.ndenumerate(np.asarray(theta, dtype=float)):
         shifted = right * np.exp(-1j * n * t)
         values[index] = block.bilinear(shifted.conj(), shifted)
-    residue = float(np.max(np.abs(values.imag), initial=0.0))
+    residue = _residue(values)
     if residue > 1e-8:
         raise ValidationError(f"kernel sandwich has imaginary residue {residue:g}")
     return float(values.real) if values.ndim == 0 else values.real

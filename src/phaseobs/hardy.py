@@ -252,7 +252,9 @@ class PhaseWindow:
         """Translate every arc by alpha mod 2*pi, re-splitting wrapped arcs.
 
         An end at 2*pi lands where a start at 0 does, at alpha exactly, so
-        the images of arcs that touch across 0 = 2*pi touch and merge."""
+        the images of arcs that touch across 0 = 2*pi touch and merge.  An
+        image piece whose two ends round to the same double (its measure is
+        below their spacing there) is dropped."""
         alpha = canonical_angle(alpha)
         if alpha == 0.0:
             return self
@@ -267,8 +269,7 @@ class PhaseWindow:
                 pieces.append((lo2 - TWO_PI, wrapped))
             else:
                 pieces += [(lo2, TWO_PI), (0.0, wrapped)]
-        pieces.sort()
-        return PhaseWindow(tuple(pieces))
+        return PhaseWindow(tuple(sorted(p for p in pieces if p[0] < p[1])))
 
     def complement(self) -> "PhaseWindow":
         gaps = []

@@ -21,7 +21,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TWO_PI, random_gram_matrix, random_state
-from phaseobs import PhaseMatrix, PhaseWindow, cli, distribution, observable, spectral
+from phaseobs import (PhaseMatrix, PhaseWindow, _matrixfile, cli, distribution, observable,
+                      spectral)
 from phaseobs.cli import main
 from phaseobs.hardy import _pair_floats, _pairs
 
@@ -186,6 +187,23 @@ class TestCommands:
         for row in rows:
             assert float(row.split(",")[3]) < 1e-6
 
+    def test_kernel_check_checks_the_density_residue(self, plus_state, tmp_path,
+                                                     monkeypatch, capsys):
+        # the density column is `density_grid`'s, after its residue check: for
+        # PLUS this unchecked matrix has density 1 + cos(theta) - 2e-9
+        # exp(i theta), a residue of 2e-9, past the density's 1e-10 and within
+        # the sandwich's own 1e-8
+        skew = np.array([[1.0, 0.5], [0.5 - 4e-9, 1.0]], dtype=complex)
+        monkeypatch.setattr(cli, "_load_matrix",
+                            lambda args: PhaseMatrix._adopt("explicit", entries=skew))
+        out = tmp_path / "kernel.csv"
+        assert main(["kernel-check", "--matrix", "unused.json", "--state", plus_state,
+                     "--out", str(out)]) == 2
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["code"] == "validation"
+        assert diag["message"].startswith("density has imaginary residue ")
+        assert not out.exists()
+
     def test_kernel_check_takes_no_grid(self, canonical2, plus_state, tmp_path, capsys):
         # the sandwich of a band-limited state is exact on any grid past its
         # band, so the command has no grid to choose
@@ -235,8 +253,8 @@ class TestCommands:
         matrix = random_gram_matrix(np.random.default_rng(9), 6)
         path = write_json(tmp_path / "gram.json", matrix.to_dict())
         loads = []
-        load = cli._load_json
-        monkeypatch.setattr(cli, "_load_json", lambda p: loads.append(p) or load(p))
+        load = _matrixfile._load_json
+        monkeypatch.setattr(_matrixfile, "_load_json", lambda p: loads.append(p) or load(p))
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--matrix", path, "--window", f"0:{math.pi}",
                      "--truncations", "2,4,6", "--out", str(out)]) == 0
@@ -860,8 +878,8 @@ class TestDecoderEdges:
 JSON_SPACE = st.text(" \t\n\r", max_size=3)
 # strings that hold a row seam, and the reader's nonce plain and \u-escaped
 SEAM_STRINGS = ["]], [[", "x ] ] , [ [ y", "]],[[1.0, 2.0]],[["]
-NONCES = [orjson.dumps(cli._NONCE), b'"\\u' + b"%04x" % ord(cli._NONCE[0])
-          + cli._NONCE[1:].encode() + b'"']
+NONCES = [orjson.dumps(_matrixfile._NONCE), b'"\\u' + b"%04x" % ord(_matrixfile._NONCE[0])
+          + _matrixfile._NONCE[1:].encode() + b'"']
 
 
 @st.composite
@@ -943,9 +961,9 @@ class TestRowReader:
             whole = orjson.loads(data)
         except orjson.JSONDecodeError as exc:
             with pytest.raises(orjson.JSONDecodeError, match=re.escape(str(exc))):
-                cli._load_json(path)
+                _matrixfile._load_json(path)
             return
-        got = cli._load_json(path)
+        got = _matrixfile._load_json(path)
         assert got.keys() == whole.keys()
         assert all(got[key] == whole[key] for key in whole if key != "entries")
         try:
@@ -966,17 +984,17 @@ class TestRowReader:
         # every file the row reader accepts is stored on a miss, and a hit
         # gives the row reader's document back: the same keys in the same
         # order, the same values and the same entries bit for bit
-        expected = cli._entries_by_row(data)
+        expected = _matrixfile._entries_by_row(data)
         if expected is None:
             return
         path.write_bytes(data)
         with monkeypatch.context() as patch:
             patch.setattr(cli, "_CACHE_MIN_BYTES", 0)
-            cli._load_json(path)
-            assert Path(cli._cache_entry(data)).is_file()
+            _matrixfile._load_json(path)
+            assert Path(_matrixfile._cache_entry(data)).is_file()
             # a hit decodes nothing
-            patch.setattr(cli, "_entries_by_row", None)
-            got = cli._load_json(path)
+            patch.setattr(_matrixfile, "_entries_by_row", None)
+            got = _matrixfile._load_json(path)
         assert list(got) == list(expected)
         assert all(got[key] == expected[key] for key in expected if key != "entries")
         assert got["entries"].dtype == expected["entries"].dtype
@@ -991,7 +1009,7 @@ class TestRowReader:
         matrix = random_gram_matrix(np.random.default_rng(17), 7)
         doc = {"dim": 7, "entries": _pairs(matrix.entries), "kind": "explicit"}
         data = dumps(doc)
-        got = cli._entries_by_row(data if isinstance(data, bytes) else data.encode())
+        got = _matrixfile._entries_by_row(data if isinstance(data, bytes) else data.encode())
         assert got is not None
         assert got["entries"].tobytes() == _pair_floats(matrix.entries).tobytes()
         assert {**got, "entries": None} == {**doc, "entries": None}
@@ -1010,13 +1028,13 @@ class TestMatrixCache:
 
     @staticmethod
     def entries():
-        return sorted(Path(cli._cache_dir()).iterdir())
+        return sorted(Path(_matrixfile._cache_dir()).iterdir())
 
     @staticmethod
     def decodes(monkeypatch):
         """The list of documents the row reader decodes from now on."""
-        calls, decode = [], cli._entries_by_row
-        monkeypatch.setattr(cli, "_entries_by_row",
+        calls, decode = [], _matrixfile._entries_by_row
+        monkeypatch.setattr(_matrixfile, "_entries_by_row",
                             lambda data: calls.append(data) or decode(data))
         return calls
 
@@ -1066,7 +1084,7 @@ class TestMatrixCache:
             "float-shape", "dict-shape", "no-shape", "list-header", "empty", "zeroed",
             "flipped-bit", "edited-header", "wrong-check", "spaced-check", "no-check"])
     def test_damaged_entry_is_a_miss_and_rewritten(self, damage, gram, monkeypatch):
-        expected = cli._load_json(gram)
+        expected = _matrixfile._load_json(gram)
         [entry] = self.entries()
         intact = entry.read_bytes()
         check, header, payload = intact.split(b"\n", 2)
@@ -1076,7 +1094,7 @@ class TestMatrixCache:
         assert payload == expected["entries"].astype("<f8").tobytes()
         entry.write_bytes(damage(check + b"\n", header, payload))
         decodes = self.decodes(monkeypatch)
-        got = cli._load_json(gram)
+        got = _matrixfile._load_json(gram)
         assert len(decodes) == 1
         assert got.keys() == expected.keys() and got["dim"] == 24
         assert got["entries"].tobytes() == expected["entries"].tobytes()
@@ -1092,21 +1110,21 @@ class TestMatrixCache:
                          + b', "entries": ' + orjson.dumps(EYE2) + b"}")
         decodes = self.decodes(monkeypatch)
         for _ in range(2):
-            doc = cli._load_json(path)
+            doc = _matrixfile._load_json(path)
             assert doc["entries"].tobytes() == np.array(EYE2, dtype=float).tobytes()
         assert len(decodes) == 2
-        assert not Path(cli._cache_dir()).exists() or not self.entries()
+        assert not Path(_matrixfile._cache_dir()).exists() or not self.entries()
 
     def test_entry_that_is_a_directory_is_a_miss(self, gram, tmp_path, capsys):
         # neither read nor rewritten, and not reported
-        expected = cli._load_json(gram)
+        expected = _matrixfile._load_json(gram)
         [entry] = self.entries()
         entry.unlink()
         entry.mkdir()
         out = tmp_path / "kraus.json"
         assert main(["kraus", "--matrix", gram, "--out", str(out)]) == 0
         assert capsys.readouterr() == ("", "")
-        assert cli._load_json(gram)["entries"].tobytes() == expected["entries"].tobytes()
+        assert _matrixfile._load_json(gram)["entries"].tobytes() == expected["entries"].tobytes()
         assert entry.is_dir() and out.read_bytes()
 
     @pytest.mark.parametrize("blocked", ["file", "read-only"])
@@ -1129,16 +1147,16 @@ class TestMatrixCache:
         finally:
             home.chmod(0o700)
         if blocked == "file" or os.geteuid() != 0:
-            assert not Path(cli._cache_dir()).exists()
+            assert not Path(_matrixfile._cache_dir()).exists()
 
     def test_changed_digit_is_a_miss(self, gram, monkeypatch):
-        first = cli._load_json(gram)
+        first = _matrixfile._load_json(gram)
         data = Path(gram).read_bytes()
         # the first diagonal entry's 1.0 becomes 1.5
         at = data.index(b"1.0, 0.0]") + 2
         Path(gram).write_bytes(data[:at] + b"5" + data[at + 1:])
         decodes = self.decodes(monkeypatch)
-        second = cli._load_json(gram)
+        second = _matrixfile._load_json(gram)
         assert len(decodes) == 1 and len(self.entries()) == 2
         changed = np.flatnonzero(first["entries"] != second["entries"])
         assert changed.size == 1 and second["entries"].flat[changed[0]] == 1.5
@@ -1148,19 +1166,19 @@ class TestMatrixCache:
         paths = [write_json(tmp_path / f"m{i}.json",
                             {"kind": "explicit", "entries": [[[float(i), 0.0]], [[1.0, 0.0]]]})
                  for i in range(10)]
-        digests = [Path(cli._cache_entry(Path(p).read_bytes())).name for p in paths]
+        digests = [Path(_matrixfile._cache_entry(Path(p).read_bytes())).name for p in paths]
         for i, path in enumerate(paths[:8]):
-            cli._load_json(path)
+            _matrixfile._load_json(path)
             # distinct, old mtimes: a file system's clock may tick coarser
             # than these loads
             stamp = (1_000_000_000 + i) * 10**9
-            os.utime(Path(cli._cache_dir(), digests[i]), ns=(stamp, stamp))
+            os.utime(Path(_matrixfile._cache_dir(), digests[i]), ns=(stamp, stamp))
         # a hit makes the oldest entry the most recently used
         decodes = self.decodes(monkeypatch)
-        assert cli._load_json(paths[0])["entries"][0, 0, 0] == 0.0
+        assert _matrixfile._load_json(paths[0])["entries"][0, 0, 0] == 0.0
         assert decodes == []
         for path in paths[8:]:
-            cli._load_json(path)
+            _matrixfile._load_json(path)
         assert [entry.name for entry in self.entries()] == sorted(
             digests[i] for i in (0, 3, 4, 5, 6, 7, 8, 9))
 
@@ -1171,13 +1189,13 @@ class TestMatrixCache:
                             {"kind": "explicit", "entries": [[[float(i), 0.0]], [[1.0, 0.0]]]})
                  for i in range(9)]
         for path in paths[:8]:
-            cli._load_json(path)
+            _matrixfile._load_json(path)
         stamp = (2**33) * 10**9
         for entry in self.entries():
             os.utime(entry, ns=(stamp, stamp))
-        cli._load_json(paths[8])
+        _matrixfile._load_json(paths[8])
         assert len(self.entries()) == 8
-        assert Path(cli._cache_entry(Path(paths[8]).read_bytes())).is_file()
+        assert Path(_matrixfile._cache_entry(Path(paths[8]).read_bytes())).is_file()
 
     def test_byte_bound(self, tmp_path, monkeypatch):
         # room for three of these 2 x 2 entries: the least recently used
@@ -1186,29 +1204,29 @@ class TestMatrixCache:
         paths = [write_json(tmp_path / f"m{i}.json",
                             {"kind": "explicit", "entries": [[[float(i), 0.0]] * 2] * 2})
                  for i in range(5)]
-        cli._load_json(paths[0])
+        _matrixfile._load_json(paths[0])
         [entry] = self.entries()
-        monkeypatch.setattr(cli, "_CACHE_BYTES", 3 * entry.stat().st_size + 1)
+        monkeypatch.setattr(_matrixfile, "_CACHE_BYTES", 3 * entry.stat().st_size + 1)
         for i, path in enumerate(paths):
-            cli._load_json(path)
+            _matrixfile._load_json(path)
             # distinct, old mtimes, as in the test above
             stamp = (1_000_000_000 + i) * 10**9
-            os.utime(cli._cache_entry(Path(path).read_bytes()), ns=(stamp, stamp))
+            os.utime(_matrixfile._cache_entry(Path(path).read_bytes()), ns=(stamp, stamp))
         assert [entry.name for entry in self.entries()] == sorted(
-            Path(cli._cache_entry(Path(p).read_bytes())).name for p in paths[2:])
+            Path(_matrixfile._cache_entry(Path(p).read_bytes())).name for p in paths[2:])
         big = write_json(tmp_path / "big.json",
                          {"kind": "explicit", "entries": [[[9.0, 0.0]] * 8] * 8})
         decodes = self.decodes(monkeypatch)
         for _ in range(2):
-            assert cli._load_json(big)["entries"].shape == (8, 8, 2)
+            assert _matrixfile._load_json(big)["entries"].shape == (8, 8, 2)
         assert len(decodes) == 2 and len(self.entries()) == 3
 
     def test_key_is_blake2b_256_of_the_bytes(self, gram):
         data = Path(gram).read_bytes()
-        cli._load_json(gram)
+        _matrixfile._load_json(gram)
         [entry] = self.entries()
         assert entry.name == hashlib.blake2b(data, digest_size=32).hexdigest()
-        assert str(entry) == cli._cache_entry(data)
+        assert str(entry) == _matrixfile._cache_entry(data)
 
     def test_no_blake2_no_cache(self, gram, tmp_path, monkeypatch, capsys):
         # an interpreter built without its own BLAKE2 decodes every time
@@ -1225,8 +1243,8 @@ class TestMatrixCache:
     def test_small_files_skip_the_cache(self, tmp_path):
         path = write_json(tmp_path / "m.json", {"kind": "explicit", "entries": EYE2})
         assert Path(path).stat().st_size < cli._CACHE_MIN_BYTES
-        cli._load_json(path)
-        assert not Path(cli._cache_dir()).exists()
+        _matrixfile._load_json(path)
+        assert not Path(_matrixfile._cache_dir()).exists()
 
     def test_directory_private_and_location(self, gram, tmp_path, monkeypatch):
         home = tmp_path / "home"
@@ -1237,8 +1255,8 @@ class TestMatrixCache:
                 monkeypatch.setenv("XDG_CACHE_HOME", xdg)
             monkeypatch.setenv("HOME", str(home))
             expected = Path(xdg) if xdg and xdg.startswith("/") else home / ".cache"
-            assert cli._cache_dir() == str(expected / "phaseobs")
-        cli._load_json(gram)
+            assert _matrixfile._cache_dir() == str(expected / "phaseobs")
+        _matrixfile._load_json(gram)
         assert stat.S_IMODE((home / ".cache" / "phaseobs").stat().st_mode) == 0o700
 
     def test_no_home_no_cache(self, gram, tmp_path, monkeypatch, capsys):
@@ -1254,7 +1272,7 @@ class TestMatrixCache:
         monkeypatch.setattr(pwd, "getpwuid", unknown)
         monkeypatch.chdir(tmp_path)
         assert os.path.expanduser("~") == "~"
-        assert cli._cache_dir() is None
+        assert _matrixfile._cache_dir() is None
         out = tmp_path / "kraus.json"
         for _ in range(2):
             assert main(["kraus", "--matrix", gram, "--out", str(out)]) == 0
@@ -1540,12 +1558,12 @@ class TestBlocks:
 
 
 def test_cli_import_loads_no_optional_modules(tmp_path):
-    # mpmath and decimal are imported only on the exact path, _blake2 only for
-    # a matrix file large enough for the cache, and scipy only by the tests;
-    # loading any of them at start-up slows every invocation.  A
-    # command loads only its layers: validate and kraus neither distribution
-    # nor spectral, the tabulations no spectral, the spectral commands no
-    # distribution
+    # mpmath and decimal are imported only on the exact path, _matrixfile only
+    # for a matrix file, _blake2 only for a matrix file large enough for the
+    # cache, and scipy only by the tests; loading any of them at start-up
+    # slows every invocation.  A command loads only its layers: validate and
+    # kraus neither distribution nor spectral, the tabulations no spectral,
+    # the spectral commands no distribution
     state = write_json(tmp_path / "state.json",
                        random_state(np.random.default_rng(3), 8).to_dict())
     exp = ["--matrix", "exponential", "--q", "0.9", "--dim", "8"]
@@ -1554,6 +1572,11 @@ def test_cli_import_loads_no_optional_modules(tmp_path):
     large = write_json(tmp_path / "gram.json",
                        random_gram_matrix(np.random.default_rng(5), 160).to_dict())
     assert os.path.getsize(large) >= cli._CACHE_MIN_BYTES
+    # a state file as large is decoded whole: never hashed, and no matrix layer
+    big_state = write_json(tmp_path / "big_state.json",
+                           random_state(np.random.default_rng(7), 24000).to_dict())
+    assert os.path.getsize(big_state) >= cli._CACHE_MIN_BYTES
+    big = ["--matrix", "exponential", "--q", "0.9", "--dim", "24000", "--state", big_state]
     runs = [
         ([], neither),
         (["validate", *exp], neither),
@@ -1569,6 +1592,8 @@ def test_cli_import_loads_no_optional_modules(tmp_path):
         # a matrix file large enough for the cache is keyed without hashlib,
         # whose OpenSSL library would add 3.4 MB of resident memory
         (["validate", "--matrix", large], neither),
+        (["density", *big], ("phaseobs.spectral",)),
+        (["window-prob", *big, *half], ("phaseobs.spectral",)),
     ]
     code = (
         "import sys; from phaseobs import cli; argv = sys.argv[2:]; "
@@ -1580,7 +1605,8 @@ def test_cli_import_loads_no_optional_modules(tmp_path):
         hashing = () if argv[:1] == ["sample"] else ("hashlib", "_hashlib", "_blake2")
         if argv[2:3] == [large]:
             hashing = ("hashlib", "_hashlib")
-        absent = ("mpmath", "scipy", "decimal", *hashing, *layers)
+        matrix_file = () if argv[2:3] == [large] else ("phaseobs._matrixfile",)
+        absent = ("mpmath", "scipy", "decimal", *hashing, *matrix_file, *layers)
         if argv:
             argv = [*argv, "--out", str(tmp_path / "out")]
         proc = subprocess.run(
@@ -1768,10 +1794,10 @@ def test_large_explicit_matrix_memory(argv, gram512, tmp_path):
 def test_cache_hit_traces_less_than_the_file(gram512):
     # a hit reads the file into an anonymous mapping to hash it and then
     # holds the entry's float array, never the file's bytes on the heap
-    expected = cli._load_json(gram512)
+    expected = _matrixfile._load_json(gram512)
     tracemalloc.start()
     try:
-        got = cli._load_json(gram512)
+        got = _matrixfile._load_json(gram512)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -4,7 +4,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -863,6 +863,50 @@ class TestWindowOperatorProperties:
         total = window_operator(mat, window) + window_operator(mat, rest)
         arcs = len(window.arcs) + len(rest.arcs)
         assert np.max(np.abs(total - np.eye(mat.dim))) <= 4 * arcs * EPS
+
+
+@st.composite
+def narrow_windows(draw):
+    """One or two arcs.  Each ends at 2*pi, anywhere past its start, or less
+    than 1e-15 past it; the first may start at 0, so that arcs touch 0 =
+    2*pi, and an arc that narrow collapses wherever a shift takes it past
+    the spacing of doubles."""
+    arcs, cursor = [], 0.0
+    for _ in range(draw(st.integers(1, 2))):
+        if cursor == TWO_PI:
+            break
+        lo = draw(st.floats(cursor, TWO_PI, exclude_max=True))
+        hi = draw(st.one_of(st.just(TWO_PI), st.floats(lo, TWO_PI),
+                            st.floats(5e-324, 1e-15).map(lambda width: lo + width)))
+        assume(lo < hi)
+        arcs.append((lo, hi))
+        cursor = hi
+    return PhaseWindow(tuple(arcs))
+
+
+class TestConditionProperties:
+    """The paper's covariance and interference conditions hold to the
+    tolerances of `TestConditions` for any phase matrix, state, window and
+    shift."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(phase_matrices(), st.integers(0, 2**32 - 1), narrow_windows(),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @example(PhaseMatrix.canonical(3), 0, PhaseWindow(((1e-20, 2e-20),)), 1.0)
+    @example(PhaseMatrix.exponential(0.9, 4), 1, PhaseWindow(((0.5, 0.5000000000000001),)), 6.0)
+    @example(PhaseMatrix.trivial(5), 2, PhaseWindow(((0.0, 1e-16), (6.0, TWO_PI))), -1e-20)
+    def test_covariance(self, mat, seed, window, alpha):
+        psi = random_state(np.random.default_rng(seed), mat.dim)
+        assert check_covariance(mat, psi, alpha, window) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(phase_matrices(), st.integers(0, 2**32 - 1), st.floats(0.0, TWO_PI))
+    def test_interference(self, mat, seed, theta):
+        rng = np.random.default_rng(seed)
+        psi, phi = random_state(rng, mat.dim), random_state(rng, mat.dim)
+        c1, c2 = (complex(*rng.standard_normal(2)) for _ in range(2))
+        norm = np.linalg.norm(c1 * psi.coeffs + c2 * phi.coeffs)
+        assert check_interference(mat, psi, phi, c1 / norm, c2 / norm, theta) <= 1e-12
 
 
 # An unchecked matrix that is not Hermitian, and one that is Hermitian but

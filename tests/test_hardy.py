@@ -198,6 +198,19 @@ class TestPhaseWindow:
             assert touching.shifted(alpha).arc[1] == 1.0 + alpha
         assert PhaseWindow.full_circle().shifted(1e-20).is_full_circle()
 
+    @pytest.mark.parametrize("arcs, alpha", [
+        (((1e-20, 2e-20),), 1.0),
+        # past 2*pi: the wrapped piece's ends both round to 6.5 - 2*pi
+        (((0.5, 0.5000000000000001),), 6.0),
+        (((1e-20, 2e-20), (1.0, 2.0)), 1.0),
+    ], ids=["inside", "wrapped", "beside-a-wide-arc"])
+    def test_shift_drops_a_collapsed_piece(self, arcs, alpha):
+        # an arc narrower than the spacing of doubles where it lands has no
+        # image piece left; the other arcs are shifted as usual
+        window = PhaseWindow(arcs)
+        wide = PhaseWindow(tuple(arc for arc in arcs if arc[1] - arc[0] > 1e-15))
+        assert window.shifted(alpha).arcs == wide.shifted(alpha).arcs
+
     def test_rejects_overlap_and_disorder(self):
         with pytest.raises(PhaseObsError):
             PhaseWindow(((0.0, 2.0), (1.0, 3.0)))
