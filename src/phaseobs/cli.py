@@ -31,10 +31,8 @@ import numpy as np
 from .errors import PhaseObsError, PrecisionError, ValidationError
 from .hardy import (BLOCK, TWO_PI, HardyState, PhaseWindow, _blocks, _complex_pairs, _member,
                     _pair_floats, normalize)
-from .observable import PhaseMatrix
+from .observable import BUILTIN_KINDS, PhaseMatrix
 import orjson
-
-BUILTIN_KINDS = ("canonical", "trivial", "exponential")
 
 
 class _UsageError(Exception):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import PhaseObsError, ValidationError
 from .hardy import BLOCK, TWO_PI, HardyState, PhaseWindow, _blocks, phase_shift, superpose
-from .observable import PhaseMatrix, _symmetric, _window_symbol, schur_toeplitz
+from .observable import PhaseMatrix, _diagonal_weights, _window_symbol, schur_toeplitz
 
 # Imaginary residue / probability-bound tolerance: larger deviations signal
 # an invalid matrix and raise instead of being clamped away.
@@ -38,33 +38,6 @@ _BRACKET = 5e-11
 _OVERSHOOT = 1e-11
 # Rounds after which `sample` only bisects, so that every draw closes.
 _NEWTON_ROUNDS = 16
-
-
-def _aligned(matrix: PhaseMatrix, state: HardyState) -> np.ndarray:
-    if state.dim > matrix.dim:
-        raise PhaseObsError(
-            f"state dimension {state.dim} exceeds matrix dimension {matrix.dim}"
-        )
-    return state.padded(matrix.dim).coeffs
-
-
-def _diagonal_weights(
-    matrix: PhaseMatrix, psi: HardyState, phi: HardyState | None = None
-) -> np.ndarray:
-    """w_k = sum_{n-m=k} c_{n,m} conj(a_n) b_m for k = -(S-1)..(S-1), with
-    b = a unless phi is given, so that f_{psi,phi}(theta) = sum_k w_k
-    exp(i k theta).  A builtin gives w_k = c_|k| sum_m conj(a_{m+k}) b_m,
-    one correlation in O(S) memory; a dense C bins its S x S products."""
-    a = _aligned(matrix, psi)
-    b = a if phi is None or phi is psi else _aligned(matrix, phi)
-    if matrix._generator is not None:
-        return _symmetric(matrix._generator) * np.correlate(a, b, "full").conj()
-    dim = matrix.dim
-    n = np.arange(dim)
-    bins = np.subtract.outer(n, n).ravel() + (dim - 1)
-    prod = (matrix.entries * np.outer(a.conj(), b)).ravel()
-    size = 2 * dim - 1
-    return np.bincount(bins, prod.real, size) + 1j * np.bincount(bins, prod.imag, size)
 
 
 def _pair(w: np.ndarray, t: np.ndarray) -> complex:

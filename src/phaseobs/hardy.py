@@ -179,24 +179,16 @@ def evaluate(psi: HardyState, theta):
     return values
 
 
-def superpose(
-    c1: complex,
-    psi: HardyState,
-    c2: complex,
-    phi: HardyState,
-    renormalize: bool = False,
-) -> HardyState:
+def superpose(c1: complex, psi: HardyState, c2: complex, phi: HardyState) -> HardyState:
     """Coefficient-wise c1*psi + c2*phi; smaller state is zero-padded.
 
-    In strict mode (default) the result must already be a unit vector.
+    The result must already be a unit vector; `normalize` scales a raw one.
     """
     dim = max(psi.dim, phi.dim)
     vec = c1 * psi.padded(dim).coeffs + c2 * phi.padded(dim).coeffs
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise PhaseObsError("superposition collapsed to the zero vector")
-    if renormalize:
-        return HardyState(vec / norm)
     if abs(norm - 1.0) > TOL_NORM:
         raise ValidationError(
             f"superposition norm {norm} deviates from 1 beyond {TOL_NORM}"

@@ -2,10 +2,15 @@
 (`schur_toeplitz`), and their contraction (Kraus) decompositions.
 
 A phase matrix is a Hermitian, positive semidefinite complex matrix with
-unit diagonal; it parameterizes a covariant phase observable.  The Kraus
-side stores the weight matrix (z_{n,k}): column k collects the weights of
-the number state |k> across the diagonal contractions V_n, with
-sum_n |z_{n,k}|^2 = 1 and sum_n z_{n,k} * conj(z_{n,l}) = c_{k,l}.
+unit diagonal; it parameterizes a covariant phase observable.  The
+builtins are its real symmetric Toeplitz case c_{n,m} = c_{|n-m|}: their
+entries are a read-only strided view of 2S-1 values, and this module alone
+knows it, through their generator c_0 .. c_{S-1}, which gives the O(S)
+forms of `PhaseMatrix.bilinear` and `_diagonal_weights` and the
+persymmetry of `_real_form`.  The Kraus side stores the weight matrix
+(z_{n,k}): column k collects the weights of the number state |k> across
+the diagonal contractions V_n, with sum_n |z_{n,k}|^2 = 1 and
+sum_n z_{n,k} * conj(z_{n,l}) = c_{k,l}.
 """
 
 from __future__ import annotations
@@ -16,12 +21,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PhaseObsError, ValidationError
-from .hardy import BLOCK, TWO_PI, PhaseWindow, _blocks, _complex_pairs, _member, _pairs
+from .hardy import (BLOCK, TWO_PI, HardyState, PhaseWindow, _blocks, _complex_pairs, _member,
+                    _pairs)
 
 TOL_HERM = 1e-12
 TOL_DIAG = 1e-12
 TOL_PSD_FACTOR = 1e-10  # PSD tolerance is TOL_PSD_FACTOR * S
 TOL_KRAUS = 1e-10
+
+BUILTIN_KINDS = ("canonical", "trivial", "exponential")
 
 
 def _as_square_matrix(values) -> np.ndarray:
@@ -113,13 +121,8 @@ def _symmetric(generator: np.ndarray) -> np.ndarray:
 
 def _schur_toeplitz(c: np.ndarray, t: np.ndarray) -> np.ndarray:
     """C o T(t), entry (n, m) c_{n,m} t_{n-m} for the Hermitian symbol
-    t_0..t_{S-1}, as a new array.  A dense C is multiplied by a strided view
-    of T(t); the real generator c_0..c_{S-1} of a Toeplitz C gives T(c t),
-    one copy of a strided view, with no S x S C."""
-    full = np.concatenate((t[:0:-1].conj(), t))  # t_{-(S-1)} .. t_{S-1}
-    if c.ndim == 1:
-        return _toeplitz(_symmetric(c) * full).copy()
-    return c * _toeplitz(full)
+    t_0..t_{S-1}, as a new array: C times a strided view of T(t)."""
+    return c * _toeplitz(np.concatenate((t[:0:-1].conj(), t)))  # t_{-(S-1)} .. t_{S-1}
 
 
 def schur_toeplitz(matrix: PhaseMatrix, symbol) -> np.ndarray:
@@ -129,8 +132,7 @@ def schur_toeplitz(matrix: PhaseMatrix, symbol) -> np.ndarray:
     t = np.asarray(symbol, dtype=complex)
     if t.shape != (matrix.dim,):
         raise PhaseObsError(f"symbol of shape {t.shape} for a matrix of dimension {matrix.dim}")
-    c = matrix._generator
-    arr = _schur_toeplitz(matrix.entries if c is None else c, t)
+    arr = _schur_toeplitz(matrix.entries, t)
     arr.setflags(write=False)
     return arr
 
@@ -171,7 +173,7 @@ def _kind(data: dict) -> str:
     if type(data) is not dict:
         raise PhaseObsError(f"a matrix must be a JSON object, not {type(data).__name__}")
     kind = data.get("kind")
-    if kind not in ("canonical", "trivial", "exponential", "explicit"):
+    if kind not in (*BUILTIN_KINDS, "explicit"):
         raise PhaseObsError(f"unknown matrix kind {kind!r}")
     for key, owner in (("q", "exponential"), ("entries", "explicit")):
         if key in data and kind != owner:
@@ -196,9 +198,11 @@ class PhaseMatrix:
     diagonal (within 1e-12 of 1) to exactly 1, a block of rows at a time
     into one new array (the bits of `arr * np.outer(scale, scale)`); its
     label is "explicit".  The builtins (`canonical`, `trivial`,
-    `exponential`) are real symmetric Toeplitz, c_{n,m} = c_{|n-m|}, and
-    keep only their generator c_0 .. c_{S-1}; their dense `entries` are
-    built once, read-only, on first access.
+    `exponential`) are real symmetric Toeplitz, c_{n,m} = c_{|n-m|}: they
+    keep their generator c_0 .. c_{S-1}, and their `entries` are a
+    read-only complex strided view of the 2S-1 values c_{S-1} .. c_0 ..
+    c_{S-1}, which numpy's linear algebra takes as it is; nothing S x S is
+    held.
     """
 
     entries: np.ndarray
@@ -224,35 +228,27 @@ class PhaseMatrix:
         object.__setattr__(self, "entries", fixed)
 
     @classmethod
-    def _adopt(cls, label: str, q: float | None = None, **storage) -> "PhaseMatrix":
-        """A phase matrix that this class built or already checked, over its
-        `entries` (a square complex array) or its `_generator`: arrays are
-        made read-only as they are, with no scan and no copy."""
+    def _adopt(cls, label: str, q: float | None = None, *, entries=None,
+               generator=None) -> "PhaseMatrix":
+        """A phase matrix that this class built or already checked, made
+        read-only as it is, with no scan and no copy: over square complex
+        `entries`, or over the real `generator` of a builtin, whose entries
+        default to the Toeplitz view of its full symbol."""
+        if entries is None:
+            entries = _toeplitz(_symmetric(generator).astype(complex))
         matrix = cls.__new__(cls)
-        for name, value in (("label", label), ("q", q), *storage.items()):
+        for name, value in (("label", label), ("q", q), ("entries", entries),
+                            ("_generator", generator)):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(matrix, name, value)
         return matrix
 
-    def __getattr__(self, name: str):
-        # only the dense entries of a builtin are ever missing: the complex
-        # S x S Toeplitz matrix c_{|n-m|} of its generator
-        if name != "entries" or self._generator is None:
-            raise AttributeError(name)
-        arr = _toeplitz(_symmetric(self._generator)).astype(complex, order="C")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-        return arr
-
     def __repr__(self) -> str:
-        # the dataclass repr would print, and so build, a builtin's entries
         return f"PhaseMatrix(label={self.label!r}, dim={self.dim}, q={self.q!r})"
 
     @property
     def dim(self) -> int:
-        if self._generator is not None:
-            return self._generator.size
         return self.entries.shape[0]
 
     @classmethod
@@ -260,7 +256,7 @@ class PhaseMatrix:
         """All-ones matrix: the sharpest phase observable."""
         if dim < 1:
             raise PhaseObsError("dimension must be >= 1")
-        return cls._adopt("canonical", _generator=np.ones(dim))
+        return cls._adopt("canonical", generator=np.ones(dim))
 
     @classmethod
     def trivial(cls, dim: int) -> "PhaseMatrix":
@@ -269,7 +265,7 @@ class PhaseMatrix:
             raise PhaseObsError("dimension must be >= 1")
         generator = np.zeros(dim)
         generator[0] = 1.0
-        return cls._adopt("trivial", _generator=generator)
+        return cls._adopt("trivial", generator=generator)
 
     @classmethod
     def exponential(cls, q: float, dim: int) -> "PhaseMatrix":
@@ -282,7 +278,7 @@ class PhaseMatrix:
         if not 0.0 <= q <= 1.0:
             raise PhaseObsError(f"exponential parameter q={q} outside [0, 1]")
         generator = np.power(float(q), np.arange(dim), dtype=float)
-        return cls._adopt("exponential", float(q), _generator=generator)
+        return cls._adopt("exponential", float(q), generator=generator)
 
     @classmethod
     def from_gram(cls, vectors) -> "PhaseMatrix":
@@ -317,14 +313,13 @@ class PhaseMatrix:
 
     def truncated(self, dim: int) -> "PhaseMatrix":
         """Top-left principal submatrix (still a phase matrix), a new object
-        at every size: a read-only view of a dense matrix's entries, or for a
-        builtin the same builtin over its generator's prefix, with no entries
-        until they are read."""
+        at every size over read-only views of the entries and, for a
+        builtin, of the generator: nothing is copied."""
         if not 1 <= dim <= self.dim:
             raise PhaseObsError(f"truncation {dim} outside [1, {self.dim}]")
-        if self._generator is None:
-            return PhaseMatrix._adopt(self.label, self.q, entries=self.entries[:dim, :dim])
-        return PhaseMatrix._adopt(self.label, self.q, _generator=self._generator[:dim])
+        generator = None if self._generator is None else self._generator[:dim]
+        return PhaseMatrix._adopt(self.label, self.q, entries=self.entries[:dim, :dim],
+                                  generator=generator)
 
     def bilinear(self, left: np.ndarray, right: np.ndarray) -> complex:
         """left @ C @ right for two vectors of length S.  A builtin applies C
@@ -333,6 +328,43 @@ class PhaseMatrix:
         if self._generator is None:
             return left @ self.entries @ right
         return left @ np.convolve(_symmetric(self._generator), right, "valid")
+
+
+def _diagonal_weights(
+    matrix: PhaseMatrix, psi: HardyState, phi: HardyState | None = None
+) -> np.ndarray:
+    """w_k = sum_{n-m=k} c_{n,m} conj(a_n) b_m for k = -(S-1)..(S-1), with
+    b = a unless phi is given, so that f_{psi,phi}(theta) = sum_k w_k
+    exp(i k theta).  A builtin gives w_k = c_|k| sum_m conj(a_{m+k}) b_m,
+    one correlation in O(S) memory; a dense C bins its S x S products."""
+    for state in (psi, phi):
+        if state is not None and state.dim > matrix.dim:
+            raise PhaseObsError(
+                f"state dimension {state.dim} exceeds matrix dimension {matrix.dim}"
+            )
+    a = psi.padded(matrix.dim).coeffs
+    b = a if phi is None or phi is psi else phi.padded(matrix.dim).coeffs
+    if matrix._generator is not None:
+        return _symmetric(matrix._generator) * np.correlate(a, b, "full").conj()
+    dim = matrix.dim
+    n = np.arange(dim)
+    bins = np.subtract.outer(n, n).ravel() + (dim - 1)
+    prod = (matrix.entries * np.outer(a.conj(), b)).ravel()
+    size = 2 * dim - 1
+    return np.bincount(bins, prod.real, size) + 1j * np.bincount(bins, prod.imag, size)
+
+
+def _real_form(matrix: PhaseMatrix) -> tuple[np.ndarray, bool]:
+    """C as the spectral solves take it, and whether it is real symmetric
+    persymmetric (J C J = C for the reversal J).  A builtin gives the real
+    part of its view, persymmetric by construction; a dense C gives its
+    entries, real where no imaginary part is nonzero, and is checked
+    exactly."""
+    if matrix._generator is not None:
+        return matrix.entries.real, True
+    c = matrix.entries if matrix.entries.imag.any() else matrix.entries.real
+    return c, (c.dtype == float and np.array_equal(c, c.T)
+               and np.array_equal(c, c[::-1, ::-1]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,8 +33,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PrecisionError
 from .hardy import TWO_PI, HardyState, PhaseWindow, normalize
-from .observable import (PhaseMatrix, _arc_symbol, _fix_vector_phase, _schur_toeplitz,
-                         _symmetric, _window_symbol, schur_toeplitz)
+from .observable import (PhaseMatrix, _arc_symbol, _fix_vector_phase, _real_form,
+                         _schur_toeplitz, _window_symbol, schur_toeplitz)
 
 # A dense symmetric eigensolve is backward stable: lambda_max carries an
 # absolute error of order S * eps * ||E||, and ||E|| <= 1.  1 - lambda_max
@@ -61,18 +61,6 @@ def first_moment(matrix: PhaseMatrix) -> np.ndarray:
     return schur_toeplitz(matrix, t)
 
 
-def _real_form(matrix: PhaseMatrix) -> tuple[np.ndarray, bool]:
-    """C as the spectral solves take it, and whether it is real symmetric
-    persymmetric (J C J = C for the reversal J).  A builtin gives its real
-    generator, persymmetric by construction; a dense C gives its entries,
-    real where no imaginary part is nonzero, and is checked exactly."""
-    if matrix._generator is not None:
-        return matrix._generator, True
-    c = matrix.entries if matrix.entries.imag.any() else matrix.entries.real
-    return c, (c.dtype == float and np.array_equal(c, c.T)
-               and np.array_equal(c, c[::-1, ::-1]))
-
-
 def moment_spectrum(matrix: PhaseMatrix) -> np.ndarray:
     """Ascending real eigenvalues of the first-moment operator.
 
@@ -93,13 +81,12 @@ def moment_spectrum(matrix: PhaseMatrix) -> np.ndarray:
     # R_{nm} = (J B)_{nm} = c_{S-1-n,m} h_{n+m}: h_j = 1/(j - (S-1)), h_{S-1} = 0
     offsets = np.arange(2 * size - 1, dtype=float) - (size - 1)
     h = np.divide(1.0, offsets, out=np.zeros_like(offsets), where=offsets != 0)
-    if c.ndim == 1:  # c_{S-1-n,m} = c_|n+m-(S-1)|: R is Hankel in c_|j| h_j
-        top = sliding_window_view(_symmetric(c) * h, size)[:half]
-    else:
-        top = c[::-1][:half] * sliding_window_view(h, size)[:half]
-    k = top[:, :half] + top[:, ::-1][:, :half]
+    # the top rows of c_{S-1-n,m} and of h_{n+m}, taken half x half
+    rows, hankel = c[::-1][:half], sliding_window_view(h, size)[:half]
+    k = rows[:, :half] * hankel[:, :half]
+    k += rows[:, ::-1][:, :half] * hankel[:, ::-1][:, :half]
     if size % 2:
-        k = np.column_stack((k, math.sqrt(2) * top[:, half]))
+        k = np.column_stack((k, math.sqrt(2) * (rows[:, half] * hankel[:, half])))
     s = np.linalg.svd(k, compute_uv=False)  # descending
     return math.pi + np.concatenate((-s, np.zeros(size % 2), s[::-1]))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,24 @@ def _cache_home(tmp_path_factory, monkeypatch):
     explicit-matrix cache in a fresh directory of its own, never in the
     user's."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+
+
+def traced_peak(run):
+    """Peak bytes numpy and Python allocate while `run()` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def span_bytes(arr):
+    """Bytes between the first and the last byte that `arr` can reach: 16 S^2
+    for a complex S x S array, 16 (2S - 1) for a Toeplitz view of one
+    symbol."""
+    lo, hi = np.lib.array_utils.byte_bounds(arr)
+    return hi - lo
 
 
 def random_state(rng, dim, band_limit=None):

@@ -20,6 +20,8 @@ from conftest import (
     random_gram_matrix,
     random_state,
     random_window,
+    span_bytes,
+    traced_peak,
     trapezoid_coefficients,
 )
 from phaseobs import (
@@ -44,8 +46,8 @@ from phaseobs import (
     window_probability,
 )
 from phaseobs import ValidationError, distribution
-from phaseobs.distribution import _diagonal_weights, _invert_cdf
-from phaseobs.observable import _window_symbol, schur_toeplitz
+from phaseobs.distribution import _invert_cdf
+from phaseobs.observable import _diagonal_weights, _window_symbol, schur_toeplitz
 
 HALF = PhaseWindow(((0.0, math.pi),))
 PLUS = normalize([1, 1])  # (eta_0 + eta_1)/sqrt(2)
@@ -1019,27 +1021,24 @@ class TestGeneratorWeights:
                     (s + 1) ** 2 * EPS)
 
     def test_tabulations_build_no_entries(self):
+        # at S = 256 one complex S x S array is 1 MB: the tabulations hold a
+        # fraction of it, and E(X) no more than its own output
         rng = np.random.default_rng(920)
-        for mat in builtins(32):
-            psi = random_state(rng, 32, band_limit=20)
-            density_grid(mat, psi, 64)
-            exact_cdf(mat, psi, np.linspace(0.0, TWO_PI, 9))
-            window_probability(mat, psi, HALF)
-            kernel_apply(mat, 20, psi, 1.0)
-            kernel_C(mat, 20, 0.0, 1.0)
-            sample(mat, psi, 10, 1)
-            window_operator(mat, HALF)
-            assert "entries" not in vars(mat)
+        square = 16 * 256**2
+        for mat in builtins(256):
+            psi = random_state(rng, 256, band_limit=20)
 
+            def tabulate():
+                density_grid(mat, psi, 64)
+                exact_cdf(mat, psi, np.linspace(0.0, TWO_PI, 9))
+                window_probability(mat, psi, HALF)
+                kernel_apply(mat, 20, psi, 1.0)
+                kernel_C(mat, 20, 0.0, 1.0)
+                sample(mat, psi, 10, 1)
 
-def traced_peak(run):
-    """Peak bytes numpy and Python allocate while `run()` runs."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+            assert traced_peak(tabulate) < square / 4
+            assert traced_peak(lambda: window_operator(mat, HALF)) < 1.5 * square
+            assert span_bytes(mat.entries) == 16 * (2 * 256 - 1)
 
 
 class TestBuiltinMemory:

@@ -145,7 +145,7 @@ class TestSuperpose:
         c = 1 / math.sqrt(2)
         with pytest.raises(ValidationError):
             superpose(c, eta0, c, eta0)
-        renorm = superpose(c, eta0, c, eta0, renormalize=True)
+        renorm = normalize(c * eta0.coeffs + c * eta0.coeffs)
         np.testing.assert_allclose(renorm.coeffs, [1, 0], atol=1e-15)
 
     def test_zero_result(self):

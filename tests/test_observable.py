@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import eig2, loop_fix_phase, random_gram_matrix, random_state
+from conftest import (eig2, loop_fix_phase, random_gram_matrix, random_state, span_bytes,
+                      traced_peak)
 from phaseobs import (
     HardyState,
     KrausFamily,
@@ -194,40 +195,40 @@ class TestEntries:
                 assert (cut.label, cut.q, cut.dim) == (full.label, full.q, dim)
 
     def test_builtin_truncation_builds_no_parent_entries(self):
-        # a view of the parent's entries built all 4096 x 4096 of them: 256 MB
+        # a dense copy of the parent's entries would be 4096 x 4096: 256 MB
         full = PhaseMatrix.exponential(0.9, 4096)
-        tracemalloc.start()
-        try:
-            entries = full.truncated(16).entries
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: PhaseMatrix.exponential(0.9, 4096).truncated(16).entries)
         assert peak < 2**20
-        assert "entries" not in vars(full)
+        entries = full.truncated(16).entries
+        assert span_bytes(full.entries) == 16 * (2 * 4096 - 1)
+        assert np.shares_memory(entries, full.entries)
         np.testing.assert_array_equal(entries, PhaseMatrix.exponential(0.9, 16).entries)
 
-    def test_builtin_entries_built_on_first_access(self):
+    def test_builtin_entries_are_a_toeplitz_view(self):
+        # one read-only complex buffer of 2S - 1 values, viewed S x S
         mat = PhaseMatrix.exponential(0.9, 4096)
         assert repr(mat) == "PhaseMatrix(label='exponential', dim=4096, q=0.9)"
         assert mat.to_dict() == {"kind": "exponential", "dim": 4096, "q": 0.9}
-        assert "entries" not in vars(mat.truncated(16))
-        assert "entries" not in vars(mat)
+        assert span_bytes(mat.entries) == 16 * (2 * 4096 - 1)
+        assert span_bytes(mat.truncated(16).entries) == 16 * (2 * 16 - 1)
         small = PhaseMatrix.exponential(0.5, 5)
-        assert small.entries is small.entries and small.entries.flags.c_contiguous
+        assert small.entries is small.entries and small.entries.dtype == complex
+        assert not small.entries.flags.writeable
         np.testing.assert_array_equal(small.entries, 0.5 ** np.abs(np.subtract.outer(
             np.arange(5), np.arange(5))))
 
     @pytest.mark.parametrize("dim", [1, 2, 7, 64])
     def test_bilinear_matches_entries(self, dim):
-        # a builtin applies its generator and builds no entries; a dense
-        # matrix takes left @ C @ right itself
+        # a builtin applies its generator, in O(S) memory; a dense matrix
+        # takes left @ C @ right itself
         rng = np.random.default_rng(19)
         left, right = (rng.standard_normal((dim, 2)) @ [1, 1j] for _ in range(2))
         for make in (lambda: PhaseMatrix.exponential(0.9, dim),
                      lambda: PhaseMatrix.canonical(dim), lambda: PhaseMatrix.trivial(dim)):
             mat = make()
             got = mat.bilinear(left, right)
-            assert "entries" not in vars(mat)
+            assert traced_peak(lambda: mat.bilinear(left, right)) < max(16 * dim * dim, 2**13)
+            assert span_bytes(mat.entries) == 16 * (2 * dim - 1)
             assert abs(got - left @ make().entries @ right) <= 1e-12 * dim
         gram = random_gram_matrix(rng, dim)
         assert gram.bilinear(left, right) == left @ gram.entries @ right
@@ -489,3 +490,14 @@ def test_explicit_steps_hold_about_two_matrices(step, order):
         tracemalloc.stop()
     assert result is not None
     assert peak <= 2.25 * 16 * dim**2
+
+
+@pytest.mark.parametrize("step", ["validate", "kraus"])
+def test_builtin_steps_hold_two_matrices(step):
+    # a builtin's entries are its Toeplitz view, so validating or factoring
+    # one, from its construction on, holds the working copies alone: a dense
+    # copy of C besides them peaked at 3.0 matrices
+    dim = 512
+    run = {"validate": lambda: validate(PhaseMatrix.exponential(0.9, dim).entries),
+           "kraus": lambda: kraus_decompose(PhaseMatrix.exponential(0.9, dim))}[step]
+    assert traced_peak(run) / (16 * dim**2) < 2.5

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import eig2, random_gram_matrix
+from conftest import eig2, random_gram_matrix, span_bytes, traced_peak
 from phaseobs import (
     PhaseMatrix,
     PhaseObsError,
@@ -181,13 +181,19 @@ class TestGeneratorSolves:
                 np.testing.assert_array_equal(ours.maximizer.coeffs, theirs.maximizer.coeffs)
 
     def test_no_dense_matrix(self):
+        # one complex S x S array is 16 S^2 bytes: the moment solve holds
+        # less than one, and a localization, the real S x S operator it
+        # solves included, less than two; 8 kB covers the fixed overhead
         for mat in (PhaseMatrix.exponential(0.9, 64), PhaseMatrix.canonical(16)):
-            moment_spectrum(mat)
-            localization(mat, HALF)
+            square = 16 * mat.dim**2
+            assert traced_peak(lambda: moment_spectrum(mat)) < square + 2**13
+            assert traced_peak(lambda: localization(mat, HALF)) < 2 * square + 2**13
             for s in (4, 9, 16):
-                localization(mat.truncated(s), HALF, maximizer=False)
-            assert "entries" not in vars(mat)
-            assert "entries" not in vars(mat.truncated(9))
+                cut = mat.truncated(s)
+                peak = traced_peak(lambda: localization(cut, HALF, maximizer=False))
+                assert peak < 2 * 16 * s * s + 2**13
+            assert span_bytes(mat.entries) == 16 * (2 * mat.dim - 1)
+            assert span_bytes(mat.truncated(9).entries) == 16 * (2 * 9 - 1)
 
 
 class TestLocalization:
