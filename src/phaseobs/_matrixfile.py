@@ -12,6 +12,7 @@ import math
 import os
 import re
 import zlib
+from contextlib import suppress
 from itertools import chain
 
 import numpy as np
@@ -79,11 +80,11 @@ def _entry_check(header: bytes, entries) -> bytes:
 
 
 def _cached_doc(entry: str) -> dict | None:
-    """The document a cache entry holds, its mtime refreshed; None when the
-    entry is missing, unreadable, malformed or fails its check.  An entry is
-    the check line (see `_entry_check`), one JSON line, the document with
-    `entries` replaced by the array's shape, and then exactly that many
-    little-endian float64 values."""
+    """The document a cache entry holds, its mtime refreshed where the cache
+    allows; None when the entry is missing, unreadable, malformed or fails
+    its check.  An entry is the check line (see `_entry_check`), one JSON
+    line, the document with `entries` replaced by the array's shape, and
+    then exactly that many little-endian float64 values."""
     try:
         with open(entry, "rb") as fh:
             check = fh.readline()
@@ -100,9 +101,10 @@ def _cached_doc(entry: str) -> dict | None:
                 return None
         if check != _entry_check(header, entries):
             return None
-        os.utime(entry)
     except (OSError, ValueError):
         return None
+    with suppress(OSError):  # a refused refresh (a read-only cache) keeps the hit
+        os.utime(entry)
     doc["entries"] = entries
     return doc
 

@@ -10,14 +10,14 @@ exp(i k theta) for the density at theta, the window integral
 i/(m - n) for the first moment.  The density is a trigonometric polynomial
 in theta and the CDF, the probability of [0, theta), is w_0 theta/2pi plus
 one; `density`, `density_grid`, `exact_cdf` and `sample` evaluate them by
-one Horner loop in z = exp(i theta) (`_horner`), in O(S N) time for N
-angles taken BLOCK at a time, so that their working memory beyond the
-weights and the result does not grow with N.  A point's value does not
-depend on the blocking.  The kernel sandwich `kernel_apply` of a state
-band-limited to s is a finite sum over its coefficients a_0..a_s: the
-trapezoid rule on any grid of more than s points gives it exactly, so it
-takes no grid.  Closed forms are used on every production path; quadrature
-appears only in test oracles.
+the Horner loop in z = exp(i theta) that gives psi (`hardy._horner`), in
+O(S N) time for N angles taken BLOCK at a time, so that their working
+memory beyond the weights and the result does not grow with N.  A point's
+value does not depend on the blocking.  The kernel sandwich `kernel_apply`
+of a state band-limited to s is a finite sum over its coefficients
+a_0..a_s: the trapezoid rule on any grid of more than s points gives it
+exactly, so it takes no grid.  Closed forms are used on every production
+path; quadrature appears only in test oracles.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PhaseObsError, ValidationError
-from .hardy import BLOCK, TWO_PI, HardyState, PhaseWindow, _blocks, phase_shift, superpose
+from .hardy import (BLOCK, TWO_PI, HardyState, PhaseWindow, _blocks, _horner, phase_shift,
+                    superpose)
 from .observable import PhaseMatrix, _diagonal_weights, _window_symbol, schur_toeplitz
 
 # Imaginary residue / probability-bound tolerance: larger deviations signal
@@ -47,16 +48,6 @@ def _pair(w: np.ndarray, t: np.ndarray) -> complex:
     size = t.size
     upper = np.einsum("k,k", w[size - 1 :], t)
     return upper + np.einsum("k,k", w[: size - 1][::-1].conj(), t[1:]).conjugate()
-
-
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[r, j] z^j for each row r at a 1-D array z, accumulated
-    in place: O(rows x N) memory."""
-    acc = np.zeros((coeffs.shape[0], z.size), dtype=complex)
-    for column in coeffs.T[::-1, :, None]:
-        acc *= z
-        acc += column
-    return acc
 
 
 def _check(excess: float, message: str) -> None:

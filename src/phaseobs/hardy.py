@@ -2,8 +2,9 @@
 
 A state holds the Fourier coefficients (a_0, ..., a_{S-1}) of the phase
 wave function psi(theta) = sum_n a_n exp(-i n theta), normalized so that
-sum |a_n|^2 = 1.  A window is a finite union of disjoint half-open arcs
-inside [0, 2*pi).
+sum |a_n|^2 = 1; psi (`evaluate`) and the density and CDF of
+`distribution` all take the one Horner loop `_horner`.  A window is a
+finite union of disjoint half-open arcs inside [0, 2*pi).
 """
 
 from __future__ import annotations
@@ -169,14 +170,23 @@ def phase_shift(psi: HardyState, alpha: float) -> HardyState:
     return HardyState(psi.coeffs * np.exp(-1j * n * alpha))
 
 
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[r, j] z^j for each row r at a 1-D array z, accumulated
+    in place: O(rows x N) memory."""
+    acc = np.zeros((coeffs.shape[0], z.size), dtype=complex)
+    for column in coeffs.T[::-1, :, None]:
+        acc *= z
+        acc += column
+    return acc
+
+
 def evaluate(psi: HardyState, theta):
-    """Evaluate psi(theta) = sum_n a_n exp(-i n theta); theta may be an array."""
+    """psi(theta) = sum_n a_n z^n at z = exp(-i theta), by `_horner`: theta
+    may be an array, whose shape the result takes, and a scalar theta gives
+    a complex.  O(S + N) memory for N angles."""
     theta_arr = np.asarray(theta, dtype=float)
-    n = np.arange(psi.dim)
-    values = np.exp(-1j * np.multiply.outer(theta_arr, n)) @ psi.coeffs
-    if np.isscalar(theta) or theta_arr.ndim == 0:
-        return complex(values)
-    return values
+    values = _horner(psi.coeffs[None], np.exp(-1j * theta_arr.ravel()))[0]
+    return complex(values[0]) if theta_arr.ndim == 0 else values.reshape(theta_arr.shape)
 
 
 def superpose(c1: complex, psi: HardyState, c2: complex, phi: HardyState) -> HardyState:

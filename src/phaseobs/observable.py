@@ -214,7 +214,7 @@ class PhaseMatrix:
     _generator = None
 
     def __post_init__(self):
-        arr = _as_square_matrix(self.entries)
+        arr = np.asarray(self.entries, dtype=complex)
         report = validate(arr)
         if not report.valid:
             worst = ", ".join(f"{i.prop} ({i.magnitude:g})" for i in report.issues)

@@ -45,6 +45,15 @@ def random_state(rng, dim, band_limit=None):
     return HardyState(vec)
 
 
+def wavefunction(psi, theta):
+    """psi(theta) = sum_n a_n exp(-i n theta) as the dense sum: the matrix of
+    every exp(-i n theta) times the coefficients, O(S x N) memory for N
+    angles.  The oracle of `hardy.evaluate`, which takes the Horner loop;
+    a scalar theta gives a 0-d array."""
+    theta = np.asarray(theta, dtype=float)
+    return np.exp(-1j * np.multiply.outer(theta, np.arange(psi.dim))) @ psi.coeffs
+
+
 def random_gram_matrix(rng, dim, ambient=None):
     """Random phase matrix as the Gram matrix of unit vectors.
 

@@ -1127,6 +1127,24 @@ class TestMatrixCache:
         assert _matrixfile._load_json(gram)["entries"].tobytes() == expected["entries"].tobytes()
         assert entry.is_dir() and out.read_bytes()
 
+    def test_refused_refresh_keeps_the_hit(self, gram, monkeypatch):
+        # a read-only or foreign-owned cache refuses the LRU touch: the
+        # entry is still served, not decoded again and not rewritten
+        expected = _matrixfile._load_json(gram)
+        [entry] = self.entries()
+        intact = entry.read_bytes()
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Operation not permitted", str(entry))
+
+        monkeypatch.setattr(os, "utime", refuse)
+        decodes = self.decodes(monkeypatch)
+        got = _matrixfile._load_json(gram)
+        assert len(decodes) == 0
+        assert got.keys() == expected.keys()
+        assert got["entries"].tobytes() == expected["entries"].tobytes()
+        assert entry.read_bytes() == intact
+
     @pytest.mark.parametrize("blocked", ["file", "read-only"])
     def test_unwritable_cache_changes_nothing(self, blocked, gram, tmp_path, monkeypatch, capsys):
         out = tmp_path / "reference.json"

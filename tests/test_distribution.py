@@ -23,6 +23,7 @@ from conftest import (
     span_bytes,
     traced_peak,
     trapezoid_coefficients,
+    wavefunction,
 )
 from phaseobs import (
     HardyState,
@@ -34,7 +35,6 @@ from phaseobs import (
     check_interference,
     density,
     density_grid,
-    evaluate,
     exact_cdf,
     first_moment,
     fourier_window_integral,
@@ -140,7 +140,7 @@ class TestDensity:
         mat = PhaseMatrix.canonical(9)
         for theta in np.linspace(0, TWO_PI, 11):
             assert density(mat, psi, psi, float(theta)) == pytest.approx(
-                abs(evaluate(psi, float(theta))) ** 2, abs=1e-12
+                abs(complex(wavefunction(psi, theta))) ** 2, abs=1e-12
             )
 
     def test_trivial_cross_density_is_inner_product(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import walked_pairs
+from conftest import random_state, traced_peak, walked_pairs, wavefunction
 from phaseobs import (
     HardyState,
     PhaseObsError,
@@ -127,6 +127,39 @@ class TestEvaluate:
         grid = evaluate(psi, thetas)
         for theta, value in zip(thetas, grid):
             assert evaluate(psi, float(theta)) == pytest.approx(complex(value))
+
+    @pytest.mark.parametrize("dim", [1, 2, 64, 1024])
+    def test_matches_dense_sum(self, dim):
+        # Horner in z = exp(-i theta) and the dense sum of the exp(-i n theta)
+        # each round to a few S eps sum |a_n| on [0, 2 pi): 8 S eps bounds
+        # their difference (measured: at most 0.43 S eps)
+        rng = np.random.default_rng(dim)
+        psi = random_state(rng, dim)
+        thetas = np.concatenate((np.linspace(0.0, TWO_PI, 1001, endpoint=False),
+                                 rng.random(1000) * TWO_PI))
+        bound = 8 * dim * np.finfo(float).eps * np.abs(psi.coeffs).sum()
+        np.testing.assert_allclose(evaluate(psi, thetas), wavefunction(psi, thetas),
+                                   rtol=0, atol=bound)
+
+    @pytest.mark.parametrize("theta", [1.5, np.float64(1.5), np.array(1.5), [[0.5, 1.0, 1.5]] * 2,
+                                       np.zeros((0, 3))],
+                             ids=["float", "float64", "0-d", "2x3", "empty"])
+    def test_result_takes_the_shape_of_theta(self, theta):
+        psi = random_state(np.random.default_rng(7), 5)
+        value = evaluate(psi, theta)
+        if np.ndim(theta) == 0:
+            assert type(value) is complex
+            assert value == pytest.approx(complex(wavefunction(psi, theta)), abs=1e-14)
+        else:
+            assert value.shape == np.shape(theta)
+            np.testing.assert_allclose(value, wavefunction(psi, theta), rtol=0, atol=1e-14)
+
+    def test_no_matrix_of_exponentials(self):
+        # O(S + N) working memory: at S = 512 and 20 000 angles the dense sum
+        # traced 312 MB; the result itself is 0.32 MB
+        psi = random_state(np.random.default_rng(8), 512)
+        thetas = np.random.default_rng(9).random(20_000) * TWO_PI
+        assert traced_peak(lambda: evaluate(psi, thetas)) < 2 << 20
 
 
 class TestSuperpose:

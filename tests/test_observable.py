@@ -15,6 +15,7 @@ from phaseobs import (
     ValidationError,
     kraus_decompose,
     kraus_reconstruct,
+    observable,
     validate,
 )
 from phaseobs.observable import TOL_PSD_FACTOR, _fix_vector_phase
@@ -291,6 +292,26 @@ class TestExplicit:
     def test_rejects_invalid(self):
         with pytest.raises(ValidationError):
             PhaseMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("entries, message", [
+        ([[1.0, 0.0]], "expected a non-empty square matrix"),
+        (np.ones((0, 0)), "expected a non-empty square matrix"),
+        ([1.0], "expected a non-empty square matrix"),
+        ([[1.0, math.nan], [math.nan, 1.0]], "matrix entries must be finite"),
+        ([[1.0, math.inf], [math.inf, 1.0]], "matrix entries must be finite"),
+    ], ids=["row", "empty", "vector", "nan", "inf"])
+    def test_rejects_malformed(self, entries, message):
+        with pytest.raises(PhaseObsError, match=message):
+            PhaseMatrix(entries)
+
+    def test_one_shape_and_finiteness_scan(self, monkeypatch):
+        # validate checks the dense entries once; construction adds no scan
+        entries = random_gram_matrix(np.random.default_rng(31), 16).entries
+        calls, check = [], observable._as_square_matrix
+        monkeypatch.setattr(observable, "_as_square_matrix",
+                            lambda values: calls.append(values) or check(values))
+        PhaseMatrix(entries)
+        assert len(calls) == 1
 
 
 class TestKraus:
